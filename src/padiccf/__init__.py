@@ -11,14 +11,10 @@ __version__ = "0.1.0"
 from .core import (
     INF,
     DlogBudgetExceeded,
-    HenselRoot,
     LaurentInt,
-    OddPrime,
-    PartialQuotient,
     centered_residue,
     discrete_log,
     hensel_digits,
-    hensel_lift,
     legendre,
     mod_inverse,
     mult_order,
@@ -40,8 +36,6 @@ from .engine import (
     parse_expansion_text,
     parse_quotient_list,
     periodic_limit,
-    s_browkin,
-    s_ruban,
     step,
     valuation_audit,
 )
@@ -50,7 +44,6 @@ from .analysis import (
     NormSignTrace,
     RegularityReport,
     b_sequence_analysis,
-    conjugate,
     dt_identities,
     galois_check,
     is_regular,

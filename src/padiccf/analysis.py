@@ -37,11 +37,6 @@ from .engine import (
 )
 
 
-def conjugate(alpha: QuadIrr) -> QuadIrr:
-    """Field conjugate (b - delta)/(p**k c)."""
-    return alpha.conjugate()
-
-
 # -- regularity --------------------------------------------------------------
 
 

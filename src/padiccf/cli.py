@@ -14,10 +14,12 @@ Exit codes: 0 success, 1 parse or value error, 2 expansion left open,
 from __future__ import annotations
 
 import json
+import math
+import os
 import sys
 import time
 from fractions import Fraction
-from itertools import islice, product
+from functools import partial
 from multiprocessing import Pool
 
 import click
@@ -57,6 +59,13 @@ def _need_odd_prime(p: int):
         _check_odd_prime(p)
     except ValueError as exc:
         _fail(str(exc))
+
+
+def _need_jobs(jobs: int):
+    """--jobs must lie in 1..4*cpu_count, checked before any worker starts."""
+    cap = 4 * (os.cpu_count() or 1)
+    if not 1 <= jobs <= cap:
+        _fail(f"--jobs must lie in 1..{cap}, got {jobs}")
 
 
 def _append_record(out_file, command: str, inputs: dict, outputs, elapsed: float):
@@ -126,6 +135,10 @@ def cmd_expand(p, quad_spec, rational_spec, flavor, max_steps, as_json, out_file
             parts = [int(s.strip()) for s in quad_spec.split(",")]
             if len(parts) != 5:
                 raise ValueError("--quad needs five integers: Delta,b,c,k,branch")
+            if abs(parts[3]) * math.log10(p) > DEFAULT_MAX_DIGITS:
+                raise ValueError(
+                    f"k={parts[3]}: p**|k| would exceed {DEFAULT_MAX_DIGITS} decimal digits"
+                )
             alpha = normalize(p, *parts)
             exp = expand(alpha, flavor, max_steps=max_steps)
             subject = {"quad": alpha.to_json(), "value": str(alpha)}
@@ -187,11 +200,8 @@ def _parse_h_spec(spec: str) -> tuple:
     return tuple(dict.fromkeys(out))
 
 
-def _construct_worker(args):
-    """Pool worker: redo the (cheap) niceness check, run one h, return JSON."""
-    p, cf_strings, dlog_budget, h, max_digits = args
-    cf = parse_quotient_list(",".join(cf_strings), p)
-    cert = is_nice(cf, dlog_budget)
+def _construct_row(cert, max_digits: int, h: int):
+    """One h offset of a nice certificate: (h, result JSON, infeasibility note)."""
     try:
         return h, run_construction(cert, h, max_digits).to_json(), None
     except ConstructionInfeasible as exc:
@@ -211,7 +221,7 @@ def _construct_worker(args):
 @click.option("--dlog-budget", type=int, default=None, help="cap on discrete-log table size")
 @click.option("--max-digits", type=int, default=DEFAULT_MAX_DIGITS, show_default=True,
               help="give up when p**omega would exceed this many decimal digits")
-@click.option("--jobs", type=int, default=1, show_default=True, help="worker processes over the h offsets")
+@click.option("--jobs", type=int, default=1, show_default=True, help="worker processes over the h offsets, 1..4*CPUs")
 @_io_options
 def cmd_construct(p, cf_text, cf_file, h_spec, dlog_budget, max_digits, jobs, as_json, out_file):
     """Run the even-period square-root construction seeded by a digit list.
@@ -222,6 +232,7 @@ def cmd_construct(p, cf_text, cf_file, h_spec, dlog_budget, max_digits, jobs, as
     """
     start = time.perf_counter()
     _need_odd_prime(p)
+    _need_jobs(jobs)
     if (cf_text is None) == (cf_file is None):
         _fail("exactly one of --cf or --cf-file is required")
     if cf_file is not None:
@@ -241,17 +252,12 @@ def cmd_construct(p, cf_text, cf_file, h_spec, dlog_budget, max_digits, jobs, as
         verb = "indeterminate" if cert.failure == "c-indeterminate" else "violated"
         click.echo(f"not nice: condition ({cert.failure[0]}) {verb}: {witness}", err=True)
         sys.exit(3)
-    rows = []
+    run_one = partial(_construct_row, cert, max_digits)
     if jobs > 1:
-        args = [(p, [str(a) for a in cf], dlog_budget, h, max_digits) for h in hs]
         with Pool(jobs) as pool:
-            rows = list(pool.imap(_construct_worker, args))
+            rows = list(pool.imap(run_one, hs))
     else:
-        for h in hs:
-            try:
-                rows.append((h, run_construction(cert, h, max_digits).to_json(), None))
-            except ConstructionInfeasible as exc:
-                rows.append((h, None, f"{exc} (omega={exc.omega}, ~{exc.digits_estimate} digits)"))
+        rows = list(map(run_one, hs))
     outputs = {
         "certificate": cert.to_json(),
         "results": [r for _, r, _ in rows if r is not None],
@@ -343,13 +349,8 @@ def _write_cursor(path: str, next_index: int, total: int, exhausted: bool):
 def _search_worker(args):
     """Pool worker: niceness over one contiguous slice of candidate indices."""
     p, t, pool_kind, num_bound, exp_bound, dlog_budget, lo, hi = args
-    digits = _digit_pool(p, pool_kind, num_bound, exp_bound)
-    out = []
-    for idx, combo in enumerate(islice(product(digits, repeat=t), lo, hi), lo):
-        cert = is_nice(combo, dlog_budget)
-        if cert.nice:
-            out.append((idx, cert.to_json()))
-    return out
+    hits = nice_search(p, t, pool_kind, num_bound, exp_bound, None, lo, dlog_budget, hi)
+    return [(idx, cert.to_json()) for idx, cert in hits]
 
 
 @main.command("search")
@@ -374,6 +375,7 @@ def cmd_search(p, t, pool_kind, num_bound, exp_bound, limit, dlog_budget,
     """
     start = time.perf_counter()
     _need_odd_prime(p)
+    _need_jobs(jobs)
     if t < 1:
         _fail("need t >= 1")
     total = len(_digit_pool(p, pool_kind, num_bound, exp_bound)) ** t
@@ -387,6 +389,8 @@ def cmd_search(p, t, pool_kind, num_bound, exp_bound, limit, dlog_budget,
             click.echo("search space already exhausted; nothing to resume")
             return
         start_index = int(cursor.get("next_index", 0))
+        if not 0 <= start_index <= total:
+            _fail(f"cursor next_index {start_index} lies outside 0..{total}")
     inputs = {
         "p": p, "t": t, "pool": pool_kind, "num_bound": num_bound,
         "exp_bound": exp_bound, "limit": limit, "start_index": start_index,

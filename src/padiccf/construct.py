@@ -21,8 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from math import gcd
+from itertools import islice, product
+from math import gcd, lcm
 
 from sympy import divisors
 
@@ -41,9 +41,9 @@ from .engine import (
     QuadIrr,
     _from_uvw,
     _is_square,
-    _stream_equal,
     convergents,
     expand,
+    first_reexpansion,
     periodic_limit,
 )
 
@@ -323,16 +323,10 @@ def construct(cert: NiceCertificate, h: int = 0,
     limit_ok = lim.b == 0 and lim_sq == Fraction(1, p ** (2 * k0) * m)
     r = sqrt_mod_p(m % p, p)
     assert r, "sqrt(m) must exist in Q_p by construction"
-    branch_used = None
-    actual = None
-    want_n = 1 + 4 * t + 2
-    for br in (r, p - r):
-        target = QuadIrr(p, m, 0, m, k0, br)
-        exp = expand(target, BROWKIN, max_steps=want_n + 6)
-        if _stream_equal(exp, preperiod, period, want_n):
-            branch_used, actual = br, exp
-            break
-    reexpand_ok = actual is not None
+    targets = (QuadIrr(p, m, 0, m, k0, br) for br in (r, p - r))
+    hit = first_reexpansion(targets, preperiod, period, BROWKIN)
+    branch_used, actual = (hit[0].branch, hit[1]) if hit else (None, None)
+    reexpand_ok = hit is not None
     verified = eq12_ok and limit_ok and reexpand_ok
     return ConstructionResult(
         p, t, k0, h, omega, cert.omega0, s, cert.q, q1, b_int, kt, ctil,
@@ -512,9 +506,7 @@ def _matrix_route(exp: Expansion):
     M11, M12 = t.A_(N - 1), t.A_(N - 2)
     M21, M22 = t.B_(N - 1), t.B_(N - 2)
     tr, det = M11 + M22, M11 * M22 - M12 * M21
-    L = M11.denominator
-    for f in (M12, M21, M22):
-        L = L * f.denominator // gcd(L, f.denominator)
+    L = lcm(M11.denominator, M12.denominator, M21.denominator, M22.denominator)
     a2, b2, c2 = int(M21 * L), int((M22 - M11) * L), int(-M12 * L)
     disc = b2 * b2 - 4 * a2 * c2
     p = exp.p
@@ -580,21 +572,16 @@ def family_section6(variant: int, p: int, t: int) -> FamilyReport:
     assert r, "Delta = 1 mod p, so its unit square root exists"
     note = None
     if variant in (1, 2):
-        want_n = len(pre) + 2 * len(per) + 2
-        matched = None
-        for br in (r, p - r):
-            alpha = QuadIrr(p, Delta, 0, 2, k, br)
-            exp = expand(alpha, BROWKIN, max_steps=want_n + 6)
-            if _stream_equal(exp, pre, per, want_n):
-                matched = (alpha, exp, br)
-                break
+        cands = (QuadIrr(p, Delta, 0, 2, k, br) for br in (r, p - r))
+        matched = first_reexpansion(cands, pre, per, BROWKIN)
         if matched is None:
             alpha = QuadIrr(p, Delta, 0, 2, k, r)
-            exp = expand(alpha, BROWKIN, max_steps=want_n + 6)
+            exp = expand(alpha, BROWKIN, max_steps=len(pre) + 2 * len(per) + 2)
             return FamilyReport(variant, p, t, alpha, pre, per, exp, r, None,
                                 "failed", False, None, False,
                                 "neither branch reproduces the claimed digits")
-        alpha, exp, br = matched
+        alpha, exp = matched
+        br = alpha.branch
         sign = "+" if br == r else "-"
         literal = "ok"
     else:
@@ -641,7 +628,8 @@ def _digit_pool(p: int, pool: str, num_bound: int, exp_bound: int) -> tuple:
 
 def nice_search(p: int, t: int, pool: str = "pos", num_bound: int = 6,
                 exp_bound: int = 2, limit: int | None = None,
-                start_index: int = 0, dlog_budget: int | None = None):
+                start_index: int = 0, dlog_budget: int | None = None,
+                stop_index: int | None = None):
     """Enumerate candidate digit lists and yield (index, certificate) for
     the nice ones.
 
@@ -649,7 +637,8 @@ def nice_search(p: int, t: int, pool: str = "pos", num_bound: int = 6,
     to num_bound and denominator exponent up to exp_bound, positive only or
     both signs; the enumeration order is deterministic (exponent, then
     numerator, then sign, cartesian power by position), so start_index
-    gives exact resumption.
+    gives exact resumption. Only indices in [start_index, stop_index) are
+    scanned (stop_index None means to the end of the space).
     """
     _check_odd_prime(p)
     if t < 1:
@@ -658,9 +647,8 @@ def nice_search(p: int, t: int, pool: str = "pos", num_bound: int = 6,
         raise ValueError("pool must be 'pos' or 'all'")
     digits = _digit_pool(p, pool, num_bound, exp_bound)
     emitted = 0
-    for idx, combo in enumerate(product(digits, repeat=t)):
-        if idx < start_index:
-            continue
+    combos = islice(product(digits, repeat=t), start_index, stop_index)
+    for idx, combo in enumerate(combos, start_index):
         cert = is_nice(combo, dlog_budget)
         if cert.nice:
             yield idx, cert

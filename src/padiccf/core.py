@@ -45,14 +45,6 @@ def _check_odd_prime(p: int) -> int:
     return p
 
 
-class OddPrime(int):
-    """An int that is checked to be an odd prime at construction."""
-
-    def __new__(cls, p):
-        _check_odd_prime(int(p))
-        return super().__new__(cls, p)
-
-
 def vp(x, p):
     """p-adic valuation of a rational; vp(0) is +infinity (sentinel).
 
@@ -92,13 +84,6 @@ def centered_residue(x: int, n: int, p: int) -> int:
         r -= pn
     assert -pn < 2 * r < pn
     return r
-
-
-def least_residue(x: int, n: int, p: int) -> int:
-    """The representative of x mod p**n in [0, p**n)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return x % p**n
 
 
 def legendre(a: int, p: int) -> int:
@@ -147,31 +132,6 @@ def sqrt_mod_p(a: int, p: int):
     return min(r, p - r)
 
 
-@dataclass(frozen=True)
-class HenselRoot:
-    """digits**2 == Delta mod p**N with digits == branch mod p."""
-
-    p: int
-    Delta: int
-    branch: int
-    digits: int
-    N: int
-
-    def __post_init__(self):
-        _check_odd_prime(self.p)
-        p = self.p
-        if self.Delta % p == 0:
-            raise ValueError("Delta must be prime to p")
-        if not 1 <= self.branch < p:
-            raise ValueError("branch must lie in [1, p-1]")
-        if (self.branch * self.branch - self.Delta) % p != 0:
-            raise ValueError("branch**2 != Delta mod p")
-        if self.N < 1:
-            raise ValueError("precision N must be >= 1")
-        assert self.digits % p == self.branch
-        assert (self.digits * self.digits - self.Delta) % p**self.N == 0
-
-
 def _newton_lift(p: int, Delta: int, x: int, have: int, want: int) -> int:
     # classic x -> (x + Delta/x)/2, doubling the precision each round
     n = have
@@ -182,20 +142,13 @@ def _newton_lift(p: int, Delta: int, x: int, have: int, want: int) -> int:
     return x
 
 
-def hensel_lift(root: HenselRoot, N: int) -> HenselRoot:
-    """Lift a branch root to precision N (idempotent for N <= root.N)."""
-    if N <= root.N:
-        return root
-    digits = _newton_lift(root.p, root.Delta, root.digits, root.N, N)
-    return HenselRoot(root.p, root.Delta, root.branch, digits, N)
-
-
 class _HenselCache:
     """Lazily grown digit store, one entry per (p, Delta, branch).
 
     Readers may share the cache; growth happens under a lock. Precision is
     grown to at least double the previous value so deep expansions do O(log)
-    lifts total.
+    lifts total. A new key is validated before it is stored: p an odd prime,
+    Delta prime to p, and branch a square root of Delta mod p in [1, p-1].
     """
 
     def __init__(self):
@@ -209,8 +162,14 @@ class _HenselCache:
         with self._lock:
             hit = self._store.get(key)
             if hit is None:
-                root = HenselRoot(p, Delta, branch, branch % p, 1)
-                hit = (root.digits, 1)
+                _check_odd_prime(p)
+                if Delta % p == 0:
+                    raise ValueError("Delta must be prime to p")
+                if not 1 <= branch < p:
+                    raise ValueError("branch must lie in [1, p-1]")
+                if (branch * branch - Delta) % p != 0:
+                    raise ValueError("branch**2 != Delta mod p")
+                hit = (branch, 1)
             digits, have = hit
             if have < N:
                 grow_to = max(N, 2 * have)
@@ -446,8 +405,3 @@ class LaurentInt:
     def in_ruban_range(self) -> bool:
         """0 <= value < p, the nonnegative digit window."""
         return 0 <= self.tilde < self.p ** (self.e + 1)
-
-
-# A partial quotient is just a LaurentInt; the flavor-specific range checks
-# live on the type itself.
-PartialQuotient = LaurentInt

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from .core import (
     INF,
@@ -28,6 +28,7 @@ from .core import (
     hensel_digits,
     legendre,
     mod_inverse,
+    sqrt_mod_p,
     vp,
 )
 
@@ -316,9 +317,7 @@ def _mobius(A, Ap, B, Bp, gamma: QuadIrr) -> QuadIrr:
     W = y1 * y1 - y2 * y2 * gamma.Delta
     if W == 0:
         raise ValueError("Moebius transport degenerates (conjugate hit)")
-    L = U.denominator
-    for f in (V, W):
-        L = L * f.denominator // gcd(L, f.denominator)
+    L = lcm(U.denominator, V.denominator, W.denominator)
     Ui, Vi, Wi = int(U * L), int(V * L), int(W * L)
     if Vi == 0:
         raise ValueError("transport produced a rational value")
@@ -340,17 +339,6 @@ def _digit(alpha: QuadIrr, flavor: str) -> LaurentInt:
     t = (alpha.b + dig) * mod_inverse(alpha.c % pn, pn) % pn
     r = centered_residue(t, N, p) if flavor == BROWKIN else t
     return LaurentInt(p, r, k)
-
-
-def s_browkin(alpha: QuadIrr) -> LaurentInt:
-    """The centered digit: the unique y in Z[1/p] with |y| < p/2 (as a real
-    number) and |alpha - y|_p < 1."""
-    return _digit(alpha, BROWKIN)
-
-
-def s_ruban(alpha: QuadIrr) -> LaurentInt:
-    """The nonnegative digit: same truncation with representatives in [0, p)."""
-    return _digit(alpha, RUBAN)
 
 
 def _digit_rational(x: Fraction, p: int, flavor: str) -> LaurentInt:
@@ -557,29 +545,28 @@ def expand_rational(x, p: int, flavor: str = BROWKIN, max_steps: int = DEFAULT_M
 class ConvergentTable:
     """A_n, B_n and their integer tilde companions, indices from -1.
 
-    The tilde rows follow Atilde_n = a~_n Atilde_{n-1} + p**(k_n + k_{n-1})
-    Atilde_{n-2} with k_n the denominator exponent of the n-th digit; they
-    equal p**(K'_n) A_n and p**(K_n) B_n, which is asserted during the build
-    together with the determinant identity
-    A_n B_{n-1} - B_n A_{n-1} = (-1)**(n+1).
+    Only the tilde rows are built, by Atilde_n = a~_n Atilde_{n-1} +
+    p**(k_n + k_{n-1}) Atilde_{n-2} with k_n the denominator exponent of the
+    n-th digit (same for Btilde). They equal p**(K'_n) A_n and p**(K_n) B_n,
+    so A_(n) and B_(n) are read off them as exact Fractions; the test suite
+    checks this against the plain recurrences A_n = a_n A_{n-1} + A_{n-2}.
     """
 
     p: int
     quotients: tuple
-    A: list
-    B: list
     Atilde: list
     Btilde: list
     ks: tuple
+    Ksum: list  # Ksum[n + 1] = K_n = k_1 + ... + k_n, with K_{-1} = K_0 = 0
 
     def __len__(self) -> int:
         return len(self.quotients)
 
     def A_(self, n: int) -> Fraction:
-        return self.A[n + 1]
+        return Fraction(self.Atilde[n + 1], self.p ** self.Kprime(n))
 
     def B_(self, n: int) -> Fraction:
-        return self.B[n + 1]
+        return Fraction(self.Btilde[n + 1], self.p ** self.K(n))
 
     def Atilde_(self, n: int) -> int:
         return self.Atilde[n + 1]
@@ -588,15 +575,11 @@ class ConvergentTable:
         return self.Btilde[n + 1]
 
     def K(self, n: int) -> int:
-        return sum(self.ks[1 : n + 1])
+        return self.Ksum[n + 1]
 
     def Kprime(self, n: int) -> int:
-        return self.K(n) + self.ks[0]
-
-    def det(self, n: int) -> int:
-        d = self.A_(n) * self.B_(n - 1) - self.B_(n) * self.A_(n - 1)
-        assert d in (1, -1)
-        return int(d)
+        """K'_n = K_n + k_0, and K'_{-1} = 0 (Atilde_{-1} = A_{-1} = 1)."""
+        return self.Ksum[n + 1] + self.ks[0] if n >= 0 else 0
 
 
 def convergents(quotients, p: int = None) -> ConvergentTable:
@@ -607,33 +590,16 @@ def convergents(quotients, p: int = None) -> ConvergentTable:
     if p is None:
         p = quotients[0].p
     ks = tuple(q.e for q in quotients)
-    A = [Fraction(1), quotients[0].value]
-    B = [Fraction(0), Fraction(1)]
     Atilde = [1, quotients[0].tilde]
     Btilde = [0, 1]
+    Ksum = [0, 0]
     for n in range(1, len(quotients)):
         a = quotients[n]
-        A.append(a.value * A[-1] + A[-2])
-        B.append(a.value * B[-1] + B[-2])
         jump = p ** (ks[n] + ks[n - 1])
         Atilde.append(a.tilde * Atilde[-1] + jump * Atilde[-2])
         Btilde.append(a.tilde * Btilde[-1] + jump * Btilde[-2])
-    table = ConvergentTable(p, quotients, A, B, Atilde, Btilde, ks)
-    _check_table(table)
-    return table
-
-
-def _check_table(t: ConvergentTable):
-    Kp, K = t.ks[0], 0
-    pf = Fraction(t.p)
-    for n in range(len(t)):
-        if n >= 1:
-            K += t.ks[n]
-            Kp += t.ks[n]
-            d = t.A_(n) * t.B_(n - 1) - t.B_(n) * t.A_(n - 1)
-            assert d == (-1) ** (n + 1), f"determinant identity broke at n={n}"
-        assert t.Atilde_(n) == t.A_(n) * pf**Kp, f"A-tilde scaling broke at n={n}"
-        assert t.Btilde_(n) == t.B_(n) * pf**K, f"B-tilde scaling broke at n={n}"
+        Ksum.append(Ksum[-1] + ks[n])
+    return ConvergentTable(p, quotients, Atilde, Btilde, ks, Ksum)
 
 
 def eval_finite(quotients) -> Fraction:
@@ -665,6 +631,24 @@ def _stream_equal(exp: Expansion, preperiod, period, n: int) -> bool:
     return True
 
 
+def first_reexpansion(candidates, preperiod, period, flavor: str = BROWKIN):
+    """The first candidate whose expansion reproduces [preperiod, (period)*].
+
+    Candidates (typically the two square-root branches of one value) are
+    tried in order, lazily; each is expanded for n = len(preperiod) +
+    2*len(period) + 2 steps and its first n digits are compared with the
+    claimed stream. A true match with preperiod m and period N repeats a
+    state by step m + N < n, so its expansion comes back periodic. Returns
+    (alpha, expansion), or None when no candidate matches.
+    """
+    want_n = len(preperiod) + 2 * len(period) + 2
+    for alpha in candidates:
+        exp = expand(alpha, flavor, max_steps=want_n)
+        if _stream_equal(exp, preperiod, period, want_n):
+            return alpha, exp
+    return None
+
+
 def periodic_limit(preperiod, period, p: int, flavor: str = BROWKIN) -> QuadIrr:
     """The exact value of [preperiod, (period)*].
 
@@ -685,9 +669,7 @@ def periodic_limit(preperiod, period, p: int, flavor: str = BROWKIN) -> QuadIrr:
     cq = t.A_(N - 2)
     if aq == 0:
         raise ValueError("degenerate period: B_{N-1} = 0")
-    M = aq.denominator
-    for f in (bq, cq):
-        M = M * f.denominator // gcd(M, f.denominator)
+    M = lcm(aq.denominator, bq.denominator, cq.denominator)
     a2, b2, c2 = int(aq * M), int(bq * M), int(cq * M)
     Draw = b2 * b2 + 4 * a2 * c2
     if Draw == 0 or _is_square(Draw):
@@ -699,8 +681,6 @@ def periodic_limit(preperiod, period, p: int, flavor: str = BROWKIN) -> QuadIrr:
         v2 += 1
     if v2 % 2 != 0 or legendre(D0, p) != 1:
         raise ValueError(f"period discriminant has no square root in Q_{p}")
-    from .core import sqrt_mod_p
-
     r = sqrt_mod_p(D0 % p, p)
     assert r is not None and r != 0
     m = len(preperiod)
@@ -708,19 +688,12 @@ def periodic_limit(preperiod, period, p: int, flavor: str = BROWKIN) -> QuadIrr:
         tp = convergents(preperiod, p)
         A1, A2 = tp.A_(m - 1), tp.A_(m - 2)
         B1, B2 = tp.B_(m - 1), tp.B_(m - 2)
-    want_n = m + 2 * N + 2
-    tried = []
-    for branch0 in (r, p - r):
-        gamma = _from_uvw(p, b2, 1, 2 * a2, Draw, branch0)
-        alpha = _mobius(A1, A2, B1, B2, gamma) if m else gamma
-        exp = expand(alpha, flavor, max_steps=want_n + 4)
-        if _stream_equal(exp, preperiod, period, want_n):
-            return alpha
-        tried.append(alpha)
-    raise ValueError(
-        "no branch of the reconstructed value re-expands to the given digits; "
-        f"tried {[str(a) for a in tried]}"
-    )
+    gammas = (_from_uvw(p, b2, 1, 2 * a2, Draw, br) for br in (r, p - r))
+    cands = (_mobius(A1, A2, B1, B2, g) for g in gammas) if m else gammas
+    hit = first_reexpansion(cands, preperiod, period, flavor)
+    if hit is None:
+        raise ValueError("no branch of the reconstructed value re-expands to the given digits")
+    return hit[0]
 
 
 # -- the audit ---------------------------------------------------------------

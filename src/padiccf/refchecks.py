@@ -90,6 +90,16 @@ def check_names():
     return tuple(name for name, _ in _REGISTRY)
 
 
+def _require(cond, *detail):
+    """Fail the running check unless cond holds.
+
+    An explicit raise rather than an assert statement, so the checks still
+    run under python -O; the runner reports it like a failed assertion.
+    """
+    if not cond:
+        raise AssertionError(*detail)
+
+
 # -- pinned expansions --------------------------------------------------------
 
 _PERIOD12 = ("4/5", "-11/5", "-3/5", "-4/25", "274/125", "-4/25",
@@ -102,26 +112,26 @@ _PREFIX14 = ("-9/5", "-2/5", "-59/25", "2/5", "-9/5", "23/25", "3/5",
 @_register("expand.quad19.period12")
 def _quad19(ctx):
     exp = expand(QuadIrr(5, 19, -13, 6, 1, 2), BROWKIN)
-    assert exp.status == PERIODIC and not exp.preperiod
+    _require(exp.status == PERIODIC and not exp.preperiod)
     got = tuple(str(q) for q in exp.period)
-    assert got == _PERIOD12, got
+    _require(got == _PERIOD12, got)
     return "purely periodic, 12 digits exact"
 
 
 @_register("expand.quad37.pure")
 def _quad37(ctx):
     exp = expand(QuadIrr(3, 37, 1, 2, 1, 1), BROWKIN)
-    assert exp.status == PERIODIC and not exp.preperiod
-    assert tuple(str(q) for q in exp.period) == ("1/3",)
+    _require(exp.status == PERIODIC and not exp.preperiod)
+    _require(tuple(str(q) for q in exp.period) == ("1/3",))
     return "period [1/3], empty preperiod"
 
 
 @_register("expand.quad89.prefix14")
 def _quad89(ctx):
     exp = expand(QuadIrr(5, 89, 8, 1, 1, 3), BROWKIN, max_steps=ctx["horizon"])
-    assert exp.status == OPEN
+    _require(exp.status == OPEN)
     got = tuple(str(exp.quotient_at(i)) for i in range(14))
-    assert got == _PREFIX14, got
+    _require(got == _PREFIX14, got)
     return f"open at horizon {ctx['horizon']}, 14-digit prefix exact"
 
 
@@ -138,7 +148,7 @@ def _det_suite(ctx):
         tab = convergents(digs)
         for n in range(len(digs)):
             det = tab.A_(n) * tab.B_(n - 1) - tab.A_(n - 1) * tab.B_(n)
-            assert det == (-1) ** (n + 1), (digs, n)
+            _require(det == (-1) ** (n + 1), (digs, n))
     return f"{cases} digit lists, all rows"
 
 
@@ -151,7 +161,7 @@ def _growth_suite(ctx):
         alpha = random_quad(rng, p)
         exp = expand(alpha, BROWKIN, max_steps=24)
         audit = valuation_audit(exp)
-        assert audit.ok, (alpha, audit.failures)
+        _require(audit.ok, (alpha, audit.failures))
     return f"{cases} quadratics, full valuation audit"
 
 
@@ -171,7 +181,7 @@ def _closeness_suite(ctx):
         b = eval_finite(prefix + tail_b)
         if a == b:
             continue
-        assert vp(a - b, p) >= 2 * n + 1, (prefix, tail_a, tail_b)
+        _require(vp(a - b, p) >= 2 * n + 1, (prefix, tail_a, tail_b))
         done += 1
     return f"{done} pairs sharing convergent index up to 6"
 
@@ -184,9 +194,9 @@ def _regular_suite(ctx):
         p = rng.choice((3, 5, 7))
         alpha = random_periodic(rng, p)
         exp = expand(alpha, BROWKIN, max_steps=600)
-        assert exp.status == PERIODIC
+        _require(exp.status == PERIODIC)
         verdict = galois_check(alpha, exp)
-        assert verdict.ok, (alpha, verdict)
+        _require(verdict.ok, (alpha, verdict))
     return f"{cases} periodic states, both directions"
 
 
@@ -228,16 +238,16 @@ def _tracezero_suite(ctx):
             alpha = random_trace_zero(rng, rng.choice((3, 5, 7)))
         rep = trace_zero_classify(alpha, max_steps=250)
         expected = "preperiod_1" if alpha.valuation < 0 else "preperiod_2"
-        assert rep.klass == expected
+        _require(rep.klass == expected)
         if rep.expansion.status == PERIODIC:
             periodic_seen += 1
             want_len = 1 if alpha.valuation < 0 else 2
-            assert len(rep.expansion.preperiod) == want_len, alpha
+            _require(len(rep.expansion.preperiod) == want_len, alpha)
             # the doubled-digit template is only claimed when 2*a_0 is a digit
             if rep.a0_small:
-                assert rep.matched is True, alpha
+                _require(rep.matched is True, alpha)
                 templated += 1
-    assert periodic_seen >= cases // 10
+    _require(periodic_seen >= cases // 10)
     return (f"{cases} trace-zero values, {periodic_seen} periodic with the "
             f"right preperiod length, {templated} matching the full template")
 
@@ -250,10 +260,10 @@ def _rational_suite(ctx):
         p = rng.choice((3, 5, 7))
         x = random_rational(rng, p)
         exp = expand_rational(x, p, BROWKIN)
-        assert exp.status == FINITE
-        assert eval_finite(exp.preperiod) == x
+        _require(exp.status == FINITE)
+        _require(eval_finite(exp.preperiod) == x)
         for q in exp.preperiod[1:]:
-            assert q.e >= 1
+            _require(q.e >= 1)
     return f"{cases} rationals, all finite with exact round-trip"
 
 
@@ -277,7 +287,7 @@ def _bedocchi(ctx):
             scanned += 1
             if exp.status == PERIODIC:
                 periodic += 1
-                assert len(exp.period) not in (1, 3), (p, m, len(exp.period))
+                _require(len(exp.period) not in (1, 3), (p, m, len(exp.period)))
     return f"{scanned} square roots up to {bound}, {periodic} periodic, no period 1 or 3"
 
 
@@ -286,10 +296,10 @@ def _bedocchi(ctx):
 
 @_register("dlog.trio")
 def _dlog(ctx):
-    assert mult_order(5, 36) == 6
-    assert mult_order(3, 100) == 20
-    assert mult_order(3, 353 * 353) == 124256
-    assert discrete_log(3, 110, 353 * 353) == 31861
+    _require(mult_order(5, 36) == 6)
+    _require(mult_order(3, 100) == 20)
+    _require(mult_order(3, 353 * 353) == 124256)
+    _require(discrete_log(3, 110, 353 * 353) == 31861)
     return "orders 6, 20, 124256 and log 31861 exact"
 
 
@@ -303,8 +313,8 @@ def _beta_eval(ctx):
             for n in range(1, 6):
                 digs = beta(n, k, p)
                 want = Fraction(1 + sum(p ** (2**j * k) for j in range(1, n + 1)), p**k)
-                assert eval_finite(digs) == want, (p, k, n)
-                assert convergents(digs).Btilde_(2**n - 1) == 1
+                _require(eval_finite(digs) == want, (p, k, n))
+                _require(convergents(digs).Btilde_(2**n - 1) == 1)
     return "closed-form values and unit tilde denominators, n <= 5"
 
 
@@ -314,7 +324,7 @@ def _beta_nice(ctx):
         for k in (1, 2):
             for n in range(1, 6):
                 cert = is_nice(beta(n, k, p))
-                assert cert.nice, (p, k, n, cert.failure)
+                _require(cert.nice, (p, k, n, cert.failure))
     return "30 seeds, all three conditions"
 
 
@@ -323,7 +333,7 @@ def _beta_poly(ctx):
     for p in (3, 5, 7):
         for k in (1, 2, 3):
             for n in range(1, 7):
-                assert beta_polynomials(n, k, p).ok
+                _require(beta_polynomials(n, k, p).ok)
     return "polynomial convergent values, n <= 6, k <= 3"
 
 
@@ -334,7 +344,7 @@ def _beta_cala(ctx):
         for k in (1, 2, 3):
             for n in range(2, 7):
                 verdict = cala_identities(beta(n, k, p), beta(n - 1, 2 * k, p))
-                assert verdict.ok, (p, k, n)
+                _require(verdict.ok, (p, k, n))
                 pairs += verdict.pairs_checked
     return f"interleave identities, {pairs} index pairs"
 
@@ -346,7 +356,7 @@ def _beta_period(ctx):
     for j in range(1, n_top + 1):
         seed = (LaurentInt(5, 6, 1),) if j == 1 else beta(j - 1, 1, 5)
         res = construct(is_nice(seed), 0)
-        assert res.verified and len(res.period) == 2**j, j
+        _require(res.verified and len(res.period) == 2**j, j)
         got.append(2**j)
     return f"realized periods {got} over p=5"
 
@@ -364,10 +374,10 @@ def _construct_t1(ctx):
     }
     for h, (omega, c_tilde, m) in pins.items():
         res = construct(cert, h)
-        assert (res.omega, res.c_tilde, res.m) == (omega, c_tilde, m), h
-        assert res.verified
+        _require((res.omega, res.c_tilde, res.m) == (omega, c_tilde, m), h)
+        _require(res.verified)
     # the h=1 member in lowest terms: 1/(10 sqrt(-1695421))
-    assert pins[1][2] == -4 * 1695421
+    _require(pins[1][2] == -4 * 1695421)
     return "members at omega 6, 12, 18 with exact c~ and m"
 
 
@@ -381,26 +391,26 @@ def _construct_t2(ctx):
     }
     for h, (omega, c_tilde, kt) in pins.items():
         res = construct(cert, h)
-        assert (res.omega, res.c_tilde, res.kt) == (omega, c_tilde, kt), h
-        assert res.m == -(3**omega - 1) // 100
-        assert res.verified
+        _require((res.omega, res.c_tilde, res.kt) == (omega, c_tilde, kt), h)
+        _require(res.m == -(3**omega - 1) // 100)
+        _require(res.verified)
     # in lowest terms: 1/(66 sqrt(m/484)) for all three members
     for h, unit in ((0, -72041), (1, -251191435104482),
                     (2, -875850377587111642857323)):
-        assert construct(cert, h).m == 484 * unit
+        _require(construct(cert, h).m == 484 * unit)
     return "members at omega 20, 40, 60 with exact c~, k_t and m"
 
 
 @_register("construct.ell353")
 def _construct_353(ctx):
     cert = is_nice((LaurentInt(3, 1, 1), LaurentInt(3, 110, 4)))
-    assert cert.nice and cert.q == 110 and cert.omega0 == 31861
-    assert cert.Atilde_last == 353
+    _require(cert.nice and cert.q == 110 and cert.omega0 == 31861)
+    _require(cert.Atilde_last == 353)
     res = construct(cert, 0)
-    assert res.order_s == 124256 and res.omega == 31861 and res.kt == 31852
-    assert res.b == (3**31861 - 110) // 353**2
-    assert res.c_tilde == (-(3**31856) - 1) // 353
-    assert res.verified
+    _require(res.order_s == 124256 and res.omega == 31861 and res.kt == 31852)
+    _require(res.b == (3**31861 - 110) // 353**2)
+    _require(res.c_tilde == (-(3**31856) - 1) // 353)
+    _require(res.verified)
     return "15k-digit instance, all closed-form pins exact"
 
 
@@ -415,14 +425,14 @@ def _construct_monotone(ctx):
         ms = set()
         for h in hs:
             res = construct(cert, h)
-            assert res.verified
+            _require(res.verified)
             if prev is not None:
-                assert res.omega > prev.omega
-                assert res.kt > prev.kt
-                assert abs(res.m) > abs(prev.m)
+                _require(res.omega > prev.omega)
+                _require(res.kt > prev.kt)
+                _require(abs(res.m) > abs(prev.m))
             ms.add(res.m)
             prev = res
-        assert len(ms) == len(tuple(hs))
+        _require(len(ms) == len(tuple(hs)))
     return "omega, k_t, |m| strictly increasing; all m distinct"
 
 
@@ -433,10 +443,10 @@ def _construct_monotone(ctx):
 def _family1(ctx):
     for p, t in ((3, 2), (5, 2), (5, 3), (7, 3)):
         rep = family_section6(1, p, t)
-        assert rep.verified and rep.char_poly_check, (p, t)
+        _require(rep.verified and rep.char_poly_check, (p, t))
     rep = family_section6(1, 3, 2)
-    assert tuple(str(q) for q in rep.expansion.preperiod) == ("4/3",)
-    assert tuple(str(q) for q in rep.expansion.period) == ("-2/3", "-1/3", "2/3", "-1/3")
+    _require(tuple(str(q) for q in rep.expansion.preperiod) == ("4/3",))
+    _require(tuple(str(q) for q in rep.expansion.period) == ("-2/3", "-1/3", "2/3", "-1/3"))
     return "four (p,t) pairs, digits and trace identity exact"
 
 
@@ -444,7 +454,7 @@ def _family1(ctx):
 def _family2(ctx):
     for p, t in ((5, 3), (7, 3)):
         rep = family_section6(2, p, t)
-        assert rep.verified and len(rep.expansion.period) == 6, (p, t)
+        _require(rep.verified and len(rep.expansion.period) == 6, (p, t))
     return "length-6 periods at (5,3) and (7,3)"
 
 
@@ -452,8 +462,8 @@ def _family2(ctx):
 def _family3(ctx):
     for p, t in ((5, 3), (7, 3)):
         rep = family_section6(3, p, t)
-        assert rep.verified and rep.matrix_check, (p, t)
-        assert rep.literal_check == "indeterminate"
+        _require(rep.verified and rep.matrix_check, (p, t))
+        _require(rep.literal_check == "indeterminate")
     return "value verified via period matrix; literal digits indeterminate"
 
 
@@ -463,9 +473,9 @@ def _family3(ctx):
 @_register("ruban.minus_one")
 def _ruban_minus_one(ctx):
     exp = expand_rational(-1, 5, RUBAN)
-    assert exp.status == PERIODIC
-    assert tuple(str(q) for q in exp.preperiod) == ("4",)
-    assert tuple(str(q) for q in exp.period) == ("24/5",)
+    _require(exp.status == PERIODIC)
+    _require(tuple(str(q) for q in exp.preperiod) == ("4",))
+    _require(tuple(str(q) for q in exp.period) == ("24/5",))
     return "-1 cycles as [4, (24/5)*]"
 
 
@@ -474,11 +484,11 @@ def _ruban_family(ctx):
     for h in (1, 2, 3):
         probe = ruban_nonperiodic_probe(1 + 5 ** (2 * h), -h, 5)
         exp = probe.expansion
-        assert probe.status == PERIODIC
-        assert tuple(str(q) for q in exp.preperiod) == (f"1/{5**h}",)
-        assert tuple(str(q) for q in exp.period) == (f"2/{5**h}",)
+        _require(probe.status == PERIODIC)
+        _require(tuple(str(q) for q in exp.preperiod) == (f"1/{5**h}",))
+        _require(tuple(str(q) for q in exp.period) == (f"2/{5**h}",))
         lim = periodic_limit(exp.preperiod, exp.period, 5, RUBAN)
-        assert lim.value_equals(QuadIrr(5, 1 + 5 ** (2 * h), 0, 1, h, 1))
+        _require(lim.value_equals(QuadIrr(5, 1 + 5 ** (2 * h), 0, 1, h, 1)))
     return "h in {1,2,3}: digits exact, limit equals the closed form"
 
 
@@ -488,8 +498,8 @@ def _ruban_probes(ctx):
                (24, 2), (26, 1), (29, 2), (31, 1), (34, 2))
     for m, k in samples:
         probe = ruban_nonperiodic_probe(m, k, 5, N=2000)
-        assert probe.status == "nonperiodic"
-        assert probe.witness_negative_embeddings
+        _require(probe.status == "nonperiodic")
+        _require(probe.witness_negative_embeddings)
     return "10 p**k sqrt(m) probes open at 2000 with sign witness"
 
 

@@ -8,11 +8,15 @@ JSONL record log is parsed back to check its shape.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from click.testing import CliRunner
 
-from padiccf import __version__
+import padiccf
+from padiccf import __version__, cli
 from padiccf.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -88,6 +92,14 @@ def test_expand_rejects_malformed_quad():
     nonresidue = run("expand", "--p", "5", "--quad", "7,0,1,0,1")
     assert nonresidue.exit_code == 1
     assert nonresidue.stderr.startswith("error:")
+
+
+def test_expand_rejects_huge_k():
+    # 5**286136 has 200,001 decimal digits, one past the digit cap; 286135
+    # would still be admitted.
+    res = run("expand", "--p", "5", "--quad", "19,-13,6,286136,2")
+    assert res.exit_code == 1
+    assert "exceed 200000 decimal digits" in res.stderr
 
 
 def test_expand_appends_result_record(tmp_path):
@@ -218,6 +230,23 @@ def test_verify_paper_json_record(tmp_path):
     assert rec["inputs"]["only"] == "dlog"
 
 
+def test_verify_paper_check_fails_under_python_O():
+    # python -O strips assert statements; a sabotaged pin must still fail.
+    code = (
+        "import sys\n"
+        "import padiccf.refchecks as rc\n"
+        "rc._PERIOD12 = tuple(reversed(rc._PERIOD12))\n"
+        "(res,) = rc.run_checks(only='expand.quad19.period12')\n"
+        "print(sys.flags.optimize, 'PASS' if res.ok else 'FAIL')\n"
+    )
+    src = str(Path(padiccf.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                          text=True, timeout=120, check=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.stdout.split() == ["1", "FAIL"]
+
+
 def test_verify_paper_reports_honest_failure():
     # The period-16 realization needs a 3.2-billion-digit power of 5; the
     # check must say so and fail rather than silently shrink the target.
@@ -271,6 +300,18 @@ def test_search_limit_then_resume_covers_space(tmp_path):
     assert len(read_records(out)) == 87
 
 
+def test_search_resume_rejects_corrupt_cursor(tmp_path):
+    out = tmp_path / "hits.jsonl"
+    cursor = tmp_path / "hits.jsonl.cursor"
+    cursor.write_text('{"next_index": -3, "total": 16, "exhausted": false}',
+                      encoding="utf-8")
+    res = run("search", "--p", "5", "--t", "1", "--num-bound", "10",
+              "--resume", "--out", str(out))
+    assert res.exit_code == 1
+    assert "lies outside 0..16" in res.stderr
+    assert not out.exists()
+
+
 def test_search_resume_requires_out():
     res = run("search", "--p", "5", "--t", "1", "--resume")
     assert res.exit_code == 1
@@ -294,6 +335,20 @@ def test_search_json_lines_parse():
 
 
 # -- group-level plumbing ----------------------------------------------------------
+
+
+def test_jobs_out_of_range_exits_1_before_any_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(cli, "Pool", no_pool)
+    cap = 4 * (os.cpu_count() or 1)
+    for jobs in ("0", "-1", str(cap + 1)):
+        for cmd in (("construct", "--p", "5", "--cf", "6/5"),
+                    ("search", "--p", "5", "--t", "1")):
+            res = run(*cmd, "--jobs", jobs)
+            assert res.exit_code == 1
+            assert f"--jobs must lie in 1..{cap}" in res.stderr
 
 
 def test_version_flag():

@@ -8,14 +8,11 @@ from hypothesis import strategies as st
 from padiccf.core import (
     INF,
     DlogBudgetExceeded,
-    HenselRoot,
     LaurentInt,
-    OddPrime,
+    _check_odd_prime,
     centered_residue,
     discrete_log,
     hensel_digits,
-    hensel_lift,
-    least_residue,
     legendre,
     mod_inverse,
     mult_order,
@@ -37,10 +34,10 @@ SMALL_ODD_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23]
 
 
 def test_odd_prime_validation():
-    assert OddPrime(7) == 7
+    assert _check_odd_prime(7) == 7
     for bad in (1, 2, 4, 9, -5, 15):
         with pytest.raises(ValueError):
-            OddPrime(bad)
+            _check_odd_prime(bad)
 
 
 def test_vp_pinned_values():
@@ -86,8 +83,6 @@ def test_centered_residue_window_and_congruence(p, x, n):
     pn = p**n
     assert (x - r) % pn == 0
     assert -pn / 2 < r < pn / 2
-    s = least_residue(x, n, p)
-    assert 0 <= s < pn and (x - s) % pn == 0
 
 
 def test_sqrt_mod_p_pinned():
@@ -108,11 +103,9 @@ def test_sqrt_mod_p_matches_brute(p, a):
 def test_hensel_pinned():
     assert hensel_digits(5, 89, 3, 2) == 8
     assert hensel_digits(3, 37, 1, 2) == 1
-    root = HenselRoot(5, 89, 3, 8, 2)
-    assert hensel_lift(root, 2) is root  # idempotent
-    lifted = hensel_lift(root, 6)
-    assert (lifted.digits**2 - 89) % 5**6 == 0
-    assert lifted.digits % 25 == 8
+    lifted = hensel_digits(5, 89, 3, 6)
+    assert (lifted**2 - 89) % 5**6 == 0
+    assert lifted % 25 == 8
 
 
 @pytest.mark.parametrize("p,Delta,branch", [(5, 89, 3), (5, 19, 2), (3, 37, 1), (7, 2, 3)])
@@ -129,9 +122,13 @@ def test_hensel_monotone_consistency():
 
 def test_hensel_rejects_bad_branch():
     with pytest.raises(ValueError):
-        HenselRoot(5, 19, 1, 1, 1)  # 1**2 != 19 mod 5
+        hensel_digits(5, 19, 1, 1)  # 1**2 != 19 mod 5
     with pytest.raises(ValueError):
-        HenselRoot(5, 25, 2, 2, 1)  # Delta divisible by p
+        hensel_digits(5, 25, 2, 1)  # Delta divisible by p
+    with pytest.raises(ValueError):
+        hensel_digits(5, 19, 7, 1)  # branch outside [1, p-1]
+    with pytest.raises(ValueError):
+        hensel_digits(9, 19, 1, 1)  # 9 is not prime
 
 
 def test_mod_inverse():

@@ -29,6 +29,8 @@ from padiccf.engine import (
     periodic_limit,
 )
 
+from oracles import convergents_brute
+
 seeds = st.integers(min_value=0, max_value=2**48)
 primes = st.sampled_from((3, 5, 7, 11))
 flavors = st.sampled_from((BROWKIN, RUBAN))
@@ -65,14 +67,18 @@ def test_every_digit_sits_in_its_window(seed, p, flavor):
 @given(seeds, primes, flavors)
 @settings(max_examples=80, deadline=None)
 def test_convergent_table_holds_up(seed, p, flavor):
-    # convergents() re-derives the tilde rows from the integer recurrence and
-    # asserts internally that they match the scaled A/B columns; the explicit
-    # loop below re-states the unimodularity for the report.
+    # convergents() builds only the integer tilde rows and reads A_n, B_n
+    # off them; they must match the plain Fraction recurrences and stay
+    # unimodular.
     alpha = quad(seed, p)
     exp = expand(alpha, flavor, max_steps=10)
-    table = convergents(digits_of(exp)[:10], p)
-    for n in range(1, len(table)):
-        assert table.det(n) == (-1) ** (n + 1)
+    digits = digits_of(exp)[:10]
+    table = convergents(digits, p)
+    A, B = convergents_brute([d.value for d in digits])
+    for n in range(-1, len(table)):
+        assert table.A_(n) == A[n + 1] and table.B_(n) == B[n + 1]
+        if n >= 1:
+            assert table.A_(n) * table.B_(n - 1) - table.B_(n) * table.A_(n - 1) == (-1) ** (n + 1)
 
 
 @given(rationals, primes)
