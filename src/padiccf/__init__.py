@@ -11,6 +11,7 @@ __version__ = "0.1.0"
 from .core import (
     INF,
     DlogBudgetExceeded,
+    InvariantError,
     LaurentInt,
     centered_residue,
     discrete_log,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .core import LaurentInt, _check_odd_prime, legendre, sqrt_mod_p
+from .core import LaurentInt, _check_odd_prime, _invariant, legendre, sqrt_mod_p
 from .engine import (
     BROWKIN,
     OPEN,
@@ -144,17 +144,17 @@ def reversed_period_identity(expansion: Expansion) -> Expansion:
     rev = tuple(reversed(per))
     target = alpha.conjugate().inverse().negated()
     got = expand(target, BROWKIN, max_steps=2 * N + 6)
-    assert got.is_purely_periodic and len(got.period) == N, \
-        "-1/alpha^c must be purely periodic with the same period length"
-    assert got.period == rev, "-1/alpha^c period is the reversal"
+    _invariant(got.is_purely_periodic and len(got.period) == N,
+               "-1/alpha^c must be purely periodic with the same period length")
+    _invariant(got.period == rev, "-1/alpha^c period is the reversal")
     zero = LaurentInt(alpha.p, 0, 0)
     neg_rev = tuple(-q for q in rev)
     conj_exp = expand(alpha.conjugate(), BROWKIN, max_steps=2 * N + 8)
-    assert _stream_equal(conj_exp, (zero,), neg_rev, 1 + 2 * N), \
-        "alpha^c must expand as [0, (negated reversal)*]"
+    _invariant(_stream_equal(conj_exp, (zero,), neg_rev, 1 + 2 * N),
+               "alpha^c must expand as [0, (negated reversal)*]")
     palindromic = per == rev
-    assert palindromic == (alpha.norm == -1), \
-        "palindromic period iff norm(alpha) = -1"
+    _invariant(palindromic == (alpha.norm == -1),
+               "palindromic period iff norm(alpha) = -1")
     return got
 
 
@@ -304,9 +304,9 @@ def b_sequence_analysis(alpha: QuadIrr, N: int, flavor: str = BROWKIN) -> NormSi
         )
         alt_trig = cycle_alternates or alt_window >= 2 * Kb
         if neg_trig and periodic:
-            assert per_len <= Kb, "negative-norm window bound violated"
+            _invariant(per_len <= Kb, "negative-norm window bound violated")
         if alt_trig and periodic:
-            assert per_len <= 2 * Kb, "alternating-sign window bound violated"
+            _invariant(per_len <= 2 * Kb, "alternating-sign window bound violated")
     return NormSignTrace(
         alpha.p, Delta, signs, b_values, c_values, k_values, Kb, counts,
         all_bounded, ever_bounded, Delta > 0, exp.status, per_len,
@@ -488,14 +488,13 @@ def ruban_nonperiodic_probe(m: int, k: int, p: int, N: int = 2000,
     exp = expand(alpha, RUBAN, max_steps=N)
     if k < 0:
         return RubanProbe(p, m, k, exp.status, N, None, None, exp)
-    assert exp.status == OPEN, (
-        f"p^{k} sqrt({m}) produced a cycle in the nonnegative flavor; "
-        "the real-embedding sign obstruction rules that out"
-    )
+    _invariant(exp.status == OPEN,
+               f"p^{k} sqrt({m}) produced a cycle in the nonnegative flavor; "
+               "the real-embedding sign obstruction rules that out")
     a1 = exp.quotient_at(1)
-    assert a1.e == k, "first complete quotient must have valuation exactly -k"
+    _invariant(a1.e == k, "first complete quotient must have valuation exactly -k")
     at1 = a1.tilde
     witness = at1 >= 1 and at1 * at1 * m > 1
     alpha2 = _from_uvw(p, p**k * at1 * m, p**k, 1 - at1 * at1 * m, m, branch)
-    assert alpha2.value_equals(exp.state_at(2)), "witness state formula mismatch"
+    _invariant(alpha2.value_equals(exp.state_at(2)), "witness state formula mismatch")
     return RubanProbe(p, m, k, "nonperiodic", N, at1, witness, exp)

@@ -82,6 +82,11 @@ def _append_record(out_file, command: str, inputs: dict, outputs, elapsed: float
         fh.write(json.dumps(record) + "\n")
 
 
+_DLOG_BUDGET_HELP = ("cap on the baby-step table of a discrete log (about the square root of "
+                     "the largest prime factor of the order); moduli below 10**6 are never "
+                     "capped, and a blown cap leaves that q undecided, never failed")
+
+
 def _io_options(fn):
     fn = click.option(
         "--out", "out_file", default=None, metavar="FILE",
@@ -218,7 +223,7 @@ def _construct_row(cert, max_digits: int, h: int):
 )
 @click.option("--h", "h_spec", default="0", show_default=True, metavar="SPEC",
               help='exponent offsets: "0", "1,3" or "0..2"')
-@click.option("--dlog-budget", type=int, default=None, help="cap on discrete-log table size")
+@click.option("--dlog-budget", type=int, default=None, help=_DLOG_BUDGET_HELP)
 @click.option("--max-digits", type=int, default=DEFAULT_MAX_DIGITS, show_default=True,
               help="give up when p**omega would exceed this many decimal digits")
 @click.option("--jobs", type=int, default=1, show_default=True, help="worker processes over the h offsets, 1..4*CPUs")
@@ -342,8 +347,36 @@ def _read_cursor(path: str) -> dict:
 
 
 def _write_cursor(path: str, next_index: int, total: int, exhausted: bool):
-    with open(path, "w", encoding="utf-8") as fh:
+    """Replace the cursor atomically: a kill mid-write leaves the old one."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
         json.dump({"next_index": next_index, "total": total, "exhausted": exhausted}, fh)
+    os.replace(tmp, path)
+
+
+def _recorded_indices(out_file: str, inputs: dict) -> set:
+    """Indices already in out_file from a search over the same space.
+
+    A line that is not JSON (a run killed mid-write) exits 1: appending
+    after it would glue the next record onto the fragment.
+    """
+    space = ("p", "t", "pool", "num_bound", "exp_bound")
+    records = []
+    try:
+        with open(out_file, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
+                try:
+                    records.append(json.loads(line))
+                except json.JSONDecodeError:
+                    _fail(f"{out_file} line {lineno} is not a JSON record; "
+                          "remove it, then resume")
+    except FileNotFoundError:
+        return set()
+    return {rec["outputs"]["index"] for rec in records
+            if rec.get("command") == "search"
+            and all(rec["inputs"].get(k) == inputs[k] for k in space)}
 
 
 def _search_worker(args):
@@ -361,7 +394,7 @@ def _search_worker(args):
 @click.option("--num-bound", type=int, default=6, show_default=True)
 @click.option("--exp-bound", type=int, default=2, show_default=True)
 @click.option("--limit", type=int, default=None, help="stop after this many certificates")
-@click.option("--dlog-budget", type=int, default=None)
+@click.option("--dlog-budget", type=int, default=None, help=_DLOG_BUDGET_HELP)
 @click.option("--resume", is_flag=True, help="continue from the cursor persisted next to --out")
 @click.option("--jobs", type=int, default=1, show_default=True)
 @_io_options
@@ -370,8 +403,9 @@ def cmd_search(p, t, pool_kind, num_bound, exp_bound, limit, dlog_budget,
     """Enumerate bounded digit lists and stream the nice ones as certificates.
 
     Enumeration order is deterministic, so a run interrupted mid-stream picks
-    up exactly where it stopped: the cursor file next to --out records the
-    first unscanned index. An empty stream is a valid outcome.
+    up where it stopped: the cursor file next to --out is replaced after each
+    hit and on an interrupt, and --resume skips hits --out already holds. An
+    empty stream is a valid outcome.
     """
     start = time.perf_counter()
     _need_odd_prime(p)
@@ -396,42 +430,52 @@ def cmd_search(p, t, pool_kind, num_bound, exp_bound, limit, dlog_budget,
         "exp_bound": exp_bound, "limit": limit, "start_index": start_index,
     }
 
-    def emit(idx, cert_json):
-        if as_json:
-            click.echo(json.dumps({"index": idx, "certificate": cert_json}))
-        else:
-            cf_str = ", ".join(cert_json["cf"])
-            click.echo(f"#{idx}  [{cf_str}]  q={cert_json['q']}  omega0={cert_json['omega0']}")
-        _append_record(out_file, "search", inputs,
-                       {"index": idx, "certificate": cert_json},
-                       time.perf_counter() - start)
-
+    recorded = _recorded_indices(out_file, inputs) if resume else set()
     found = 0
     last_scanned = start_index
-    if jobs > 1:
-        block = max(1, -(-(total - start_index) // (jobs * 4)))
-        blocks = [(lo, min(lo + block, total)) for lo in range(start_index, total, block)]
-        args = [(p, t, pool_kind, num_bound, exp_bound, dlog_budget, lo, hi)
-                for lo, hi in blocks]
-        with Pool(jobs) as workers:
-            done = False
-            for (lo, hi), hits in zip(blocks, workers.imap(_search_worker, args)):
-                for idx, cert_json in hits:
-                    emit(idx, cert_json)
-                    found += 1
-                    last_scanned = idx + 1
-                    if limit is not None and found >= limit:
-                        done = True
-                        break
-                if done:
-                    break
-                last_scanned = hi
-    else:
-        for idx, cert in nice_search(p, t, pool_kind, num_bound, exp_bound,
-                                     limit, start_index, dlog_budget):
-            emit(idx, cert.to_json())
+
+    def save_cursor():
+        if cursor_path:
+            _write_cursor(cursor_path, last_scanned, total, False)
+
+    def emit(idx, cert_json) -> bool:
+        """Report one hit, skipping one a previous run already recorded, and
+        move the cursor past it; True once --limit hits are out."""
+        nonlocal found, last_scanned
+        if idx not in recorded:
+            if as_json:
+                click.echo(json.dumps({"index": idx, "certificate": cert_json}))
+            else:
+                cf_str = ", ".join(cert_json["cf"])
+                click.echo(f"#{idx}  [{cf_str}]  q={cert_json['q']}  omega0={cert_json['omega0']}")
+            _append_record(out_file, "search", inputs,
+                           {"index": idx, "certificate": cert_json},
+                           time.perf_counter() - start)
             found += 1
-            last_scanned = idx + 1
+        last_scanned = idx + 1
+        save_cursor()
+        return limit is not None and found >= limit
+
+    try:
+        if jobs > 1:
+            block = max(1, -(-(total - start_index) // (jobs * 4)))
+            blocks = [(lo, min(lo + block, total)) for lo in range(start_index, total, block)]
+            args = [(p, t, pool_kind, num_bound, exp_bound, dlog_budget, lo, hi)
+                    for lo, hi in blocks]
+            with Pool(jobs) as workers:
+                for (_, hi), hits in zip(blocks, workers.imap(_search_worker, args)):
+                    if any(emit(idx, cert_json) for idx, cert_json in hits):
+                        break
+                    last_scanned = hi
+                    save_cursor()
+        else:
+            for idx, cert in nice_search(p, t, pool_kind, num_bound, exp_bound,
+                                         None, start_index, dlog_budget):
+                if emit(idx, cert.to_json()):
+                    break
+    except KeyboardInterrupt:
+        save_cursor()
+        raise
     exhausted = limit is None or found < limit
     if exhausted:
         last_scanned = total

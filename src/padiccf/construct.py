@@ -24,13 +24,13 @@ from fractions import Fraction
 from itertools import islice, product
 from math import gcd, lcm
 
-from sympy import divisors
-
 from .core import (
     DlogBudgetExceeded,
     LaurentInt,
     _check_odd_prime,
+    _invariant,
     discrete_log,
+    divisors,
     mult_order,
     sqrt_mod_p,
 )
@@ -131,7 +131,7 @@ def is_nice(cf, dlog_budget: int | None = None) -> NiceCertificate:
     tab = convergents(cf)
     A1, A2_ = tab.Atilde_(t - 1), tab.Atilde_(t - 2)
     B1, B2_ = tab.Btilde_(t - 1), tab.Btilde_(t - 2)
-    assert B1 != 0 and B1 % p != 0, "Btilde_{t-1} is a p-unit by the valuation law"
+    _invariant(B1 != 0 and B1 % p != 0, "Btilde_{t-1} is a p-unit by the valuation law")
     quarter = Fraction(p, 4)
     cond_a = cf[0].e >= 1 and cf[0].abs_lt(quarter)
     wit_a = f"|a_0|_p = {p}^{cf[0].e}, a_0 = {cf[0]}"
@@ -268,7 +268,7 @@ def construct(cert: NiceCertificate, h: int = 0,
         s = 1 if A1sq == 1 else mult_order(p, A1sq)
     sign_t = (-1) ** (t - 1)
     qq, rem = divmod(cert.q, B1)
-    assert rem == 0
+    _invariant(rem == 0, "B~_{t-1} must divide q")
     log10p = math.log10(p)
     found = []
     j = 0
@@ -290,27 +290,27 @@ def construct(cert: NiceCertificate, h: int = 0,
             )
         kt = omega - k0 - 2 * Kt1
         b_int, rem = divmod(p**omega - cert.q, A1sq)
-        assert rem == 0, "coset membership must make b integral"
+        _invariant(rem == 0, "coset membership must make b integral")
         if b_int == 0:
             continue
         jump = p ** (kt + kt1)
         ctil, rem = divmod(sign_t * qq - jump * A2_, A1)
         if rem != 0:
             raise ValueError("certificate corrupt: c~ is not an integer")
-        assert ctil % p != 0, "c~ must be a p-unit"
+        _invariant(ctil % p != 0, "c~ must be a p-unit")
         if 4 * abs(ctil) >= p ** (kt + 1):
             continue
         q1, rem = divmod(B1 * B1, cert.q)
-        assert rem == 0
+        _invariant(rem == 0, "q must divide B~_{t-1}**2")
         m = -b_int * q1
-        assert m % p != 0, "m must be prime to p"
+        _invariant(m % p != 0, "m must be prime to p")
         if m == 0 or _is_square(m):
             continue
         found.append((omega, kt, b_int, ctil, q1, m))
     omega, kt, b_int, ctil, q1, m = found[h]
     jump = p ** (kt + kt1)
-    assert ctil * A1 + jump * A2_ == sign_t * qq, "A-row coset identity"
-    assert ctil * B1 + jump * B2_ == (-1) ** t * b_int * A1, "B-row coset identity"
+    _invariant(ctil * A1 + jump * A2_ == sign_t * qq, "A-row coset identity")
+    _invariant(ctil * B1 + jump * B2_ == (-1) ** t * b_int * A1, "B-row coset identity")
     a_t = LaurentInt(p, 2 * ctil, kt)
     period = cert.cf[1:] + (a_t,) + tuple(reversed(cert.cf[1:])) + (cert.cf[0].doubled(),)
     preperiod = (cert.cf[0],)
@@ -322,7 +322,7 @@ def construct(cert: NiceCertificate, h: int = 0,
     lim_sq = Fraction(lim.Delta) / (Fraction(p) ** (2 * lim.k) * lim.c * lim.c)
     limit_ok = lim.b == 0 and lim_sq == Fraction(1, p ** (2 * k0) * m)
     r = sqrt_mod_p(m % p, p)
-    assert r, "sqrt(m) must exist in Q_p by construction"
+    _invariant(r, "sqrt(m) must exist in Q_p by construction")
     targets = (QuadIrr(p, m, 0, m, k0, br) for br in (r, p - r))
     hit = first_reexpansion(targets, preperiod, period, BROWKIN)
     branch_used, actual = (hit[0].branch, hit[1]) if hit else (None, None)
@@ -408,7 +408,7 @@ def beta_polynomials(n: int, k: int, p: int) -> BetaPolyValues:
         and W == tab.B_(L - 1)
         and tab.Btilde_(L - 1) == 1
     )
-    assert ok, "polynomial values must reproduce the beta convergents"
+    _invariant(ok, "polynomial values must reproduce the beta convergents")
     return BetaPolyValues(n, k, p, S, U, V, W, St, Ut, Vt, ok)
 
 
@@ -569,7 +569,7 @@ def family_section6(variant: int, p: int, t: int) -> FamilyReport:
     else:
         raise ValueError("variant must be 1, 2 or 3")
     r = sqrt_mod_p(Delta % p, p)
-    assert r, "Delta = 1 mod p, so its unit square root exists"
+    _invariant(r, "Delta = 1 mod p, so its unit square root exists")
     note = None
     if variant in (1, 2):
         cands = (QuadIrr(p, Delta, 0, 2, k, br) for br in (r, p - r))

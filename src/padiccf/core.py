@@ -23,9 +23,20 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
-from sympy import factorint, isprime
-
 INF = math.inf
+
+
+class InvariantError(AssertionError):
+    """A mathematical invariant the library relies on failed to hold.
+
+    Raised explicitly, never through an assert statement, so the check
+    still runs under python -O.
+    """
+
+
+def _invariant(cond, message: str):
+    if not cond:
+        raise InvariantError(message)
 
 
 class DlogBudgetExceeded(RuntimeError):
@@ -200,23 +211,198 @@ def mod_inverse(a: int, m: int) -> int:
     return pow(a, -1, m)
 
 
-def _lambda_prime_power(q: int, e: int) -> int:
-    if q == 2:
-        if e == 1:
-            return 1
-        if e == 2:
-            return 2
-        return 2 ** (e - 2)
-    return (q - 1) * q ** (e - 1)
+# -- prime tests, factoring, orders and discrete logs --------------------------
+
+_SMALL_PRIMES = tuple(q for q in range(2, 1000) if all(q % r for r in range(2, isqrt(q) + 1)))
+# Miller-Rabin to the prime bases up to 41 decides primality below this bound
+# (Sorenson and Webster, 2017); above it isprime runs Baillie-PSW.
+_MR_BASES = _SMALL_PRIMES[:13]
+_MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
+
+
+def _strong_probable_prime(n: int, a: int) -> bool:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a|n) for odd n > 0."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test with Selfridge's parameters; n odd, not a square."""
+    D = 5
+    while _jacobi(D, n) != -1:
+        if gcd(D, n) not in (1, n):
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    half = (n + 1) // 2  # the inverse of 2 mod n
+    U, V, Qk = 1, 1, Q % n  # U_1, V_1 and Q**1 for P = 1
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = (U + V) * half % n, (D * U + V) * half % n, Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
+
+
+def isprime(n: int) -> bool:
+    """Deterministic primality: Miller-Rabin to the prime bases up to 41 below
+    3.3 * 10**24, Baillie-PSW above (no counterexample is known)."""
+    if n < 2:
+        return False
+    for q in _SMALL_PRIMES:
+        if n % q == 0:
+            return n == q
+    if n < _SMALL_PRIMES[-1] ** 2:
+        return True
+    if n < _MR_DETERMINISTIC_BOUND:
+        return all(_strong_probable_prime(n, a) for a in _MR_BASES)
+    r = isqrt(n)
+    return r * r != n and _strong_probable_prime(n, 2) and _strong_lucas_probable_prime(n)
+
+
+def _pollard_brent(n: int) -> int:
+    """A proper factor of an odd composite n.
+
+    Brent's cycle finding with batched gcds; the polynomials x**2 + c are
+    tried in order c = 1, 2, ... so the factor found is reproducible.
+    """
+    c = 0
+    while True:
+        c += 1
+        y, r, prod, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    prod = prod * (x - y) % n
+                g = gcd(prod, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: replay it one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
+
+
+def factorint(n: int) -> dict:
+    """Prime factorization {prime: exponent} of n >= 1, primes ascending.
+
+    Trial division by the primes below 1000, then Pollard-Brent on what is
+    left. A cofactor that is a perfect square is split by isqrt first, so
+    factoring A**2 costs what factoring A does. Pollard-Brent has no step
+    bound: it needs about sqrt(q) steps for the least prime factor q of a
+    cofactor: a number with two prime factors beyond ~1e20 does not come
+    back in practical time, and the cube of a prime near 1e14 needs ~1e7 steps.
+    """
+    if n < 1:
+        raise ValueError(f"factorint needs n >= 1, got {n}")
+    out = {}
+    for q in _SMALL_PRIMES:
+        if q * q > n:
+            break
+        if n % q == 0:
+            e = 0
+            while n % q == 0:
+                n //= q
+                e += 1
+            out[q] = e
+    todo = [(n, 1)] if n > 1 else []
+    while todo:
+        n, mult = todo.pop()
+        r = isqrt(n)
+        if r * r == n:
+            todo.append((r, 2 * mult))
+        elif isprime(n):
+            out[n] = out.get(n, 0) + mult
+        else:
+            d = _pollard_brent(n)
+            todo += [(d, mult), (n // d, mult)]
+    return dict(sorted(out.items()))
+
+
+def divisors(n: int) -> list:
+    """Positive divisors of n >= 1, ascending."""
+    divs = [1]
+    for q, e in factorint(n).items():
+        divs = [d * q**i for d in divs for i in range(e + 1)]
+    return sorted(divs)
+
+
+@lru_cache(maxsize=4096)
+def _order_factors(a: int, m: int) -> tuple:
+    """((prime, exponent), ...) of the multiplicative order of the unit a mod
+    m >= 2, primes ascending.
+
+    Starts from the Carmichael exponent lambda(m), factored from one
+    factorization of m, and strips each prime while the power still fixes 1.
+    Memoised per (a, m): a search asks for the same modulus again and again.
+    """
+    lam = {}
+    for q, e in factorint(m).items():
+        if q == 2:  # lambda(2) = 1, lambda(4) = 2, lambda(2**e) = 2**(e-2)
+            parts = {2: e - 1 if e < 3 else e - 2}
+        else:
+            parts = factorint(q - 1)
+            if e > 1:
+                parts[q] = e - 1
+        for f, k in parts.items():
+            lam[f] = max(lam.get(f, 0), k)
+    order = math.prod(f**k for f, k in lam.items())
+    out = []
+    for f in sorted(lam):
+        k = lam[f]
+        while k and pow(a, order // f, m) == 1:
+            order //= f
+            k -= 1
+        if k:
+            out.append((f, k))
+    return tuple(out)
 
 
 def mult_order(a: int, m: int) -> int:
-    """Least s >= 1 with a**s == 1 mod m.
-
-    Factors m (and the per-prime-power Carmichael values), then strips
-    primes from the exponent while the power still fixes 1. Factoring is
-    delegated to sympy.
-    """
+    """Least s >= 1 with a**s == 1 mod m: the product of _order_factors."""
     if m < 1:
         raise ValueError("modulus must be >= 1")
     if m == 1:
@@ -224,19 +410,28 @@ def mult_order(a: int, m: int) -> int:
     a %= m
     if gcd(a, m) != 1:
         raise ValueError(f"gcd({a}, {m}) != 1, no multiplicative order")
-    order = 1
-    for q, e in factorint(m).items():
-        mod = q**e
-        t = _lambda_prime_power(q, e)
-        for f in factorint(t):
-            while t % f == 0 and pow(a, t // f, mod) == 1:
-                t //= f
-        order = math.lcm(order, t)
-    assert pow(a, order, m) == 1
-    return order
+    return math.prod(f**k for f, k in _order_factors(a, m))
 
 
-_BRUTE_DLOG_MODULUS = 10**6
+def _bsgs(g: int, h: int, q: int, m: int):
+    """Least d in [0, q) with g**d == h mod m, for g of prime order q; or None."""
+    steps = isqrt(q - 1) + 1
+    table = {}
+    cur = 1
+    for j in range(steps):
+        table[cur] = j
+        cur = cur * g % m
+    giant = pow(cur, -1, m)
+    cur = h
+    for i in range(steps):
+        j = table.get(cur)
+        if j is not None:
+            return i * steps + j
+        cur = cur * giant % m
+    return None
+
+
+_UNBUDGETED_DLOG_MODULUS = 10**6
 DEFAULT_DLOG_TABLE_CAP = 1 << 22
 
 
@@ -244,10 +439,13 @@ def discrete_log(base: int, target: int, m: int, budget=None):
     """Least w >= 0 with base**w == target mod m, or None if target is
     outside the subgroup generated by base.
 
-    Baby-step/giant-step over the subgroup order; small moduli (< 10**6) are
-    done by direct enumeration. budget caps the baby-step table size and
-    blowing it raises DlogBudgetExceeded, which callers must treat as
-    "unknown", not as "no".
+    Pohlig-Hellman over the factored order of base: one baby-step/giant-step
+    log per prime digit, each inside a subgroup of prime order, recombined by
+    the Chinese remainder theorem. The answer is accepted only if
+    base**w == target mod m holds, so a target outside the subgroup gives
+    None. From m = 10**6 up, budget caps the baby-step table of the largest
+    prime subgroup (default DEFAULT_DLOG_TABLE_CAP); a blown budget raises
+    DlogBudgetExceeded, which callers must treat as "unknown", not as "no".
     """
     if m < 2:
         raise ValueError("modulus must be >= 2")
@@ -257,36 +455,29 @@ def discrete_log(base: int, target: int, m: int, budget=None):
         raise ValueError("base must be a unit mod m")
     if gcd(target, m) != 1:
         return None  # not even in the unit group, so not in the subgroup
-    if m < _BRUTE_DLOG_MODULUS:
-        cur = 1
-        order = mult_order(base, m)
-        for w in range(order):
-            if cur == target:
-                return w
-            cur = cur * base % m
-        return None
-    order = mult_order(base, m)
-    steps = isqrt(order - 1) + 1
-    cap = DEFAULT_DLOG_TABLE_CAP if budget is None else budget
-    if steps > cap:
-        raise DlogBudgetExceeded(
-            f"need {steps} table entries, budget is {cap}"
-        )
-    table = {}
-    cur = target
-    for j in range(steps):
-        table.setdefault(cur, j)
-        cur = cur * base % m
-    giant = pow(base, steps, m)
-    cur = 1
-    for i in range(1, steps + 1):
-        cur = cur * giant % m
-        j = table.get(cur)
-        if j is not None:
-            w = (i * steps - j) % order
-            assert pow(base, w, m) == target
-            return w
-    return None
+    factors = _order_factors(base, m)
+    if m >= _UNBUDGETED_DLOG_MODULUS and factors:
+        steps = isqrt(factors[-1][0] - 1) + 1
+        cap = DEFAULT_DLOG_TABLE_CAP if budget is None else budget
+        if steps > cap:
+            raise DlogBudgetExceeded(f"need {steps} table entries, budget is {cap}")
+    order = math.prod(q**e for q, e in factors)
+    w, modulus = 0, 1
+    for q, e in factors:
+        qe = q**e
+        g = pow(base, order // qe, m)  # order q**e
+        h = pow(target, order // qe, m)
+        gamma = pow(g, qe // q, m)  # order q
+        g_inv = pow(g, -1, m)
+        x = 0
+        for i in range(e):
+            d = _bsgs(gamma, pow(h * pow(g_inv, x, m), qe // q ** (i + 1), m), q, m)
+            if d is None:
+                return None
+            x += d * q**i
+        w += modulus * ((x - w) * pow(modulus, -1, qe) % qe)
+        modulus *= qe
+    return w if pow(base, w, m) == target else None
 
 
 def padic_square_exists(m: int, p: int):

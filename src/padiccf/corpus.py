@@ -10,9 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from sympy import divisors
-
-from .core import LaurentInt, legendre, sqrt_mod_p
+from .core import LaurentInt, _invariant, divisors, legendre, sqrt_mod_p
 from .engine import BROWKIN, PERIODIC, QuadIrr, _is_square, expand
 
 
@@ -123,7 +121,7 @@ def random_periodic(rng: random.Random, p: int) -> QuadIrr:
         pool = []
         for base in periodic_bases(p):
             exp = expand(base, BROWKIN, max_steps=600)
-            assert exp.status == PERIODIC, "periodic base list is stale"
+            _invariant(exp.status == PERIODIC, "periodic base list is stale")
             for i in range(len(exp.preperiod) + len(exp.period)):
                 pool.append(exp.state_at(i))
         _PERIODIC_STATE_CACHE[p] = pool = tuple(pool)

@@ -46,6 +46,28 @@ def hensel_brute(Delta, branch, N, p):
     return hits[0]
 
 
+def factorint_brute(n):
+    """{prime: exponent} by trial division over every d up to sqrt(n)."""
+    out, d = {}, 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def isprime_brute(n):
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+def divisors_brute(n):
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return sorted(set(small + [n // d for d in small]))
+
+
 def order_brute(a, m):
     assert gcd(a, m) == 1
     cur, s = a % m, 1

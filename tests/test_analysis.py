@@ -1,8 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import padiccf
 from padiccf import (
     K_bound,
     QuadIrr,
@@ -108,6 +113,26 @@ def test_reversed_period_rejects_wrong_shapes():
         reversed_period_identity(expand(INV_5_SQRT_M434))  # nonempty preperiod
     with pytest.raises(ValueError):
         reversed_period_identity(expand(SQRT37_STATE, RUBAN, max_steps=60))
+
+
+def test_reversed_period_is_rejected_under_python_O():
+    # python -O strips assert statements; the invariant must still fire.
+    code = (
+        "import dataclasses, sys\n"
+        "from padiccf import QuadIrr, expand, reversed_period_identity\n"
+        "exp = expand(QuadIrr(5, 19, -13, 6, 1, 2))\n"
+        "bad = dataclasses.replace(exp, period=tuple(reversed(exp.period)))\n"
+        "try:\n"
+        "    reversed_period_identity(bad)\n"
+        "    print(sys.flags.optimize, 'accepted')\n"
+        "except AssertionError as exc:\n"
+        "    print(sys.flags.optimize, type(exc).__name__, exc)\n"
+    )
+    src = str(Path(padiccf.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.stdout.strip() == "1 InvariantError -1/alpha^c period is the reversal", proc.stderr
 
 
 def test_reversal_prefix_identity():

@@ -318,6 +318,57 @@ def test_search_resume_requires_out():
     assert "--resume needs --out" in res.stderr
 
 
+def _interrupt_after(hits: int, real_search):
+    """A nice_search stand-in raising KeyboardInterrupt after `hits` hits."""
+
+    def search(*args, **kwargs):
+        gen = real_search(*args, **kwargs)
+        for _ in range(hits):
+            yield next(gen)
+        raise KeyboardInterrupt
+
+    return search
+
+
+def test_interrupted_search_resumes_without_duplicates(tmp_path, monkeypatch):
+    out = tmp_path / "hits.jsonl"
+    cursor = tmp_path / "hits.jsonl.cursor"
+    full = [json.loads(line)["index"]
+            for line in run("search", "--p", "5", "--t", "2", "--json").stdout.splitlines()]
+
+    monkeypatch.setattr(cli, "nice_search", _interrupt_after(2, cli.nice_search))
+    cut = run("search", "--p", "5", "--t", "2", "--out", str(out))
+    monkeypatch.undo()
+    assert cut.exit_code == 1  # click reports the interrupt as Aborted!
+    indexes = [rec["outputs"]["index"] for rec in read_records(out)]
+    assert indexes == full[:2]
+    state = json.loads(cursor.read_text(encoding="utf-8"))
+    assert state == {"next_index": indexes[-1] + 1, "total": 100, "exhausted": False}
+    assert not (tmp_path / "hits.jsonl.cursor.tmp").exists()
+
+    # a kill between appending a record and moving the cursor leaves a stale
+    # cursor: resuming from it must not append that record again
+    cursor.write_text(json.dumps({**state, "next_index": indexes[0]}), encoding="utf-8")
+    rest = run("search", "--p", "5", "--t", "2", "--resume", "--out", str(out))
+    assert rest.exit_code == 0
+    assert [rec["outputs"]["index"] for rec in read_records(out)] == full
+    assert json.loads(cursor.read_text(encoding="utf-8"))["exhausted"] is True
+
+
+def test_resume_after_a_truncated_record_exits_1(tmp_path):
+    out = tmp_path / "hits.jsonl"
+    cut = run("search", "--p", "5", "--t", "2", "--limit", "2", "--out", str(out))
+    assert cut.exit_code == 0
+    whole = out.read_text(encoding="utf-8")
+    torn = whole + whole.splitlines()[-1][:40]  # a kill mid-write, no newline
+    out.write_text(torn, encoding="utf-8")
+    res = run("search", "--p", "5", "--t", "2", "--resume", "--out", str(out))
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert "line 3 is not a JSON record" in res.stderr
+    assert out.read_text(encoding="utf-8") == torn
+
+
 def test_search_parallel_matches_serial():
     serial = run("search", "--p", "5", "--t", "2", "--json")
     parallel = run("search", "--p", "5", "--t", "2", "--json", "--jobs", "3")
@@ -349,6 +400,16 @@ def test_jobs_out_of_range_exits_1_before_any_pool(monkeypatch):
             res = run(*cmd, "--jobs", jobs)
             assert res.exit_code == 1
             assert f"--jobs must lie in 1..{cap}" in res.stderr
+
+
+def test_cli_never_imports_sympy():
+    code = "import sys, padiccf.cli; print('sympy' in sys.modules)"
+    src = str(Path(padiccf.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, check=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.stdout.split() == ["False"]
 
 
 def test_version_flag():

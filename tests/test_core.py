@@ -12,7 +12,10 @@ from padiccf.core import (
     _check_odd_prime,
     centered_residue,
     discrete_log,
+    divisors,
+    factorint,
     hensel_digits,
+    isprime,
     legendre,
     mod_inverse,
     mult_order,
@@ -23,8 +26,11 @@ from padiccf.core import (
 
 from oracles import (
     centered_residue_brute,
+    divisors_brute,
     dlog_brute,
+    factorint_brute,
     hensel_brute,
+    isprime_brute,
     order_brute,
     sqrt_mod_brute,
     vp_brute,
@@ -154,6 +160,91 @@ def test_mult_order_matches_brute(a, m):
         assert mult_order(a, m) == order_brute(a, m)
 
 
+# -- prime tests and factoring -------------------------------------------------
+
+# Carmichael numbers, and the least strong pseudoprimes to all the prime
+# bases up to 2, 3, 5, 7, 11, 13, 17 and 23 in turn.
+CARMICHAEL = (561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265,
+              321197185, 5394826801, 232250619601)
+STRONG_PSEUDOPRIMES = (2047, 1373653, 25326001, 3215031751, 2152302898747,
+                       3474749660383, 341550071728321, 3825123056546413051)
+# two products of primes p, 2p - 1 with a 40-bit p: 318665857834031151167461
+# is a strong pseudoprime to the bases up to 37 that base 41 catches, and
+# 3317044064679887385961981, a strong pseudoprime to every base up to 41,
+# is the bound itself, where isprime switches to Baillie-PSW
+BIG_SEMIPRIMES = ((399165290221, 798330580441), (1287836182261, 2575672364521))
+
+
+def _next_prime_brute(n):
+    while not isprime_brute(n):
+        n += 1
+    return n
+
+
+def _lucas_lehmer(e):
+    """2**e - 1 is prime iff this holds, for odd prime e."""
+    M, s = 2**e - 1, 4
+    for _ in range(e - 2):
+        s = (s * s - 2) % M
+    return s == 0
+
+
+def test_isprime_factorint_divisors_match_trial_division():
+    for n in range(1, 5001):
+        assert isprime(n) == isprime_brute(n), n
+        assert factorint(n) == factorint_brute(n), n
+        assert list(factorint(n)) == sorted(factorint_brute(n)), n
+        assert divisors(n) == divisors_brute(n), n
+    assert not any(isprime(n) for n in (-7, -1, 0))
+    with pytest.raises(ValueError):
+        factorint(0)
+
+
+def test_factorint_squares_and_prime_powers():
+    for q in (2, 3, 997, 1009, 65521, 1000003):
+        for e in (1, 2, 3, 7):
+            assert factorint(q**e) == {q: e}
+            assert isprime(q**e) == (e == 1)
+    for n in (10403, 999983 * 1000003, 2**20 * 3**5 * 1009**3):
+        brute = factorint_brute(n)
+        assert factorint(n * n) == {q: 2 * e for q, e in brute.items()}
+    assert divisors(10403**2) == divisors_brute(10403**2)
+
+
+def test_carmichael_numbers_and_strong_pseudoprimes_are_composite():
+    for n in CARMICHAEL + STRONG_PSEUDOPRIMES:
+        assert not isprime(n), n
+        assert factorint(n) == factorint_brute(n), n
+    for q, r in BIG_SEMIPRIMES:
+        assert isprime_brute(q) and isprime_brute(r)
+        assert isprime(q) and isprime(r) and not isprime(q * r)
+        assert factorint(q * r) == {q: 1, r: 1}
+
+
+def test_factorint_splits_products_of_two_40_bit_primes():
+    for lo, hi in ((2**39 + 5, 2**39 + 1234), (2**40 - 5000, 2**40 + 77)):
+        q, r = _next_prime_brute(lo), _next_prime_brute(hi)
+        assert factorint(q * r) == {q: 1, r: 1}
+        assert divisors(q * r) == [1, q, r, q * r]
+        assert not isprime(q * r)
+
+
+def test_isprime_above_the_miller_rabin_bound():
+    m89, m61 = 2**89 - 1, 2**61 - 1
+    assert m89 > 3_317_044_064_679_887_385_961_981
+    assert _lucas_lehmer(89) and _lucas_lehmer(61) and not _lucas_lehmer(67)
+    assert isprime(m89)
+    assert not isprime(m61 * m89)
+    assert not isprime(2**67 - 1)
+    assert not isprime(m89**2) and not isprime(m89**3)
+    assert factorint(m89 * 3**4) == {3: 4, m89: 1}
+    assert factorint(m89**2 * 1009**3) == {1009: 3, m89: 2}  # isqrt splits the square
+    assert factorint(10007**5 * 10009**10) == {10007: 5, 10009: 10}
+
+
+# -- orders and discrete logs ---------------------------------------------------
+
+
 def test_discrete_log_pinned():
     assert discrete_log(3, 110, 353**2) == 31861
     assert discrete_log(5, 1, 36) == 0
@@ -172,6 +263,45 @@ def test_discrete_log_budget_is_distinct_from_none():
     m = 1000003
     with pytest.raises(DlogBudgetExceeded):
         discrete_log(2, 5, m, budget=3)
+
+
+def test_discrete_log_matches_brute_on_noncyclic_moduli():
+    # 36 and 3*5*7**2 have non-cyclic unit groups: many bases generate a
+    # proper subgroup, so both the least w and None come up
+    for m in (36, 3 * 5 * 7**2):
+        units = [u for u in range(1, m) if math.gcd(u, m) == 1]
+        outcomes = set()
+        for base in units[:: max(1, len(units) // 40)]:
+            for target in units:
+                w = discrete_log(base, target, m)
+                assert w == dlog_brute(base, target, m), (base, target, m)
+                outcomes.add(w is None)
+        assert outcomes == {True, False}
+        assert discrete_log(units[1], 0, m) is None  # not a unit
+
+
+def test_discrete_log_least_w_above_the_cutoff():
+    m = 353**2 * 5**2  # above 10**6, unit group of rank 4
+    order = mult_order(3, m)
+    assert order == order_brute(3, m) == 621280
+    for w in (0, 1, 31861, order - 1):
+        assert discrete_log(3, pow(3, w, m), m) == w
+        assert discrete_log(3, pow(3, w + 5 * order, m), m) == w
+    for target in (2, 7, m - 1):
+        assert discrete_log(3, target, m) == dlog_brute(3, target, m)
+
+
+def test_discrete_log_budget_caps_the_largest_prime_subgroup():
+    # below the 10**6 cutoff no budget applies
+    assert discrete_log(3, 110, 353**2, budget=1) == 31861
+    # above it, base 2 mod 1000003 has order 2 * 3 * 166667: its largest
+    # prime subgroup needs a table of isqrt(166666) + 1 = 409 entries
+    m = 1000003
+    assert mult_order(2, m) == 1000002
+    target = pow(2, 777777, m)
+    with pytest.raises(DlogBudgetExceeded):
+        discrete_log(2, target, m, budget=408)
+    assert discrete_log(2, target, m, budget=409) == 777777
 
 
 @given(st.sampled_from([36, 100, 101, 341, 1009]), st.integers(1, 300), st.integers(1, 300))
