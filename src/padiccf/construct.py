@@ -32,6 +32,7 @@ from .core import (
     discrete_log,
     divisors,
     mult_order,
+    split_p,
     sqrt_mod_p,
 )
 from .engine import (
@@ -510,10 +511,7 @@ def _matrix_route(exp: Expansion):
     a2, b2, c2 = int(M21 * L), int((M22 - M11) * L), int(-M12 * L)
     disc = b2 * b2 - 4 * a2 * c2
     p = exp.p
-    D0, v = disc, 0
-    while D0 % p == 0:
-        D0 //= p
-        v += 1
+    v, D0 = split_p(disc, p)
     cands = []
     if v % 2 == 0:
         rr = sqrt_mod_p(D0 % p, p)

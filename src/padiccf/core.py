@@ -56,6 +56,29 @@ def _check_odd_prime(p: int) -> int:
     return p
 
 
+def split_p(n: int, p: int):
+    """(e, u) with n == p**e * u and u not divisible by p, for n != 0, p >= 2.
+
+    Divides by p, p**2, p**4, ... while the division is exact, then walks
+    back down the same powers, so e factors cost O(log e) big divisions
+    instead of e of them.
+    """
+    if n % p:  # the common case, kept to one cheap test
+        return 0, n
+    if n == 0 or p < 2:
+        raise ValueError(f"split_p needs n != 0 and p >= 2, got n={n}, p={p}")
+    return _split_p(n, p)
+
+
+def _split_p(n: int, p: int):
+    q, r = divmod(n, p)
+    if r:
+        return 0, n
+    e, u = _split_p(q, p * p)  # n == p**(2e + 1) * u, and p**2 does not divide u
+    q, r = divmod(u, p)
+    return (2 * e + 1, u) if r else (2 * e + 2, q)
+
+
 def vp(x, p):
     """p-adic valuation of a rational; vp(0) is +infinity (sentinel).
 
@@ -71,14 +94,7 @@ def vp(x, p):
         raise TypeError(f"vp wants int or Fraction, got {type(x).__name__}")
     if num == 0:
         return INF
-    v = 0
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
+    return split_p(num, p)[0] - split_p(den, p)[0]
 
 
 def centered_residue(x: int, n: int, p: int) -> int:
@@ -93,7 +109,7 @@ def centered_residue(x: int, n: int, p: int) -> int:
     r = x % pn
     if 2 * r > pn:
         r -= pn
-    assert -pn < 2 * r < pn
+    _invariant(-pn < 2 * r < pn, "centered residue must lie inside the window")
     return r
 
 
@@ -123,10 +139,7 @@ def sqrt_mod_p(a: int, p: int):
     if p % 4 == 3:
         r = pow(a, (p + 1) // 4, p)
     else:
-        q, s = p - 1, 0
-        while q % 2 == 0:
-            q //= 2
-            s += 1
+        s, q = split_p(p - 1, 2)
         z = 2
         while legendre(z, p) != -1:
             z += 1
@@ -139,7 +152,7 @@ def sqrt_mod_p(a: int, p: int):
             b = pow(c, 1 << (m - i - 1), p)
             m, c = i, b * b % p
             t, r = t * c % p, r * b % p
-    assert r * r % p == a
+    _invariant(r * r % p == a, "Tonelli-Shanks root must square to a")
     return min(r, p - r)
 
 
@@ -221,10 +234,7 @@ _MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 def _strong_probable_prime(n: int, a: int) -> bool:
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+    s, d = split_p(n - 1, 2)
     x = pow(a, d, n)
     if x in (1, n - 1):
         return True
@@ -240,10 +250,9 @@ def _jacobi(a: int, n: int) -> int:
     a %= n
     sign = 1
     while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                sign = -sign
+        s, a = split_p(a, 2)
+        if s % 2 and n % 8 in (3, 5):
+            sign = -sign
         a, n = n, a
         if a % 4 == 3 and n % 4 == 3:
             sign = -sign
@@ -259,10 +268,7 @@ def _strong_lucas_probable_prime(n: int) -> bool:
             return False
         D = -D - 2 if D > 0 else -D + 2
     Q = (1 - D) // 4
-    d, s = n + 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+    s, d = split_p(n + 1, 2)
     half = (n + 1) // 2  # the inverse of 2 mod n
     U, V, Qk = 1, 1, Q % n  # U_1, V_1 and Q**1 for P = 1
     for bit in bin(d)[3:]:
@@ -326,15 +332,31 @@ def _pollard_brent(n: int) -> int:
             return g
 
 
+def _perfect_power(n: int):
+    """(r, k) with r**k == n for the least prime k, or None; n >= 2.
+
+    floor(n ** (1/k)) comes from integer Newton started above the root.
+    """
+    for k in _SMALL_PRIMES:
+        if k >= n.bit_length():
+            return None
+        x = 1 << -(-n.bit_length() // k)
+        while (y := ((k - 1) * x + n // x ** (k - 1)) // k) < x:
+            x = y
+        if x**k == n:
+            return x, k
+    return None
+
+
 def factorint(n: int) -> dict:
     """Prime factorization {prime: exponent} of n >= 1, primes ascending.
 
     Trial division by the primes below 1000, then Pollard-Brent on what is
-    left. A cofactor that is a perfect square is split by isqrt first, so
-    factoring A**2 costs what factoring A does. Pollard-Brent has no step
-    bound: it needs about sqrt(q) steps for the least prime factor q of a
-    cofactor: a number with two prime factors beyond ~1e20 does not come
-    back in practical time, and the cube of a prime near 1e14 needs ~1e7 steps.
+    left. A composite cofactor that is a perfect k-th power (k prime) is
+    split by an integer k-th root first, so factoring A**k costs what
+    factoring A does. Pollard-Brent has no step bound: it needs about
+    sqrt(q) steps for the least prime factor q of a cofactor, so a number
+    with two prime factors beyond ~1e20 does not come back in practical time.
     """
     if n < 1:
         raise ValueError(f"factorint needs n >= 1, got {n}")
@@ -343,19 +365,14 @@ def factorint(n: int) -> dict:
         if q * q > n:
             break
         if n % q == 0:
-            e = 0
-            while n % q == 0:
-                n //= q
-                e += 1
-            out[q] = e
+            out[q], n = split_p(n, q)
     todo = [(n, 1)] if n > 1 else []
     while todo:
         n, mult = todo.pop()
-        r = isqrt(n)
-        if r * r == n:
-            todo.append((r, 2 * mult))
-        elif isprime(n):
+        if isprime(n):
             out[n] = out.get(n, 0) + mult
+        elif root := _perfect_power(n):
+            todo.append((root[0], root[1] * mult))
         else:
             d = _pollard_brent(n)
             todo += [(d, mult), (n // d, mult)]
@@ -490,11 +507,7 @@ def padic_square_exists(m: int, p: int):
     _check_odd_prime(p)
     if m == 0:
         raise ValueError("m must be nonzero")
-    v = 0
-    m0 = m
-    while m0 % p == 0:
-        m0 //= p
-        v += 1
+    v, m0 = split_p(m, p)
     if v % 2 != 0:
         return False, None
     if legendre(m0, p) != 1:
@@ -522,9 +535,8 @@ class LaurentInt:
         if tilde == 0:
             e = 0
         else:
-            while tilde % self.p == 0:
-                tilde //= self.p
-                e -= 1
+            s, tilde = split_p(tilde, self.p)
+            e -= s
             if e < 0:
                 raise ValueError(
                     f"{self.tilde}/{self.p}**{self.e} has positive valuation, "
@@ -536,11 +548,7 @@ class LaurentInt:
     @classmethod
     def from_value(cls, x, p: int) -> "LaurentInt":
         x = Fraction(x)
-        den = x.denominator
-        e = 0
-        while den % p == 0:
-            den //= p
-            e += 1
+        e, den = split_p(x.denominator, p)
         if den != 1:
             raise ValueError(f"{x} has a denominator prime to {p}")
         return cls(p, x.numerator, e)
@@ -556,10 +564,7 @@ class LaurentInt:
             num, den = int(num_s), int(den_s)
             if den <= 0:
                 raise ValueError(f"denominator must be positive in {text!r}")
-            e = 0
-            while den % p == 0:
-                den //= p
-                e += 1
+            e, den = split_p(den, p)
             if den != 1:
                 raise ValueError(f"denominator of {text!r} is not a power of {p}")
             return cls(p, num, e)

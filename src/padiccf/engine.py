@@ -18,16 +18,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from functools import lru_cache
+from math import gcd, isqrt, lcm, prod
 
 from .core import (
     INF,
     LaurentInt,
     _check_odd_prime,
+    _invariant,
     centered_residue,
     hensel_digits,
     legendre,
     mod_inverse,
+    split_p,
     sqrt_mod_p,
     vp,
 )
@@ -54,16 +57,6 @@ def _is_square(n: int) -> bool:
         return False
     r = isqrt(n)
     return r * r == n
-
-
-def _int_val(n: int, q: int) -> int:
-    """Exponent of q in a nonzero integer."""
-    assert n != 0
-    v = 0
-    while n % q == 0:
-        n //= q
-        v += 1
-    return v
 
 
 @dataclass(frozen=True)
@@ -167,7 +160,7 @@ class QuadIrr:
         pn = self.p**n_digits
         unit = (self.b + dig) // self.p**w % pn
         unit = unit * mod_inverse(self.c % pn, pn) % pn
-        assert unit % self.p != 0
+        _invariant(unit % self.p != 0, "the leading digit of the value must be a unit")
         return w - self.k, unit
 
     def to_json(self) -> dict:
@@ -197,16 +190,14 @@ def _val_linear(x: int, y: int, Delta: int, branch: int, p: int):
     """
     if x == 0 and y == 0:
         return INF
-    if y == 0:
-        return _int_val(x, p)
-    if x == 0:
-        return _int_val(y, p)
-    g = min(_int_val(x, p), _int_val(y, p))
+    if x == 0 or y == 0:
+        return split_p(x or y, p)[0]
+    g = min(split_p(x, p)[0], split_p(y, p)[0])
     x //= p**g
     y //= p**g
     if (x + y * branch) % p != 0:
         return g
-    return g + _int_val(x * x - y * y * Delta, p)
+    return g + split_p(x * x - y * y * Delta, p)[0]
 
 
 def quad_distance_valuation(alpha: QuadIrr, r) -> int:
@@ -235,11 +226,7 @@ def normalize(p: int, Delta: int, b: int, c: int, k: int, branch: int) -> QuadIr
         raise ValueError("c must be nonzero")
     if Delta == 0 or _is_square(Delta):
         raise ValueError(f"Delta={Delta} is a perfect square; value is rational")
-    v = 0
-    D0 = Delta
-    while D0 % p == 0:
-        D0 //= p
-        v += 1
+    v, D0 = split_p(Delta, p)
     if v % 2 != 0:
         raise ValueError(f"sqrt({Delta}) not in Q_{p}: odd valuation")
     if legendre(D0, p) != 1:
@@ -252,7 +239,7 @@ def normalize(p: int, Delta: int, b: int, c: int, k: int, branch: int) -> QuadIr
         if b == 0:
             k -= s
         else:
-            j = min(_int_val(b, p), s)
+            j = min(split_p(b, p)[0], s)
             b //= p**j
             k -= j
             if s - j > 0:
@@ -261,27 +248,25 @@ def normalize(p: int, Delta: int, b: int, c: int, k: int, branch: int) -> QuadIr
                     "irrational part; it has no (b+delta)/(p^k c) form with "
                     "Delta prime to p"
                 )
-    while c % p == 0:
-        c //= p
-        k += 1
+    vc, c = split_p(c, p)
+    k += vc
     if (D0 - b * b) % c != 0:
         absc = abs(c)
         b, D0, branch = b * absc, D0 * c * c, branch * absc % p
         c = c * absc
     # Best-effort square-content reduction: pull q**f out of b and c (and
-    # q**2f out of D0) for small primes q only, and only when the c | D0-b**2
-    # invariant survives; factoring huge cofactors is never worth it here.
+    # q**2f out of D0) for the primes q below 10,000 only, and only when the
+    # c | D0-b**2 invariant survives; factoring huge cofactors is never worth
+    # it here. One gcd with the product of those primes picks the q to try.
     g = gcd(b, c)
-    q = 2
-    while q <= 10_000 and g > 1:
-        if g % q:
-            q += 1 if q == 2 else 2
+    primes, primorial = _content_primes()
+    h = gcd(g, primorial)
+    for q in primes:
+        if q > h:
+            break
+        if h % q or q == p or D0 % q:
             continue
-        eg = _int_val(g, q)
-        g //= q**eg
-        if q == p or D0 % q != 0:
-            continue
-        f = min(eg, _int_val(D0, q) // 2)
+        f = min(split_p(g, q)[0], split_p(D0, q)[0] // 2)
         while f > 0:
             qf = q**f
             if (D0 // (qf * qf) - (b // qf) ** 2) % (c // qf) == 0:
@@ -294,13 +279,24 @@ def normalize(p: int, Delta: int, b: int, c: int, k: int, branch: int) -> QuadIr
     return QuadIrr(p, D0, b, c, k, branch)
 
 
+@lru_cache(maxsize=None)
+def _content_primes():
+    """The primes below 10,000 and their product, sieved on first use."""
+    sieve = bytearray([1]) * 10_000
+    for i in range(2, 100):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, 10_000, i)))
+    primes = tuple(i for i in range(2, 10_000) if sieve[i])
+    return primes, prod(primes)
+
+
 def _from_uvw(p: int, u: int, v: int, w: int, Delta: int, branch: int) -> QuadIrr:
     """QuadIrr for (u + v*delta)/w with integer u, v != 0, w != 0."""
     if v == 0 or w == 0:
         raise ValueError("need v != 0 and w != 0")
     if v < 0:
         v, branch = -v, p - branch
-    v0 = v // p ** _int_val(v, p)
+    v0 = split_p(v, p)[1]
     return normalize(p, v * v * Delta, u, w, 0, v0 * branch % p)
 
 
@@ -341,8 +337,8 @@ def _digit(alpha: QuadIrr, flavor: str) -> LaurentInt:
     return LaurentInt(p, r, k)
 
 
-def _digit_rational(x: Fraction, p: int, flavor: str) -> LaurentInt:
-    v = vp(x, p)
+def _digit_rational(x: Fraction, v, p: int, flavor: str) -> LaurentInt:
+    """The digit of x, whose valuation v = vp(x, p) the caller has."""
     if v == INF or v >= 1:
         return LaurentInt(p, 0, 0)
     k = max(0, -v)
@@ -373,13 +369,15 @@ def step(alpha: QuadIrr, flavor: str = BROWKIN):
     D = alpha.Delta - b1 * b1
     if D == 0:
         raise ValueError("rational leak: Delta = b'**2, invariant violation")
-    e = _int_val(D, alpha.p)
-    Dt = D // alpha.p**e
+    e, Dt = split_p(D, alpha.p)
     c1, rem = divmod(Dt, alpha.c)
-    assert rem == 0, "c | Delta - b'**2 must propagate"
+    _invariant(rem == 0, "c | Delta - b'**2 must propagate")
     k1 = e - alpha.k
-    assert k1 >= 1, "next complete quotient must have negative valuation"
-    nxt = QuadIrr(alpha.p, alpha.Delta, b1, c1, k1, alpha.branch)
+    _invariant(k1 >= 1, "next complete quotient must have negative valuation")
+    # Delta and branch are kept, and c1 != 0 is free of p and divides
+    # Delta - b1**2 = p**e * c * c1, so QuadIrr's checks are skipped.
+    nxt = object.__new__(QuadIrr)
+    nxt.__dict__.update(p=alpha.p, Delta=alpha.Delta, b=b1, c=c1, k=k1, branch=alpha.branch)
     return a, nxt
 
 
@@ -488,7 +486,7 @@ def expand(alpha: QuadIrr, flavor: str = BROWKIN, max_steps: int = DEFAULT_MAX_S
         if j is not None:
             pre, per = tuple(quots[:j]), tuple(quots[j:])
             if pre:
-                assert pre[-1] != per[-1], "state-minimal cycle should be digit-minimal"
+                _invariant(pre[-1] != per[-1], "state-minimal cycle should be digit-minimal")
             return Expansion(
                 alpha.p, flavor, PERIODIC, pre, per,
                 tuple(ks[: j + len(per)]), alpha, tuple(states[: j + len(per)]),
@@ -524,7 +522,7 @@ def expand_rational(x, p: int, flavor: str = BROWKIN, max_steps: int = DEFAULT_M
             seen[cur] = i
         v = vp(cur, p)
         ks.append(0 if v == INF else -v)
-        a = _digit_rational(cur, p, flavor)
+        a = _digit_rational(cur, v, p, flavor)
         quots.append(a)
         rem = cur - a.value
         if rem == 0:
@@ -674,15 +672,11 @@ def periodic_limit(preperiod, period, p: int, flavor: str = BROWKIN) -> QuadIrr:
     Draw = b2 * b2 + 4 * a2 * c2
     if Draw == 0 or _is_square(Draw):
         raise ValueError("period value is rational, not a quadratic irrational")
-    D0 = Draw
-    v2 = 0
-    while D0 % p == 0:
-        D0 //= p
-        v2 += 1
+    v2, D0 = split_p(Draw, p)
     if v2 % 2 != 0 or legendre(D0, p) != 1:
         raise ValueError(f"period discriminant has no square root in Q_{p}")
     r = sqrt_mod_p(D0 % p, p)
-    assert r is not None and r != 0
+    _invariant(r, "a unit quadratic residue has a nonzero root mod p")
     m = len(preperiod)
     if m:
         tp = convergents(preperiod, p)

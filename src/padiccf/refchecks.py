@@ -32,7 +32,7 @@ from .construct import (
     family_section6,
     is_nice,
 )
-from .core import LaurentInt, discrete_log, legendre, mult_order, sqrt_mod_p, vp
+from .core import LaurentInt, discrete_log, legendre, mult_order, split_p, sqrt_mod_p, vp
 from .corpus import (
     random_digits,
     random_periodic,
@@ -272,14 +272,10 @@ def _bedocchi(ctx):
     bound, horizon = 2000, 200
     scanned = periodic = 0
     for p in (5, 7):
-        psq = p * p
         for m in range(2, bound + 1):
             if _is_square(m):
                 continue
-            m0, j = m, 0
-            while m0 % psq == 0:
-                m0 //= psq
-                j += 1
+            j, m0 = split_p(m, p * p)
             if m0 % p == 0 or legendre(m0 % p, p) != 1:
                 continue
             exp = expand(QuadIrr(p, m0, 0, 1, -j, sqrt_mod_p(m0 % p, p)),

@@ -9,6 +9,7 @@ when over.
 
 from __future__ import annotations
 
+import hashlib
 import time
 from fractions import Fraction
 
@@ -195,6 +196,19 @@ def _period_power_of_two_ladder():
 
 def test_criterion_08(acceptance_log):
     _run(8, _period_power_of_two_ladder, acceptance_log)
+
+
+def test_period_16_from_a_small_order_seed():
+    # Beside criterion 8, not in its place: this t=8 seed has
+    # |Atilde_7| = 1752, and the order of 5 mod 1752**2 is small, so the
+    # period-16 construction needs only omega = 7,676.
+    cf = parse_quotient_list("-2/5, 9/5, 4/5, 6/5, 11/5, 11/5, 7/5, 12/5", 5)
+    cert = is_nice(cf)
+    assert cert.nice and abs(cert.Atilde_last) == 1752
+    res = construct(cert, 0)
+    assert res.verified and len(res.period) == 16 and res.omega == 7676
+    digest = hashlib.sha256(str(res.m).encode()).hexdigest()
+    assert digest == "f0fa8ee6cfd37f5a5031ca9fc193512ff25efcfee75afd52a1af35a0d5459cfc"
 
 
 def _closed_form_families():

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from padiccf.core import (
     mod_inverse,
     mult_order,
     padic_square_exists,
+    split_p,
     sqrt_mod_p,
     vp,
 )
@@ -51,6 +53,28 @@ def test_vp_pinned_values():
     assert vp(Fraction(6, 5), 5) == -1
     assert vp(Fraction(37, 9), 3) == -2
     assert vp(250, 5) == 3
+
+
+def _strip_one_at_a_time(n, p):
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return e, n
+
+
+def test_split_p_matches_the_naive_loop():
+    rng = random.Random(6)
+    for p in (3, 5, 7, 353):
+        for e in sorted({0, 1, 2, 3, 63, 64, 65, 5000, *rng.sample(range(5001), 10)}):
+            u = rng.randrange(p**40) * p + rng.randrange(1, p)  # p does not divide u
+            for n in (p**e * u, -(p**e) * u, p**e):
+                assert split_p(n, p) == _strip_one_at_a_time(n, p) == (e, n // p**e), (p, e)
+    assert split_p(2**20 * 3, 2) == (20, 3)
+    with pytest.raises(ValueError):
+        split_p(0, 5)
+    with pytest.raises(ValueError):
+        split_p(5, 1)
 
 
 @given(
@@ -211,6 +235,16 @@ def test_factorint_squares_and_prime_powers():
     assert divisors(10403**2) == divisors_brute(10403**2)
 
 
+def test_factorint_splits_higher_perfect_powers():
+    # 100000000000031 is a prime near 1e14: Pollard-Brent alone needs ~1e7
+    # steps on its cube, the k-th root split none
+    for n in (100000000000031, 999983 * 1000003, 2**3 * 3**2 * 10007 * 65521):
+        brute = factorint_brute(n)
+        for k in (3, 5, 6):
+            assert factorint(n**k) == {q: k * e for q, e in brute.items()}, (n, k)
+    assert factorint(1009**7 * 1013**7) == {1009: 7, 1013: 7}
+
+
 def test_carmichael_numbers_and_strong_pseudoprimes_are_composite():
     for n in CARMICHAEL + STRONG_PSEUDOPRIMES:
         assert not isprime(n), n
@@ -238,7 +272,7 @@ def test_isprime_above_the_miller_rabin_bound():
     assert not isprime(2**67 - 1)
     assert not isprime(m89**2) and not isprime(m89**3)
     assert factorint(m89 * 3**4) == {3: 4, m89: 1}
-    assert factorint(m89**2 * 1009**3) == {1009: 3, m89: 2}  # isqrt splits the square
+    assert factorint(m89**2 * 1009**3) == {1009: 3, m89: 2}  # the square root split
     assert factorint(10007**5 * 10009**10) == {10007: 5, 10009: 10}
 
 

@@ -1,8 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import padiccf
 from padiccf import (
     QuadIrr,
     convergents,
@@ -172,6 +177,27 @@ def test_step_emits_digit_and_reciprocal_remainder():
             # alpha - a = 1/next, so the distance valuation is -v(next)
             assert quad_distance_valuation(alpha, a.value) == -nxt.valuation
             assert nxt.valuation < 0
+
+
+def test_step_rejects_a_corrupted_state_under_python_O():
+    # step skips QuadIrr's checks on the state it builds; its own invariants
+    # must fire under python -O, which strips assert statements
+    code = (
+        "import sys\n"
+        "from padiccf import QuadIrr, step\n"
+        "alpha = QuadIrr(5, 19, -13, 6, 1, 2)\n"
+        "object.__setattr__(alpha, 'c', 7)\n"
+        "try:\n"
+        "    step(alpha)\n"
+        "    print(sys.flags.optimize, 'accepted')\n"
+        "except AssertionError as exc:\n"
+        "    print(sys.flags.optimize, type(exc).__name__, exc)\n"
+    )
+    src = str(Path(padiccf.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.stdout.strip() == "1 InvariantError c | Delta - b'**2 must propagate", proc.stderr
 
 
 def test_digit_windows_along_expansion():

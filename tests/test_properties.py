@@ -21,6 +21,7 @@ from padiccf.engine import (
     FINITE,
     PERIODIC,
     RUBAN,
+    QuadIrr,
     convergents,
     eval_finite,
     expand,
@@ -62,6 +63,16 @@ def test_every_digit_sits_in_its_window(seed, p, flavor):
         if i >= 1:
             # everything past the head is a genuine denominator digit
             assert a.e >= 1
+
+
+@given(seeds, primes, flavors)
+@settings(max_examples=80, deadline=None)
+def test_stepped_states_pass_public_validation(seed, p, flavor):
+    # step builds its states without QuadIrr's checks; the public
+    # constructor must accept every state an expansion records
+    exp = expand(quad(seed, p), flavor, max_steps=60)
+    for state in exp.states:
+        assert QuadIrr(**state.to_json()) == state
 
 
 @given(seeds, primes, flavors)
