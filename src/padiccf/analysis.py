@@ -31,6 +31,7 @@ from .engine import (
     _from_uvw,
     _is_square,
     _stream_equal,
+    _val_linear,
     convergents,
     expand,
     step,
@@ -58,8 +59,13 @@ class RegularityReport:
         }
 
 
+def _conjugate_valuation(alpha: QuadIrr) -> int:
+    """v_p of (b - delta)/(p**k c), without building the conjugate."""
+    return _val_linear(-alpha.b, 1, alpha.Delta, alpha.branch, alpha.p) - alpha.k
+
+
 def _is_regular_state(alpha: QuadIrr) -> bool:
-    return alpha.valuation < 0 and alpha.conjugate().valuation > 0
+    return alpha.valuation < 0 and _conjugate_valuation(alpha) > 0
 
 
 def is_regular(alpha: QuadIrr, max_steps: int = 200) -> RegularityReport:
@@ -73,7 +79,7 @@ def is_regular(alpha: QuadIrr, max_steps: int = 200) -> RegularityReport:
     estimate can be off by one at valuation-zero boundaries.
     """
     va = alpha.valuation
-    vc = alpha.conjugate().valuation
+    vc = _conjugate_valuation(alpha)
     idx = None
     cur = alpha
     for n in range(max_steps):

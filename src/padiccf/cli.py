@@ -205,6 +205,24 @@ def _parse_h_spec(spec: str) -> tuple:
     return tuple(dict.fromkeys(out))
 
 
+def _not_nice_message(cert) -> str:
+    """The exit-3 text naming the first failed condition and its witness."""
+    p, t, cf = cert.p, len(cert.cf), cert.cf
+    if cert.failure == "a":
+        witness = f"|a_0|_p = {p}^{cf[0].e}, a_0 = {cf[0]}"
+    elif cert.failure == "b":
+        # Atilde_{t-2} != 0 here: with Atilde_{t-2} = 0, (b) fails only if
+        # Atilde_{t-1} = 0 as well, and the determinant identity forbids that
+        ratio = Fraction(cert.Atilde_last, cert.Atilde_prev * p ** cert.ks[-1])
+        witness = f"|A_{t - 1}/A_{t - 2}| = {abs(ratio)} vs 4/{p}"
+    elif cert.failure == "c":
+        witness = "no admissible q in the p-coset"
+    else:
+        witness = "discrete-log budget exceeded before any q decided"
+    verb = "indeterminate" if cert.failure == "c-indeterminate" else "violated"
+    return f"not nice: condition ({cert.failure[0]}) {verb}: {witness}"
+
+
 def _construct_row(cert, max_digits: int, h: int):
     """One h offset of a nice certificate: (h, result JSON, infeasibility note)."""
     try:
@@ -250,12 +268,7 @@ def cmd_construct(p, cf_text, cf_file, h_spec, dlog_budget, max_digits, jobs, as
     except ValueError as exc:
         _fail(str(exc))
     if not cert.nice:
-        witness = {
-            "a": cert.witness_a, "b": cert.witness_b,
-            "c": cert.witness_c, "c-indeterminate": cert.witness_c,
-        }[cert.failure]
-        verb = "indeterminate" if cert.failure == "c-indeterminate" else "violated"
-        click.echo(f"not nice: condition ({cert.failure[0]}) {verb}: {witness}", err=True)
+        click.echo(_not_nice_message(cert), err=True)
         sys.exit(3)
     run_one = partial(_construct_row, cert, max_digits)
     if jobs > 1:

@@ -11,9 +11,8 @@ digit a_t, and the palindromic period
 
 whose value is exactly 1/(p**k0 * sqrt(m)); the period length is 2t. The
 beta digit lists realize this with t = 2**(n-1), giving periods of length
-2**n. Everything is verified on the spot: the tilde-row identities, the
-quadratic satisfied by the periodic limit, and a re-expansion of the target
-value.
+2**n. Each construction is verified on the spot by the eq. (12)
+tilde-row identity and an exact re-expansion of the target value.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, product
-from math import gcd, lcm
+from math import gcd
 
 from .core import (
     DlogBudgetExceeded,
@@ -32,7 +31,6 @@ from .core import (
     discrete_log,
     divisors,
     mult_order,
-    split_p,
     sqrt_mod_p,
 )
 from .engine import (
@@ -40,12 +38,11 @@ from .engine import (
     PERIODIC,
     Expansion,
     QuadIrr,
-    _from_uvw,
     _is_square,
+    _period_roots,
     convergents,
     expand,
     first_reexpansion,
-    periodic_limit,
 )
 
 DEFAULT_MAX_DIGITS = 200_000
@@ -77,9 +74,6 @@ class NiceCertificate:
     cond_a: bool
     cond_b: bool
     cond_c: bool | None
-    witness_a: str
-    witness_b: str
-    witness_c: str
     q: int | None
     omega0: int | None
     order_s: int | None
@@ -135,17 +129,14 @@ def is_nice(cf, dlog_budget: int | None = None) -> NiceCertificate:
     _invariant(B1 != 0 and B1 % p != 0, "Btilde_{t-1} is a p-unit by the valuation law")
     quarter = Fraction(p, 4)
     cond_a = cf[0].e >= 1 and cf[0].abs_lt(quarter)
-    wit_a = f"|a_0|_p = {p}^{cf[0].e}, a_0 = {cf[0]}"
-    num, den = tab.A_(t - 1), tab.A_(t - 2)
-    if den == 0:
-        cond_b = num != 0
-        wit_b = f"A_{t - 2} = 0, A_{t - 1} = {num}"
+    # |A_{t-1}/A_{t-2}| > 4/p on the tilde rows: A_n = Atilde_n/p**K'_n and
+    # K'_{t-1} - K'_{t-2} = k_{t-1}
+    if A2_ == 0:
+        cond_b = A1 != 0
     else:
-        cond_b = abs(num) * p > 4 * abs(den)
-        wit_b = f"|A_{t - 1}/A_{t - 2}| = {abs(num / den)} vs 4/{p}"
+        cond_b = abs(A1) * p > 4 * abs(A2_) * p ** tab.ks[-1]
     cond_c: bool | None = False
     q = omega0 = None
-    wit_c = "no admissible q in the p-coset"
     indeterminate = False
     A1sq = A1 * A1
     if A1sq != 0:
@@ -155,7 +146,6 @@ def is_nice(cf, dlog_budget: int | None = None) -> NiceCertificate:
                 continue
             if A1sq == 1 or qc % A1sq == 1 % A1sq:
                 q, omega0, cond_c = qc, 0, True
-                wit_c = f"q = {qc}, omega0 = 0"
                 break
             try:
                 w = discrete_log(p, qc % A1sq, A1sq, **cap)
@@ -164,11 +154,9 @@ def is_nice(cf, dlog_budget: int | None = None) -> NiceCertificate:
                 continue
             if w is not None:
                 q, omega0, cond_c = qc, w, True
-                wit_c = f"q = {qc}, omega0 = {w}"
                 break
         if cond_c is False and indeterminate:
             cond_c = None
-            wit_c = "discrete-log budget exceeded before any q decided"
     nice = bool(cond_a and cond_b and cond_c)
     if not cond_a:
         failure = "a"
@@ -182,8 +170,7 @@ def is_nice(cf, dlog_budget: int | None = None) -> NiceCertificate:
         failure = None
     return NiceCertificate(
         p, cf, tab.ks, tab.ks[0], tab.K(t - 1), A1, A2_, B1, B2_,
-        cond_a, cond_b, cond_c, wit_a, wit_b, wit_c,
-        q, omega0, None, nice, failure,
+        cond_a, cond_b, cond_c, q, omega0, None, nice, failure,
     )
 
 
@@ -221,7 +208,6 @@ class ConstructionResult:
     expansion: Expansion | None
     branch: int | None
     eq12_ok: bool
-    limit_ok: bool
     reexpand_ok: bool
     verified: bool
 
@@ -252,6 +238,11 @@ def construct(cert: NiceCertificate, h: int = 0,
     k0 + 2*K_{t-1} whose c~ satisfies 4|c~| < p**(k_t+1)); each valid omega
     yields its own m. Raises ConstructionInfeasible when the next valid
     p**omega would exceed max_digits decimal digits.
+
+    verified is the eq. (12) tilde-row identity plus an exact re-expansion:
+    one branch of 1/(p**k0 * sqrt(m)) must expand to the claimed preperiod
+    and period. expansion and branch are that re-expansion, or None when
+    neither branch reproduces the digits.
     """
     if cert.cond_c is None:
         raise ValueError("niceness is indeterminate (discrete-log budget): cannot construct")
@@ -319,20 +310,17 @@ def construct(cert: NiceCertificate, h: int = 0,
     lhs = tab2.Btilde_(t - 1) * (tab2.Btilde_(t) + jump * tab2.Btilde_(t - 2))
     rhs = m * tab2.Atilde_(t - 1) * (tab2.Atilde_(t) + jump * tab2.Atilde_(t - 2))
     eq12_ok = lhs == rhs
-    lim = periodic_limit(preperiod, period, p, BROWKIN)
-    lim_sq = Fraction(lim.Delta) / (Fraction(p) ** (2 * lim.k) * lim.c * lim.c)
-    limit_ok = lim.b == 0 and lim_sq == Fraction(1, p ** (2 * k0) * m)
     r = sqrt_mod_p(m % p, p)
     _invariant(r, "sqrt(m) must exist in Q_p by construction")
     targets = (QuadIrr(p, m, 0, m, k0, br) for br in (r, p - r))
     hit = first_reexpansion(targets, preperiod, period, BROWKIN)
     branch_used, actual = (hit[0].branch, hit[1]) if hit else (None, None)
     reexpand_ok = hit is not None
-    verified = eq12_ok and limit_ok and reexpand_ok
+    verified = eq12_ok and reexpand_ok
     return ConstructionResult(
         p, t, k0, h, omega, cert.omega0, s, cert.q, q1, b_int, kt, ctil,
         a_t, m, preperiod, period, actual, branch_used,
-        eq12_ok, limit_ok, reexpand_ok, verified,
+        eq12_ok, reexpand_ok, verified,
     )
 
 
@@ -498,31 +486,6 @@ class FamilyReport:
         }
 
 
-def _matrix_route(exp: Expansion):
-    """Fixed points of the period matrix; returns (negative-valuation
-    candidates, trace, determinant)."""
-    per = exp.period
-    t = convergents(per, exp.p)
-    N = len(per)
-    M11, M12 = t.A_(N - 1), t.A_(N - 2)
-    M21, M22 = t.B_(N - 1), t.B_(N - 2)
-    tr, det = M11 + M22, M11 * M22 - M12 * M21
-    L = lcm(M11.denominator, M12.denominator, M21.denominator, M22.denominator)
-    a2, b2, c2 = int(M21 * L), int((M22 - M11) * L), int(-M12 * L)
-    disc = b2 * b2 - 4 * a2 * c2
-    p = exp.p
-    v, D0 = split_p(disc, p)
-    cands = []
-    if v % 2 == 0:
-        rr = sqrt_mod_p(D0 % p, p)
-        if rr:
-            for br in (rr, p - rr):
-                gamma = _from_uvw(p, -b2, 1, 2 * a2, disc, br)
-                if gamma.valuation < 0:
-                    cands.append(gamma)
-    return cands, tr, det
-
-
 def family_section6(variant: int, p: int, t: int) -> FamilyReport:
     """The three closed-form families with prescribed periodic expansions.
 
@@ -598,9 +561,12 @@ def family_section6(variant: int, p: int, t: int) -> FamilyReport:
     char_ok = None
     if exp.status == PERIODIC:
         tail = exp.state_at(len(exp.preperiod))
-        cands, tr, det = _matrix_route(exp)
-        matrix_ok = any(c.value_equals(tail) for c in cands)
+        matrix_ok = any(g.value_equals(tail) for g in _period_roots(exp.period, p))
         if variant == 1:
+            tab = convergents(exp.period, p)
+            N = len(exp.period)
+            tr = tab.A_(N - 1) + tab.B_(N - 2)
+            det = tab.A_(N - 1) * tab.B_(N - 2) - tab.A_(N - 2) * tab.B_(N - 1)
             char_ok = tr == 2 - Fraction(4, p ** (t + 2)) and det == 1
     verified = exp.status == PERIODIC and matrix_ok and (
         literal == "ok" or variant == 3

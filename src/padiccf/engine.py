@@ -389,8 +389,8 @@ class Expansion:
     """Result of running the algorithm: digits, cycle data, bookkeeping.
 
     ks[i] is k_i = -v_p(alpha_i) for each recorded index (preperiod plus one
-    period for periodic results); K(n) = k_1 + ... + k_n extends through the
-    cycle. states mirrors the recorded complete quotients when the source was
+    period for periodic results); k_at(i) extends it through the cycle.
+    states mirrors the recorded complete quotients when the source was
     a QuadIrr.
     """
 
@@ -429,18 +429,9 @@ class Expansion:
             raise IndexError(f"index {i} beyond a {self.status} expansion")
         return self.ks[pre + (i - pre) % per]
 
-    def K(self, n: int) -> int:
-        """K_n = sum of k_i for i = 1..n."""
-        return sum(self.k_at(i) for i in range(1, n + 1))
-
-    def Kprime(self, n: int) -> int:
-        return self.K(n) + self.k_at(0)
-
     def state_at(self, i: int) -> "QuadIrr":
         pre, per = len(self.preperiod), len(self.period)
-        if i < pre:
-            return self.states[i]
-        if per == 0:
+        if i < pre or per == 0:
             return self.states[i]
         return self.states[pre + (i - pre) % per]
 
@@ -647,17 +638,14 @@ def first_reexpansion(candidates, preperiod, period, flavor: str = BROWKIN):
     return None
 
 
-def periodic_limit(preperiod, period, p: int, flavor: str = BROWKIN) -> QuadIrr:
-    """The exact value of [preperiod, (period)*].
+def _period_roots(period, p: int) -> tuple:
+    """Both branch roots of the period quadratic of a nonempty period.
 
-    The purely periodic tail gamma satisfies
+    The purely periodic value [(period)*] is a root of
     B_{N-1} x**2 - (A_{N-1} - B_{N-2}) x - A_{N-2} = 0 over the period's
-    convergents; the root is transported through the preperiod, and of the
-    (at most four) sign/branch candidates the one whose re-expansion
-    reproduces the digit stream is returned.
+    convergents. Raises ValueError when that quadratic is degenerate, has
+    rational roots or has no roots in Q_p.
     """
-    _check_flavor(flavor)
-    preperiod, period = tuple(preperiod), tuple(period)
     if not period:
         raise ValueError("period must be nonempty")
     t = convergents(period, p)
@@ -677,12 +665,24 @@ def periodic_limit(preperiod, period, p: int, flavor: str = BROWKIN) -> QuadIrr:
         raise ValueError(f"period discriminant has no square root in Q_{p}")
     r = sqrt_mod_p(D0 % p, p)
     _invariant(r, "a unit quadratic residue has a nonzero root mod p")
+    return tuple(_from_uvw(p, b2, 1, 2 * a2, Draw, br) for br in (r, p - r))
+
+
+def periodic_limit(preperiod, period, p: int, flavor: str = BROWKIN) -> QuadIrr:
+    """The exact value of [preperiod, (period)*].
+
+    A root of the period quadratic (see _period_roots) is transported
+    through the preperiod, and of the sign/branch candidates the one whose
+    re-expansion reproduces the digit stream is returned.
+    """
+    _check_flavor(flavor)
+    preperiod, period = tuple(preperiod), tuple(period)
+    gammas = _period_roots(period, p)
     m = len(preperiod)
     if m:
         tp = convergents(preperiod, p)
         A1, A2 = tp.A_(m - 1), tp.A_(m - 2)
         B1, B2 = tp.B_(m - 1), tp.B_(m - 2)
-    gammas = (_from_uvw(p, b2, 1, 2 * a2, Draw, br) for br in (r, p - r))
     cands = (_mobius(A1, A2, B1, B2, g) for g in gammas) if m else gammas
     hit = first_reexpansion(cands, preperiod, period, flavor)
     if hit is None:

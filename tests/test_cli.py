@@ -141,9 +141,23 @@ def test_construct_json_pins():
 
 
 def test_construct_niceness_violation_exits_3():
-    res = run("construct", "--p", "3", "--cf", "1/3")
-    assert res.exit_code == 3
-    assert res.stderr.startswith("not nice: condition (b) violated:")
+    # the full stderr line for each condition, (b) at t = 2 and at t = 1
+    cases = (
+        (("--p", "5", "--cf", "7/5, 1/5"),
+         "condition (a) violated: |a_0|_p = 5^1, a_0 = 7/5"),
+        (("--p", "5", "--cf", "3/5, -6/5"),
+         "condition (b) violated: |A_1/A_0| = 7/15 vs 4/5"),
+        (("--p", "3", "--cf", "1/3"),
+         "condition (b) violated: |A_0/A_-1| = 1/3 vs 4/3"),
+        (("--p", "5", "--cf", "1/5, -4/5"),
+         "condition (c) violated: no admissible q in the p-coset"),
+        (("--p", "3", "--cf", "1/3, 2000/2187", "--dlog-budget", "1"),
+         "condition (c) indeterminate: discrete-log budget exceeded before any q decided"),
+    )
+    for args, message in cases:
+        res = run("construct", *args)
+        assert res.exit_code == 3, args
+        assert res.stderr == f"not nice: {message}\n"
 
 
 def test_construct_infeasible_exits_4(tmp_path):

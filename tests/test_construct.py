@@ -1,3 +1,4 @@
+import importlib
 from fractions import Fraction
 
 import pytest
@@ -18,11 +19,12 @@ from padiccf import (
     positive_shortcut,
 )
 from padiccf.core import LaurentInt
-from padiccf.engine import PERIODIC, parse_quotient_list
+from padiccf.engine import PERIODIC, QuadIrr, parse_quotient_list
 
 SEED_6_5 = (LaurentInt(5, 6, 1),)
 SEED_T2 = (LaurentInt(3, 1, 1), LaurentInt(3, 1, 1))
 SEED_353 = (LaurentInt(3, 1, 1), LaurentInt(3, 110, 4))
+SEED_P16 = parse_quotient_list("-2/5, 9/5, 4/5, 6/5, 11/5, 11/5, 7/5, 12/5", 5)
 
 
 # -- niceness -------------------------------------------------------------------
@@ -134,6 +136,36 @@ def test_construction_families_are_monotone_and_distinct():
             prev = res
 
 
+@pytest.mark.parametrize("seed,h", [
+    *((SEED_6_5, h) for h in range(3)),
+    *((SEED_T2, h) for h in range(3)),
+    (SEED_353, 0),
+    (beta(1, 1, 5), 0),
+    (beta(2, 1, 5), 0),
+    (SEED_P16, 0),
+], ids=["6_5-0", "6_5-1", "6_5-2", "t2-0", "t2-1", "t2-2", "l353", "beta1", "beta2", "p16"])
+def test_construction_is_the_limit_of_its_digits(seed, h):
+    # construct proves its result by one re-expansion of 1/(p**k0 sqrt(m));
+    # the independent periodic_limit route must land on the same value
+    res = construct(is_nice(seed), h)
+    assert res.verified
+    target = QuadIrr(res.p, res.m, 0, res.m, res.k0, res.branch)
+    assert periodic_limit(res.preperiod, res.period, res.p).value_equals(target)
+    exp = res.expansion
+    assert exp.status == PERIODIC
+    assert (exp.preperiod, exp.period) == (res.preperiod, res.period)
+
+
+def test_construct_is_unverified_when_no_branch_reexpands(monkeypatch):
+    # the package re-exports the function construct under the module's name
+    module = importlib.import_module("padiccf.construct")
+    monkeypatch.setattr(module, "first_reexpansion", lambda *args: None)
+    res = construct(is_nice(SEED_6_5), 0)
+    assert res.eq12_ok
+    assert not res.verified
+    assert res.expansion is None and res.branch is None
+
+
 def test_result_serialization_contract():
     res = construct(is_nice(SEED_6_5), 0)
     js = res.to_json()
@@ -214,7 +246,7 @@ def test_period_16_needs_astronomical_omega():
 # -- closed-form families ------------------------------------------------------------
 
 
-@pytest.mark.parametrize("p,t", [(3, 2), (5, 2), (5, 3), (7, 3)])
+@pytest.mark.parametrize("p,t", [(3, 2), (5, 2), (5, 3), (7, 3), (7, 4), (11, 3)])
 def test_family_variant1(p, t):
     rep = family_section6(1, p, t)
     assert rep.verified
@@ -224,14 +256,15 @@ def test_family_variant1(p, t):
     assert len(rep.expansion.period) == 4
 
 
-@pytest.mark.parametrize("p,t", [(5, 3), (7, 3)])
+@pytest.mark.parametrize("p,t", [(5, 3), (7, 3), (7, 4), (11, 3)])
 def test_family_variant2(p, t):
     rep = family_section6(2, p, t)
     assert rep.verified and rep.literal_check == "ok"
+    assert rep.matrix_check
     assert len(rep.expansion.period) == 6
 
 
-@pytest.mark.parametrize("p,t", [(5, 3), (7, 3)])
+@pytest.mark.parametrize("p,t", [(5, 3), (7, 3), (7, 4), (11, 3)])
 def test_family_variant3_matches_by_value_only(p, t):
     rep = family_section6(3, p, t)
     assert rep.verified
