@@ -28,7 +28,6 @@ from .engine import (
     DEFAULT_MAX_STEPS,
     Expansion,
     QuadIrr,
-    _from_uvw,
     _is_square,
     _stream_equal,
     _val_linear,
@@ -114,20 +113,23 @@ class GaloisVerdict:
 
 
 def galois_check(alpha: QuadIrr, expansion: Expansion) -> GaloisVerdict:
-    """Pure periodicity against regularity, on a detected periodic expansion.
+    """Pure periodicity against regularity, on a detected periodic expansion
+    of alpha.
 
     Checks both halves: empty preperiod iff alpha is regular, and the
     preperiod length equals the index of the first regular complete
-    quotient.
+    quotient. That index is read off expansion.states, which hold the
+    preperiod and one period; every later state repeats one of them, so
+    no state is stepped again.
     """
     if expansion.status != PERIODIC:
         raise ValueError("galois_check needs a periodic expansion")
     pre = len(expansion.preperiod)
-    horizon = pre + len(expansion.period) + 2
-    rep = is_regular(alpha, max_steps=horizon)
-    ok = ((pre == 0) == rep.regular) and rep.first_regular_index == pre
-    return GaloisVerdict(ok, rep.regular, pre, rep.first_regular_index,
-                         rep.v_alpha, rep.v_conj)
+    first = next((i for i, st in enumerate(expansion.states) if _is_regular_state(st)), None)
+    va, vc = alpha.valuation, _conjugate_valuation(alpha)
+    regular = va < 0 < vc
+    ok = ((pre == 0) == regular) and first == pre
+    return GaloisVerdict(ok, regular, pre, first, va, vc)
 
 
 def reversed_period_identity(expansion: Expansion) -> Expansion:
@@ -472,10 +474,11 @@ def ruban_nonperiodic_probe(m: int, k: int, p: int, N: int = 2000,
     """Probe the nonnegative-flavor expansion of p**k * sqrt(m).
 
     For k > 0 the expansion is never periodic: the probe asserts no cycle
-    within N steps and checks the underlying witness exactly, namely that
-    both real embeddings of the third complete quotient
-    alpha_2 = p**k (sqrt(m) + a~_1 m)/(1 - a~_1**2 m) are negative, which
-    follows from a~_1 >= 1 and m > 1 by integer comparisons. Negative k is
+    within N steps and checks the underlying witness exactly on the stored
+    third complete quotient alpha_2 = (b + sqrt(m))/(p**k2 c): both of its
+    real embeddings are negative iff b**2 > m and b*c < 0, two integer
+    comparisons. Digits are nonnegative, so every later state keeps both
+    embeddings negative, and no purely periodic tail can. Negative k is
     accepted for the periodic sqrt(1 + p**(2h))/p**h family; there the
     observed status is simply reported.
     """
@@ -497,10 +500,6 @@ def ruban_nonperiodic_probe(m: int, k: int, p: int, N: int = 2000,
     _invariant(exp.status == OPEN,
                f"p^{k} sqrt({m}) produced a cycle in the nonnegative flavor; "
                "the real-embedding sign obstruction rules that out")
-    a1 = exp.quotient_at(1)
-    _invariant(a1.e == k, "first complete quotient must have valuation exactly -k")
-    at1 = a1.tilde
-    witness = at1 >= 1 and at1 * at1 * m > 1
-    alpha2 = _from_uvw(p, p**k * at1 * m, p**k, 1 - at1 * at1 * m, m, branch)
-    _invariant(alpha2.value_equals(exp.state_at(2)), "witness state formula mismatch")
-    return RubanProbe(p, m, k, "nonperiodic", N, at1, witness, exp)
+    alpha2 = exp.state_at(2)
+    witness = alpha2.b * alpha2.b > m and alpha2.b * alpha2.c < 0
+    return RubanProbe(p, m, k, "nonperiodic", N, exp.quotient_at(1).tilde, witness, exp)

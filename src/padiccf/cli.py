@@ -395,7 +395,7 @@ def _recorded_indices(out_file: str, inputs: dict) -> set:
 def _search_worker(args):
     """Pool worker: niceness over one contiguous slice of candidate indices."""
     p, t, pool_kind, num_bound, exp_bound, dlog_budget, lo, hi = args
-    hits = nice_search(p, t, pool_kind, num_bound, exp_bound, None, lo, dlog_budget, hi)
+    hits = nice_search(p, t, pool_kind, num_bound, exp_bound, lo, dlog_budget, hi)
     return [(idx, cert.to_json()) for idx, cert in hits]
 
 
@@ -425,6 +425,8 @@ def cmd_search(p, t, pool_kind, num_bound, exp_bound, limit, dlog_budget,
     _need_jobs(jobs)
     if t < 1:
         _fail("need t >= 1")
+    if limit is not None and limit < 1:
+        _fail(f"--limit must be >= 1, got {limit}")
     total = len(_digit_pool(p, pool_kind, num_bound, exp_bound)) ** t
     cursor_path = f"{out_file}.cursor" if out_file else None
     start_index = 0
@@ -483,7 +485,7 @@ def cmd_search(p, t, pool_kind, num_bound, exp_bound, limit, dlog_budget,
                     save_cursor()
         else:
             for idx, cert in nice_search(p, t, pool_kind, num_bound, exp_bound,
-                                         None, start_index, dlog_budget):
+                                         start_index, dlog_budget):
                 if emit(idx, cert.to_json()):
                     break
     except KeyboardInterrupt:

@@ -28,8 +28,8 @@ from .core import (
     _invariant,
     centered_residue,
     hensel_digits,
-    legendre,
     mod_inverse,
+    padic_square_exists,
     split_p,
     sqrt_mod_p,
     vp,
@@ -94,15 +94,10 @@ class QuadIrr:
         if (self.branch * self.branch - self.Delta) % p != 0:
             raise ValueError("branch**2 != Delta mod p")
 
-    # -- exact valuation helpers ------------------------------------------
-
-    def _val_b_plus_delta(self) -> int:
-        return _val_linear(self.b, 1, self.Delta, self.branch, self.p)
-
     @property
     def valuation(self) -> int:
         """v_p of the value, computed exactly."""
-        return self._val_b_plus_delta() - self.k
+        return _val_linear(self.b, 1, self.Delta, self.branch, self.p) - self.k
 
     @property
     def norm(self) -> Fraction:
@@ -154,7 +149,7 @@ class QuadIrr:
 
     def approx_digits(self, n_digits: int):
         """(e, u): value = p**e * (u + O(p**n_digits)) with u a unit mod p**n_digits."""
-        w = self._val_b_plus_delta()
+        w = self.valuation + self.k
         N = w + n_digits
         dig = hensel_digits(self.p, self.Delta, self.branch, N)
         pn = self.p**n_digits
@@ -226,14 +221,14 @@ def normalize(p: int, Delta: int, b: int, c: int, k: int, branch: int) -> QuadIr
         raise ValueError("c must be nonzero")
     if Delta == 0 or _is_square(Delta):
         raise ValueError(f"Delta={Delta} is a perfect square; value is rational")
-    v, D0 = split_p(Delta, p)
-    if v % 2 != 0:
-        raise ValueError(f"sqrt({Delta}) not in Q_{p}: odd valuation")
-    if legendre(D0, p) != 1:
-        raise ValueError(f"sqrt({Delta}) not in Q_{p}: unit part is a non-residue")
+    ok, parts = padic_square_exists(Delta, p)
+    if not ok:
+        raise ValueError(
+            f"sqrt({Delta}) not in Q_{p} (odd valuation or non-residue unit part)"
+        )
+    D0, s = parts
     if not (1 <= branch < p) or (branch * branch - D0) % p != 0:
         raise ValueError("branch does not select a square root of the unit part")
-    s = v // 2
     # value = (b + p**s * delta0)/(p**k c)
     if s > 0:
         if b == 0:
@@ -300,28 +295,16 @@ def _from_uvw(p: int, u: int, v: int, w: int, Delta: int, branch: int) -> QuadIr
     return normalize(p, v * v * Delta, u, w, 0, v0 * branch % p)
 
 
-def _mobius(A, Ap, B, Bp, gamma: QuadIrr) -> QuadIrr:
-    """(A*gamma + Ap)/(B*gamma + Bp) for rational A, Ap, B, Bp."""
-    den = Fraction(gamma.p) ** gamma.k * gamma.c
-    x1 = Fraction(A) * gamma.b + Fraction(Ap) * den
-    x2 = Fraction(A)
-    y1 = Fraction(B) * gamma.b + Fraction(Bp) * den
-    y2 = Fraction(B)
-    # (x1 + x2 d)/(y1 + y2 d) = ((x1 y1 - x2 y2 D) + (x2 y1 - x1 y2) d)/(y1^2 - y2^2 D)
-    U = x1 * y1 - x2 * y2 * gamma.Delta
-    V = x2 * y1 - x1 * y2
-    W = y1 * y1 - y2 * y2 * gamma.Delta
-    if W == 0:
-        raise ValueError("Moebius transport degenerates (conjugate hit)")
-    L = lcm(U.denominator, V.denominator, W.denominator)
-    Ui, Vi, Wi = int(U * L), int(V * L), int(W * L)
-    if Vi == 0:
-        raise ValueError("transport produced a rational value")
-    g = gcd(gcd(Ui, Vi), Wi)
-    return _from_uvw(gamma.p, Ui // g, Vi // g, Wi // g, gamma.Delta, gamma.branch)
-
-
 # -- s-functions -----------------------------------------------------------
+
+
+def _window_digit(num: int, den: int, k: int, p: int, flavor: str) -> LaurentInt:
+    """The digit of num/(p**k * den) for a p-unit den and k >= 0: its residue
+    mod p**(k+1), centered for the Browkin flavor, over p**k."""
+    pn = p ** (k + 1)
+    t = num * mod_inverse(den % pn, pn) % pn
+    r = centered_residue(t, k + 1, p) if flavor == BROWKIN else t
+    return LaurentInt(p, r, k)
 
 
 def _digit(alpha: QuadIrr, flavor: str) -> LaurentInt:
@@ -329,25 +312,8 @@ def _digit(alpha: QuadIrr, flavor: str) -> LaurentInt:
     if k < 0:
         # v_p(alpha) = v_p(b + delta) - k >= 1, the digit window is empty
         return LaurentInt(p, 0, 0)
-    N = k + 1
-    pn = p**N
-    dig = hensel_digits(p, alpha.Delta, alpha.branch, N)
-    t = (alpha.b + dig) * mod_inverse(alpha.c % pn, pn) % pn
-    r = centered_residue(t, N, p) if flavor == BROWKIN else t
-    return LaurentInt(p, r, k)
-
-
-def _digit_rational(x: Fraction, v, p: int, flavor: str) -> LaurentInt:
-    """The digit of x, whose valuation v = vp(x, p) the caller has."""
-    if v == INF or v >= 1:
-        return LaurentInt(p, 0, 0)
-    k = max(0, -v)
-    N = k + 1
-    pn = p**N
-    d = x.denominator // p**k
-    t = x.numerator * mod_inverse(d % pn, pn) % pn
-    r = centered_residue(t, N, p) if flavor == BROWKIN else t
-    return LaurentInt(p, r, k)
+    dig = hensel_digits(p, alpha.Delta, alpha.branch, k + 1)
+    return _window_digit(alpha.b + dig, alpha.c, k, p, flavor)
 
 
 # -- the stepper -----------------------------------------------------------
@@ -457,6 +423,12 @@ class Expansion:
         }
 
 
+def _ks(k0: int, quots) -> tuple:
+    """(k_0, k_1, ...) for an expansion: every complete quotient past the
+    first has negative valuation, so its digit a_n carries k_n as exponent."""
+    return (k0,) + tuple(q.e for q in quots[1:])
+
+
 def expand(alpha: QuadIrr, flavor: str = BROWKIN, max_steps: int = DEFAULT_MAX_STEPS) -> Expansion:
     """Run the algorithm with cycle detection on the exact state triple.
 
@@ -466,9 +438,9 @@ def expand(alpha: QuadIrr, flavor: str = BROWKIN, max_steps: int = DEFAULT_MAX_S
     _check_flavor(flavor)
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
+    k0 = -alpha.valuation
     seen: dict[tuple[int, int, int], int] = {}
     quots: list[LaurentInt] = []
-    ks: list[int] = []
     states: list[QuadIrr] = []
     cur = alpha
     for i in range(max_steps):
@@ -479,16 +451,14 @@ def expand(alpha: QuadIrr, flavor: str = BROWKIN, max_steps: int = DEFAULT_MAX_S
             if pre:
                 _invariant(pre[-1] != per[-1], "state-minimal cycle should be digit-minimal")
             return Expansion(
-                alpha.p, flavor, PERIODIC, pre, per,
-                tuple(ks[: j + len(per)]), alpha, tuple(states[: j + len(per)]),
+                alpha.p, flavor, PERIODIC, pre, per, _ks(k0, quots), alpha, tuple(states)
             )
         seen[key] = i
         states.append(cur)
-        ks.append(cur.k - cur._val_b_plus_delta())
         a, cur = step(cur, flavor)
         quots.append(a)
     return Expansion(
-        alpha.p, flavor, OPEN, tuple(quots), (), tuple(ks), alpha, tuple(states)
+        alpha.p, flavor, OPEN, tuple(quots), (), _ks(k0, quots), alpha, tuple(states)
     )
 
 
@@ -497,10 +467,12 @@ def expand_rational(x, p: int, flavor: str = BROWKIN, max_steps: int = DEFAULT_M
     nonnegative flavor terminates or cycles."""
     _check_flavor(flavor)
     _check_odd_prime(p)
+    if max_steps < 1:
+        raise ValueError("max_steps must be >= 1")
     x = Fraction(x)
+    k0 = 0 if x == 0 else -vp(x, p)
     seen: dict[Fraction, int] = {}
     quots: list[LaurentInt] = []
-    ks: list[int] = []
     cur = x
     for i in range(max_steps):
         if flavor == RUBAN:
@@ -508,23 +480,22 @@ def expand_rational(x, p: int, flavor: str = BROWKIN, max_steps: int = DEFAULT_M
             if j is not None:
                 return Expansion(
                     p, flavor, PERIODIC, tuple(quots[:j]), tuple(quots[j:]),
-                    tuple(ks), x,
+                    _ks(k0, quots), x,
                 )
             seen[cur] = i
-        v = vp(cur, p)
-        ks.append(0 if v == INF else -v)
-        a = _digit_rational(cur, v, p, flavor)
+        k, den = split_p(cur.denominator, p)
+        a = _window_digit(cur.numerator, den, k, p, flavor)
         quots.append(a)
         rem = cur - a.value
         if rem == 0:
-            return Expansion(p, flavor, FINITE, tuple(quots), (), tuple(ks), x)
+            return Expansion(p, flavor, FINITE, tuple(quots), (), _ks(k0, quots), x)
         cur = 1 / rem
     if flavor == BROWKIN:
         raise RuntimeError(
             f"centered expansion of {x} did not terminate in {max_steps} steps; "
             "this contradicts finiteness on rationals and signals a bug"
         )
-    return Expansion(p, flavor, OPEN, tuple(quots), (), tuple(ks), x)
+    return Expansion(p, flavor, OPEN, tuple(quots), (), _ks(k0, quots), x)
 
 
 # -- convergents -----------------------------------------------------------
@@ -638,53 +609,51 @@ def first_reexpansion(candidates, preperiod, period, flavor: str = BROWKIN):
     return None
 
 
-def _period_roots(period, p: int) -> tuple:
-    """Both branch roots of the period quadratic of a nonempty period.
+def _period_roots(preperiod, period, p: int) -> tuple:
+    """Both branch roots of the fixed-point quadratic of [preperiod, (period)*],
+    given as digit tuples.
 
-    The purely periodic value [(period)*] is a root of
-    B_{N-1} x**2 - (A_{N-1} - B_{N-2}) x - A_{N-2} = 0 over the period's
-    convergents. Raises ValueError when that quadratic is degenerate, has
-    rational roots or has no roots in Q_p.
+    A digit a has the matrix [[a, 1], [1, 0]]. With P the product over the
+    preperiod and Q over the nonempty period, the value x is a fixed point
+    of (P Q) adj(P) = [[a, b], [c, d]], so c x**2 - (a - d) x - b = 0. One
+    convergent table of preperiod + period holds both P Q and P. Raises
+    ValueError when that quadratic is degenerate, has rational roots or has
+    no roots in Q_p.
     """
     if not period:
         raise ValueError("period must be nonempty")
-    t = convergents(period, p)
-    N = len(period)
-    aq = t.B_(N - 1)
-    bq = t.A_(N - 1) - t.B_(N - 2)
-    cq = t.A_(N - 2)
+    m, n = len(preperiod), len(preperiod) + len(period)
+    t = convergents(preperiod + period, p)
+    A1, A2, B1, B2 = t.A_(n - 1), t.A_(n - 2), t.B_(n - 1), t.B_(n - 2)
+    P1, P2, R1, R2 = (t.A_(m - 1), t.A_(m - 2), t.B_(m - 1), t.B_(m - 2)) if m else (1, 0, 0, 1)
+    # c, a - d and b of (P Q) adj(P), with adj(P) = [[R2, -P2], [-R1, P1]]
+    aq = B1 * R2 - B2 * R1
+    bq = A1 * R2 - A2 * R1 + B1 * P2 - B2 * P1
+    cq = A2 * P1 - A1 * P2
     if aq == 0:
-        raise ValueError("degenerate period: B_{N-1} = 0")
+        raise ValueError("degenerate period: the fixed-point quadratic has no x**2 term")
     M = lcm(aq.denominator, bq.denominator, cq.denominator)
     a2, b2, c2 = int(aq * M), int(bq * M), int(cq * M)
     Draw = b2 * b2 + 4 * a2 * c2
     if Draw == 0 or _is_square(Draw):
         raise ValueError("period value is rational, not a quadratic irrational")
-    v2, D0 = split_p(Draw, p)
-    if v2 % 2 != 0 or legendre(D0, p) != 1:
+    ok, parts = padic_square_exists(Draw, p)
+    if not ok:
         raise ValueError(f"period discriminant has no square root in Q_{p}")
-    r = sqrt_mod_p(D0 % p, p)
-    _invariant(r, "a unit quadratic residue has a nonzero root mod p")
+    r = sqrt_mod_p(parts[0], p)
     return tuple(_from_uvw(p, b2, 1, 2 * a2, Draw, br) for br in (r, p - r))
 
 
 def periodic_limit(preperiod, period, p: int, flavor: str = BROWKIN) -> QuadIrr:
     """The exact value of [preperiod, (period)*].
 
-    A root of the period quadratic (see _period_roots) is transported
-    through the preperiod, and of the sign/branch candidates the one whose
-    re-expansion reproduces the digit stream is returned.
+    Of the two roots of the fixed-point quadratic (see _period_roots), the
+    one whose re-expansion reproduces the digit stream is returned.
     """
     _check_flavor(flavor)
     preperiod, period = tuple(preperiod), tuple(period)
-    gammas = _period_roots(period, p)
-    m = len(preperiod)
-    if m:
-        tp = convergents(preperiod, p)
-        A1, A2 = tp.A_(m - 1), tp.A_(m - 2)
-        B1, B2 = tp.B_(m - 1), tp.B_(m - 2)
-    cands = (_mobius(A1, A2, B1, B2, g) for g in gammas) if m else gammas
-    hit = first_reexpansion(cands, preperiod, period, flavor)
+    roots = _period_roots(preperiod, period, p)
+    hit = first_reexpansion(roots, preperiod, period, flavor)
     if hit is None:
         raise ValueError("no branch of the reconstructed value re-expands to the given digits")
     return hit[0]

@@ -32,7 +32,7 @@ from .construct import (
     family_section6,
     is_nice,
 )
-from .core import LaurentInt, discrete_log, legendre, mult_order, split_p, sqrt_mod_p, vp
+from .core import LaurentInt, discrete_log, mult_order, padic_square_exists, sqrt_mod_p, vp
 from .corpus import (
     random_digits,
     random_periodic,
@@ -275,9 +275,10 @@ def _bedocchi(ctx):
         for m in range(2, bound + 1):
             if _is_square(m):
                 continue
-            j, m0 = split_p(m, p * p)
-            if m0 % p == 0 or legendre(m0 % p, p) != 1:
+            ok, parts = padic_square_exists(m, p)
+            if not ok:
                 continue
+            m0, j = parts
             exp = expand(QuadIrr(p, m0, 0, 1, -j, sqrt_mod_p(m0 % p, p)),
                          BROWKIN, max_steps=horizon)
             scanned += 1

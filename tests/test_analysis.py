@@ -1,8 +1,10 @@
+import importlib
 import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import isqrt
 from pathlib import Path
 
 import pytest
@@ -16,15 +18,18 @@ from padiccf import (
     expand,
     galois_check,
     is_regular,
+    normalize,
     reversed_period_identity,
     ruban_nonperiodic_probe,
     trace_zero_classify,
 )
 from padiccf.analysis import reversal_prefix_check
-from padiccf.corpus import random_digits, random_periodic
+from padiccf.corpus import random_digits, random_periodic, random_quad
 from padiccf.engine import OPEN, PERIODIC, RUBAN
 
 from oracles import K_bound_brute
+
+analysis_module = importlib.import_module("padiccf.analysis")
 
 PERIOD12_STATE = QuadIrr(5, 19, -13, 6, 1, 2)
 SQRT37_STATE = QuadIrr(3, 37, 1, 2, 1, 1)
@@ -72,6 +77,37 @@ def test_galois_check_requires_a_periodic_expansion():
     assert exp.status == OPEN
     with pytest.raises(ValueError):
         galois_check(QuadIrr(5, 89, 8, 1, 1, 3), exp)
+
+
+def test_galois_check_reads_the_stored_states(monkeypatch):
+    def no_step(*args, **kwargs):
+        raise AssertionError("galois_check stepped a state again")
+
+    exp = expand(INV_5_SQRT_M434)
+    assert len(exp.preperiod) == 1
+    monkeypatch.setattr(analysis_module, "step", no_step)
+    verdict = galois_check(INV_5_SQRT_M434, exp)
+    assert verdict.ok and not verdict.regular
+    assert verdict.first_regular_index == verdict.preperiod_length == 1
+
+
+def test_galois_check_agrees_with_is_regular_on_preperiodic_values():
+    rng = random.Random(2202)
+    seen = 0
+    for _ in range(300):
+        p = rng.choice([3, 5, 7])
+        alpha = random_quad(rng, p)
+        exp = expand(alpha, max_steps=150)
+        if exp.status != PERIODIC:
+            continue
+        seen += bool(exp.preperiod)
+        verdict = galois_check(alpha, exp)
+        # is_regular steps from alpha again: the route galois_check replaced
+        rep = is_regular(alpha, max_steps=len(exp.quotients) + 2)
+        assert verdict.ok, alpha
+        assert (verdict.regular, verdict.first_regular_index, verdict.v_alpha, verdict.v_conj) == (
+            rep.regular, rep.first_regular_index, rep.v_alpha, rep.v_conj)
+    assert seen >= 10
 
 
 # -- period reversal -------------------------------------------------------------
@@ -261,6 +297,29 @@ def test_ruban_probe_samples(m, k):
     probe = ruban_nonperiodic_probe(m, k, 5, N=120)
     assert probe.status == "nonperiodic"
     assert probe.witness_negative_embeddings
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_ruban_state_witness_matches_the_closed_form(p):
+    # the closed form alpha_2 = p**k (sqrt(m) + a~_1 m)/(1 - a~_1**2 m) and
+    # its witness a~_1 >= 1, a~_1**2 m > 1 against the probe's stored state
+    rng = random.Random(700 + p)
+    done = 0
+    while done < 25:
+        m, k = rng.randint(2, 3000), rng.randint(1, 3)
+        if m % p == 0 or isqrt(m) ** 2 == m or pow(m, (p - 1) // 2, p) != 1:
+            continue
+        probe = ruban_nonperiodic_probe(m, k, p, N=8)
+        exp = probe.expansion
+        a1 = exp.quotient_at(1)
+        assert a1.e == k
+        at1 = a1.tilde
+        assert probe.a1_tilde == at1
+        assert probe.witness_negative_embeddings == (at1 >= 1 and at1 * at1 * m > 1)
+        closed = normalize(p, p ** (2 * k) * m, p**k * at1 * m, 1 - at1 * at1 * m, 0,
+                           exp.alpha.branch)
+        assert closed.value_equals(exp.state_at(2))
+        done += 1
 
 
 @pytest.mark.parametrize("h", [1, 2, 3])

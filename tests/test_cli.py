@@ -416,6 +416,18 @@ def test_jobs_out_of_range_exits_1_before_any_pool(monkeypatch):
             assert f"--jobs must lie in 1..{cap}" in res.stderr
 
 
+def test_search_limit_below_one_exits_1_before_scanning(monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search space was scanned")
+
+    monkeypatch.setattr(cli, "nice_search", no_search)
+    for limit in ("0", "-3"):
+        res = run("search", "--p", "5", "--t", "2", "--limit", limit)
+        assert res.exit_code == 1
+        assert res.stdout == ""
+        assert f"--limit must be >= 1, got {limit}" in res.stderr
+
+
 def test_cli_never_imports_sympy():
     code = "import sys, padiccf.cli; print('sympy' in sys.modules)"
     src = str(Path(padiccf.__file__).resolve().parents[1])

@@ -1,5 +1,6 @@
 import importlib
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -306,7 +307,7 @@ def test_search_is_deterministic_and_resumable():
     cut = full[0][0] + 1
     rest = list(nice_search(5, 2, pool="pos", num_bound=4, start_index=cut))
     assert [(i, c.cf) for i, c in rest] == [(i, c.cf) for i, c in full[1:]]
-    capped = list(nice_search(5, 2, pool="pos", num_bound=4, limit=2))
+    capped = list(islice(nice_search(5, 2, pool="pos", num_bound=4), 2))
     assert capped == full[:2]
 
 

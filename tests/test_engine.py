@@ -1,3 +1,4 @@
+import importlib
 import os
 import random
 import subprocess
@@ -20,7 +21,13 @@ from padiccf import (
     valuation_audit,
 )
 from padiccf.core import INF, LaurentInt
-from padiccf.corpus import random_digits, random_periodic, random_quad, random_rational
+from padiccf.corpus import (
+    random_digits,
+    random_periodic,
+    random_quad,
+    random_rational,
+    random_trace_zero,
+)
 from padiccf.engine import (
     BROWKIN,
     FINITE,
@@ -38,7 +45,10 @@ from oracles import (
     rational_expand_brute,
     surd_expand_brute,
     surd_valuation_brute,
+    vp_brute,
 )
+
+engine_module = importlib.import_module("padiccf.engine")
 
 # The classical period-12 value over p=5 and its complete digit list.
 PERIOD12_STATE = QuadIrr(5, 19, -13, 6, 1, 2)
@@ -279,6 +289,37 @@ def test_periodic_limit_round_trips_random_periodic_values():
         assert back.value_equals(alpha)
 
 
+@pytest.mark.parametrize("flavor,draws,max_steps", [(BROWKIN, 400, 100), (RUBAN, 2400, 60)])
+def test_periodic_limit_round_trips_preperiodic_values(flavor, draws, max_steps):
+    rng = random.Random(3011)
+    primes_hit = set()
+    for i in range(draws):
+        p = (3, 5, 7, 11)[i % 4]
+        alpha = random_quad(rng, p) if i % 8 < 4 else random_trace_zero(rng, p)
+        exp = expand(alpha, flavor, max_steps=max_steps)
+        if exp.status != PERIODIC or not exp.preperiod:
+            continue
+        back = periodic_limit(exp.preperiod, exp.period, p, flavor)
+        assert back.value_equals(alpha), (alpha, flavor)
+        primes_hit.add(p)
+    assert primes_hit == {3, 5, 7, 11}
+
+
+def test_periodic_limit_builds_one_convergent_table(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return convergents(*args, **kwargs)
+
+    monkeypatch.setattr(engine_module, "convergents", counting)
+    exp = expand(QuadIrr(5, -434, 0, -434, 1, 1))
+    assert exp.preperiod and exp.period
+    back = periodic_limit(exp.preperiod, exp.period, 5)
+    assert back.value_equals(QuadIrr(5, -434, 0, -434, 1, 1))
+    assert len(calls) == 1
+
+
 def test_periodic_limit_rejects_degenerate_input():
     with pytest.raises(ValueError):
         periodic_limit((), (), 5)
@@ -287,6 +328,46 @@ def test_periodic_limit_rejects_degenerate_input():
     per = parse_quotient_list("24/5", 5)
     with pytest.raises(ValueError, match="rational"):
         periodic_limit(pre, per, 5, RUBAN)
+
+
+# -- k_n read off the digits -------------------------------------------------------
+
+
+def test_ks_are_the_valuations_of_the_stored_states():
+    rng = random.Random(4040)
+    for i in range(300):
+        p = rng.choice([3, 5, 7, 11])
+        flavor = rng.choice([BROWKIN, RUBAN])
+        # random_trace_zero also draws k < 0, where k_0 is not a digit exponent
+        alpha = random_quad(rng, p) if i % 2 else random_trace_zero(rng, p)
+        exp = expand(alpha, flavor, max_steps=40)
+        assert len(exp.ks) == len(exp.states) == len(exp.quotients)
+        for n, st in enumerate(exp.states):
+            assert exp.ks[n] == -st.valuation, (alpha, flavor, n)
+
+
+def test_rational_ks_are_the_valuations_of_the_complete_quotients():
+    rng = random.Random(4041)
+    samples = [(Fraction(0), 5, BROWKIN), (Fraction(0), 5, RUBAN), (Fraction(-1), 5, RUBAN)]
+    for _ in range(300):
+        p = rng.choice([3, 5, 7, 11])
+        x = random_rational(rng, p) * Fraction(p) ** rng.randint(-2, 3)
+        samples.append((x, p, rng.choice([BROWKIN, RUBAN])))
+    for x, p, flavor in samples:
+        exp = expand_rational(x, p, flavor, max_steps=60)
+        assert len(exp.ks) == len(exp.quotients)
+        cur = x
+        for n, a in enumerate(exp.quotients):
+            v = vp_brute(cur, p)
+            assert exp.ks[n] == (0 if v == INF else -v), (x, p, flavor, n)
+            if cur == a.value:
+                break
+            cur = 1 / (cur - a.value)
+
+
+def test_expand_rational_rejects_a_zero_step_budget():
+    with pytest.raises(ValueError, match="max_steps"):
+        expand_rational(Fraction(10, 3), 3, max_steps=0)
 
 
 # -- normalization ----------------------------------------------------------------
@@ -302,9 +383,10 @@ def test_normalize_pinned_shapes():
 
 
 def test_normalize_rejects_values_outside_qp():
-    with pytest.raises(ValueError):
+    outside = r"not in Q_5 \(odd valuation or non-residue unit part\)"
+    with pytest.raises(ValueError, match=outside):
         normalize(5, 10, 0, 1, 0, 1)  # odd p-valuation in Delta
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=outside):
         normalize(5, 2, 0, 1, 0, 1)  # nonresidue unit part
     with pytest.raises(ValueError):
         normalize(5, 16, 1, 1, 0, 1)  # square Delta
