@@ -12,7 +12,8 @@ digit a_t, and the palindromic period
 whose value is exactly 1/(p**k0 * sqrt(m)); the period length is 2t. The
 beta digit lists realize this with t = 2**(n-1), giving periods of length
 2**n. Each construction is verified on the spot by the eq. (12)
-tilde-row identity and an exact re-expansion of the target value.
+identity on the certificate's tilde rows and an exact re-expansion of the
+target value, which must repeat a state where the claimed period says.
 """
 
 from __future__ import annotations
@@ -240,10 +241,13 @@ def construct(cert: NiceCertificate, h: int = 0,
     yields its own m. Raises ConstructionInfeasible when the next valid
     p**omega would exceed max_digits decimal digits.
 
-    verified is the eq. (12) tilde-row identity plus an exact re-expansion:
-    one branch of 1/(p**k0 * sqrt(m)) must expand to the claimed preperiod
-    and period. expansion and branch are that re-expansion, or None when
-    neither branch reproduces the digits.
+    verified is eq. (12), checked as one integer identity on the
+    certificate's tilde rows, plus an exact re-expansion: one branch of
+    1/(p**k0 * sqrt(m)) must repeat a state exactly where the claimed
+    preperiod and period say, with matching digits up to there. The two
+    branches start with opposite digits, so only one is expanded.
+    expansion and branch are that re-expansion, or None when neither
+    branch reproduces the digits; eq12_ok False also leaves verified False.
     """
     if cert.cond_c is None:
         raise ValueError("niceness is indeterminate (discrete-log budget): cannot construct")
@@ -256,10 +260,12 @@ def construct(cert: NiceCertificate, h: int = 0,
     B1, B2_ = cert.Btilde_last, cert.Btilde_prev
     k0, Kt1, kt1 = cert.k0, cert.K_prev, cert.ks[-1]
     A1sq = A1 * A1
-    s = 1 if A1sq == 1 else mult_order(p, A1sq)
+    s = mult_order(p, A1sq)
     sign_t = (-1) ** (t - 1)
     qq, rem = divmod(cert.q, B1)
     _invariant(rem == 0, "B~_{t-1} must divide q")
+    q1, rem = divmod(B1 * B1, cert.q)
+    _invariant(rem == 0, "q must divide B~_{t-1}**2")
     log10p = math.log10(p)
     found = []
     j = 0
@@ -291,23 +297,21 @@ def construct(cert: NiceCertificate, h: int = 0,
         _invariant(ctil % p != 0, "c~ must be a p-unit")
         if 4 * abs(ctil) >= p ** (kt + 1):
             continue
-        q1, rem = divmod(B1 * B1, cert.q)
-        _invariant(rem == 0, "q must divide B~_{t-1}**2")
         m = -b_int * q1
         _invariant(m % p != 0, "m must be prime to p")
         if m == 0 or _is_square(m):
             continue
-        found.append((omega, kt, b_int, ctil, q1, m))
-    omega, kt, b_int, ctil, q1, m = found[h]
+        found.append((omega, kt, b_int, ctil, m))
+    omega, kt, b_int, ctil, m = found[h]
+    # eq. (12) on the rows of cf + (a_t,): with J = p**(k_t + k_{t-1}),
+    # row t is 2 c~ row(t-1) + J row(t-2), and the division defining c~
+    # turns its A side into 2 (-1)**t b A~_{t-1} B~_{t-1}; B~_{t-1} != 0
+    # cancels, leaving this one identity on the certificate's rows
     jump = p ** (kt + kt1)
-    _invariant(ctil * B1 + jump * B2_ == (-1) ** t * b_int * A1, "B-row coset identity")
+    eq12_ok = ctil * B1 + jump * B2_ == (-1) ** t * b_int * A1
     a_t = LaurentInt(p, 2 * ctil, kt)
     period = cert.cf[1:] + (a_t,) + tuple(reversed(cert.cf[1:])) + (cert.cf[0].doubled(),)
     preperiod = (cert.cf[0],)
-    tab2 = convergents(cert.cf + (a_t,))
-    lhs = tab2.Btilde_(t - 1) * (tab2.Btilde_(t) + jump * tab2.Btilde_(t - 2))
-    rhs = m * tab2.Atilde_(t - 1) * (tab2.Atilde_(t) + jump * tab2.Atilde_(t - 2))
-    eq12_ok = lhs == rhs
     r = sqrt_mod_p(m % p, p)
     _invariant(r, "sqrt(m) must exist in Q_p by construction")
     targets = (QuadIrr(p, m, 0, m, k0, br) for br in (r, p - r))
@@ -559,9 +563,9 @@ def family_section6(variant: int, p: int, t: int) -> FamilyReport:
     char_ok = None
     if exp.status == PERIODIC:
         tail = exp.state_at(len(exp.preperiod))
-        matrix_ok = any(g.value_equals(tail) for g in _period_roots((), exp.period, p))
+        tab = convergents(exp.period, p)
+        matrix_ok = any(g.value_equals(tail) for g in _period_roots(tab, 0))
         if variant == 1:
-            tab = convergents(exp.period, p)
             N = len(exp.period)
             tr = tab.A_(N - 1) + tab.B_(N - 2)
             det = tab.A_(N - 1) * tab.B_(N - 2) - tab.A_(N - 2) * tab.B_(N - 1)

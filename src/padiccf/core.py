@@ -219,9 +219,10 @@ def mod_inverse(a: int, m: int) -> int:
     """Inverse of a mod m in [1, m-1]; raises for non-coprime input."""
     if m < 2:
         raise ValueError("modulus must be >= 2")
-    if gcd(a, m) != 1:
-        raise ValueError(f"{a} is not invertible mod {m}")
-    return pow(a, -1, m)
+    try:
+        return pow(a, -1, m)
+    except ValueError:
+        raise ValueError(f"{a} is not invertible mod {m}") from None
 
 
 # -- prime tests, factoring, orders and discrete logs --------------------------

@@ -354,10 +354,10 @@ def step(alpha: QuadIrr, flavor: str = BROWKIN):
 class Expansion:
     """Result of running the algorithm: digits, cycle data, bookkeeping.
 
-    ks[i] is k_i = -v_p(alpha_i) for each recorded index (preperiod plus one
-    period for periodic results); k_at(i) extends it through the cycle.
-    states mirrors the recorded complete quotients when the source was
-    a QuadIrr.
+    k0 is -v_p(alpha_0) (0 for alpha_0 = 0). Every later complete quotient
+    has negative valuation, so its k_n = -v_p(alpha_n) is the exponent of
+    the digit a_n; ks and k_at(i) read it from there. states mirrors the
+    recorded complete quotients when the source was a QuadIrr.
     """
 
     p: int
@@ -365,13 +365,18 @@ class Expansion:
     status: str
     preperiod: tuple
     period: tuple
-    ks: tuple
+    k0: int
     alpha: object = None
     states: tuple = ()
 
     @property
     def quotients(self) -> tuple:
         return self.preperiod + self.period
+
+    @property
+    def ks(self) -> tuple:
+        """(k_0, k_1, ...) over the recorded digits."""
+        return (self.k0,) + tuple(q.e for q in self.quotients[1:])
 
     @property
     def is_purely_periodic(self) -> bool:
@@ -386,14 +391,9 @@ class Expansion:
         return self.period[(i - pre) % per]
 
     def k_at(self, i: int) -> int:
-        pre, per = len(self.preperiod), len(self.period)
-        if i < pre:
-            return self.ks[i]
-        if per == 0:
-            if i < len(self.ks):
-                return self.ks[i]
-            raise IndexError(f"index {i} beyond a {self.status} expansion")
-        return self.ks[pre + (i - pre) % per]
+        # k_n is the exponent of a_n for n >= 1; on a purely periodic
+        # expansion state N is state 0, so the wrap-around agrees with k0
+        return self.k0 if i == 0 else self.quotient_at(i).e
 
     def state_at(self, i: int) -> "QuadIrr":
         pre, per = len(self.preperiod), len(self.period)
@@ -423,12 +423,6 @@ class Expansion:
         }
 
 
-def _ks(k0: int, quots) -> tuple:
-    """(k_0, k_1, ...) for an expansion: every complete quotient past the
-    first has negative valuation, so its digit a_n carries k_n as exponent."""
-    return (k0,) + tuple(q.e for q in quots[1:])
-
-
 def expand(alpha: QuadIrr, flavor: str = BROWKIN, max_steps: int = DEFAULT_MAX_STEPS) -> Expansion:
     """Run the algorithm with cycle detection on the exact state triple.
 
@@ -450,16 +444,13 @@ def expand(alpha: QuadIrr, flavor: str = BROWKIN, max_steps: int = DEFAULT_MAX_S
             pre, per = tuple(quots[:j]), tuple(quots[j:])
             if pre:
                 _invariant(pre[-1] != per[-1], "state-minimal cycle should be digit-minimal")
-            return Expansion(
-                alpha.p, flavor, PERIODIC, pre, per, _ks(k0, quots), alpha, tuple(states)
-            )
+            return Expansion(alpha.p, flavor, PERIODIC, pre, per, k0, alpha, tuple(states))
         seen[key] = i
         states.append(cur)
         a, cur = step(cur, flavor)
         quots.append(a)
-    return Expansion(
-        alpha.p, flavor, OPEN, tuple(quots), (), _ks(k0, quots), alpha, tuple(states)
-    )
+    return Expansion(alpha.p, flavor, OPEN, tuple(quots), (), k0, alpha,
+                     tuple(states))
 
 
 def expand_rational(x, p: int, flavor: str = BROWKIN, max_steps: int = DEFAULT_MAX_STEPS) -> Expansion:
@@ -478,24 +469,21 @@ def expand_rational(x, p: int, flavor: str = BROWKIN, max_steps: int = DEFAULT_M
         if flavor == RUBAN:
             j = seen.get(cur)
             if j is not None:
-                return Expansion(
-                    p, flavor, PERIODIC, tuple(quots[:j]), tuple(quots[j:]),
-                    _ks(k0, quots), x,
-                )
+                return Expansion(p, flavor, PERIODIC, tuple(quots[:j]), tuple(quots[j:]), k0, x)
             seen[cur] = i
         k, den = split_p(cur.denominator, p)
         a = _window_digit(cur.numerator, den, k, p, flavor)
         quots.append(a)
         rem = cur - a.value
         if rem == 0:
-            return Expansion(p, flavor, FINITE, tuple(quots), (), _ks(k0, quots), x)
+            return Expansion(p, flavor, FINITE, tuple(quots), (), k0, x)
         cur = 1 / rem
     if flavor == BROWKIN:
         raise RuntimeError(
             f"centered expansion of {x} did not terminate in {max_steps} steps; "
             "this contradicts finiteness on rationals and signals a bug"
         )
-    return Expansion(p, flavor, OPEN, tuple(quots), (), _ks(k0, quots), x)
+    return Expansion(p, flavor, OPEN, tuple(quots), (), k0, x)
 
 
 # -- convergents -----------------------------------------------------------
@@ -574,56 +562,55 @@ def eval_finite(quotients) -> Fraction:
 # -- periodic reconstruction ------------------------------------------------
 
 
-def _stream_equal(exp: Expansion, preperiod, period, n: int) -> bool:
-    if exp.status not in (PERIODIC, OPEN):
-        return False
-    pre, per = len(preperiod), len(period)
-    if exp.status == OPEN and len(exp.preperiod) < n:
-        return False
-    for i in range(n):
-        want = preperiod[i] if i < pre else period[(i - pre) % per]
-        try:
-            got = exp.quotient_at(i)
-        except IndexError:
-            return False
-        if got != want:
-            return False
-    return True
+def _reproduces(exp: Expansion, preperiod, period) -> bool:
+    """Whether exp is exactly the stream [preperiod, (period)*].
+
+    expand stops at the first repeated state, so exp's preperiod m' and
+    period N' are minimal, and state m equals state m + N iff m' <= m and
+    N' divides N. From there both streams repeat every N digits, so the
+    first m + N digits decide the rest.
+    """
+    m, N = len(preperiod), len(period)
+    return (
+        exp.status == PERIODIC
+        and len(exp.preperiod) <= m
+        and N % len(exp.period) == 0
+        and all(exp.quotient_at(i) == a for i, a in enumerate(preperiod + period))
+    )
 
 
 def first_reexpansion(candidates, preperiod, period, flavor: str = BROWKIN):
-    """The first candidate whose expansion reproduces [preperiod, (period)*].
+    """The first candidate whose expansion is exactly [preperiod, (period)*].
 
     Candidates (typically the two square-root branches of one value) are
-    tried in order, lazily; each is expanded for n = len(preperiod) +
-    2*len(period) + 2 steps and its first n digits are compared with the
-    claimed stream. A true match with preperiod m and period N repeats a
-    state by step m + N < n, so its expansion comes back periodic. Returns
-    (alpha, expansion), or None when no candidate matches.
+    tried in order, lazily. One whose first digit differs from the claim is
+    dropped before it is expanded. A true match with preperiod m and period
+    N repeats a state by step m + N, so each survivor is expanded for
+    m + N + 1 steps and accepted only when it repeats a state where the
+    claim says (see _reproduces). Returns (alpha, expansion), or None when
+    no candidate matches.
     """
-    want_n = len(preperiod) + 2 * len(period) + 2
+    first = (preperiod + period)[0]
     for alpha in candidates:
-        exp = expand(alpha, flavor, max_steps=want_n)
-        if _stream_equal(exp, preperiod, period, want_n):
+        if _digit(alpha, flavor) != first:
+            continue
+        exp = expand(alpha, flavor, max_steps=len(preperiod) + len(period) + 1)
+        if _reproduces(exp, preperiod, period):
             return alpha, exp
     return None
 
 
-def _period_roots(preperiod, period, p: int) -> tuple:
+def _period_roots(t: ConvergentTable, m: int) -> tuple:
     """Both branch roots of the fixed-point quadratic of [preperiod, (period)*],
-    given as digit tuples.
+    given the convergent table t of preperiod + period and m = len(preperiod).
 
     A digit a has the matrix [[a, 1], [1, 0]]. With P the product over the
     preperiod and Q over the nonempty period, the value x is a fixed point
-    of (P Q) adj(P) = [[a, b], [c, d]], so c x**2 - (a - d) x - b = 0. One
-    convergent table of preperiod + period holds both P Q and P. Raises
-    ValueError when that quadratic is degenerate, has rational roots or has
-    no roots in Q_p.
+    of (P Q) adj(P) = [[a, b], [c, d]], so c x**2 - (a - d) x - b = 0. The
+    table holds both P Q and P. Raises ValueError when that quadratic is
+    degenerate, has rational roots or has no roots in Q_p.
     """
-    if not period:
-        raise ValueError("period must be nonempty")
-    m, n = len(preperiod), len(preperiod) + len(period)
-    t = convergents(preperiod + period, p)
+    p, n = t.p, len(t)
     A1, A2, B1, B2 = t.A_(n - 1), t.A_(n - 2), t.B_(n - 1), t.B_(n - 2)
     P1, P2, R1, R2 = (t.A_(m - 1), t.A_(m - 2), t.B_(m - 1), t.B_(m - 2)) if m else (1, 0, 0, 1)
     # c, a - d and b of (P Q) adj(P), with adj(P) = [[R2, -P2], [-R1, P1]]
@@ -652,7 +639,9 @@ def periodic_limit(preperiod, period, p: int, flavor: str = BROWKIN) -> QuadIrr:
     """
     _check_flavor(flavor)
     preperiod, period = tuple(preperiod), tuple(period)
-    roots = _period_roots(preperiod, period, p)
+    if not period:
+        raise ValueError("period must be nonempty")
+    roots = _period_roots(convergents(preperiod + period, p), len(preperiod))
     hit = first_reexpansion(roots, preperiod, period, flavor)
     if hit is None:
         raise ValueError("no branch of the reconstructed value re-expands to the given digits")

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 from fractions import Fraction
 from itertools import islice
@@ -26,6 +27,19 @@ SEED_6_5 = (LaurentInt(5, 6, 1),)
 SEED_T2 = (LaurentInt(3, 1, 1), LaurentInt(3, 1, 1))
 SEED_353 = (LaurentInt(3, 1, 1), LaurentInt(3, 110, 4))
 SEED_P16 = parse_quotient_list("-2/5, 9/5, 4/5, 6/5, 11/5, 11/5, 7/5, 12/5", 5)
+
+# the package re-exports the function construct under the module's name
+construct_module = importlib.import_module("padiccf.construct")
+engine_module = importlib.import_module("padiccf.engine")
+
+
+def eq12_by_table(res, cert):
+    """eq. (12) read off a second convergent table of cf + (a_t,)."""
+    t, jump = res.t, res.p ** (res.kt + cert.ks[-1])
+    tab = convergents(cert.cf + (res.a_t,))
+    lhs = tab.Btilde_(t - 1) * (tab.Btilde_(t) + jump * tab.Btilde_(t - 2))
+    rhs = res.m * tab.Atilde_(t - 1) * (tab.Atilde_(t) + jump * tab.Atilde_(t - 2))
+    return lhs == rhs
 
 
 # -- niceness -------------------------------------------------------------------
@@ -147,9 +161,12 @@ def test_construction_families_are_monotone_and_distinct():
 ], ids=["6_5-0", "6_5-1", "6_5-2", "t2-0", "t2-1", "t2-2", "l353", "beta1", "beta2", "p16"])
 def test_construction_is_the_limit_of_its_digits(seed, h):
     # construct proves its result by one re-expansion of 1/(p**k0 sqrt(m));
-    # the independent periodic_limit route must land on the same value
-    res = construct(is_nice(seed), h)
+    # the independent periodic_limit route must land on the same value, and
+    # eq. (12) on a second table must agree with the one on the cert's rows
+    cert = is_nice(seed)
+    res = construct(cert, h)
     assert res.verified
+    assert res.eq12_ok == eq12_by_table(res, cert)
     target = QuadIrr(res.p, res.m, 0, res.m, res.k0, res.branch)
     assert periodic_limit(res.preperiod, res.period, res.p).value_equals(target)
     exp = res.expansion
@@ -157,10 +174,35 @@ def test_construction_is_the_limit_of_its_digits(seed, h):
     assert (exp.preperiod, exp.period) == (res.preperiod, res.period)
 
 
+@pytest.mark.parametrize("text,p", [("-6/5", 5), ("-1/3, -1/3", 3), ("-1/3, -110/81", 3)])
+def test_construct_expands_once_and_builds_no_table(monkeypatch, text, p):
+    # mirrored seeds: the first branch tried starts with the wrong digit
+    cert = is_nice(parse_quotient_list(text, p))
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return expand(*args, **kwargs)
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("construct must not build a convergent table")
+
+    monkeypatch.setattr(engine_module, "expand", counting)
+    monkeypatch.setattr(construct_module, "convergents", no_table)
+    res = construct(cert, 0)
+    assert res.verified
+    assert len(calls) == 1
+
+
+def test_construct_reports_a_broken_eq12_as_unverified():
+    cert = is_nice(SEED_6_5)
+    res = construct(dataclasses.replace(cert, Btilde_prev=cert.Btilde_prev + 1), 0)
+    assert not res.eq12_ok
+    assert not res.verified
+
+
 def test_construct_is_unverified_when_no_branch_reexpands(monkeypatch):
-    # the package re-exports the function construct under the module's name
-    module = importlib.import_module("padiccf.construct")
-    monkeypatch.setattr(module, "first_reexpansion", lambda *args: None)
+    monkeypatch.setattr(construct_module, "first_reexpansion", lambda *args: None)
     res = construct(is_nice(SEED_6_5), 0)
     assert res.eq12_ok
     assert not res.verified
@@ -272,6 +314,20 @@ def test_family_variant3_matches_by_value_only(p, t):
     assert rep.literal_check == "indeterminate"
     assert rep.matrix_check
     assert "centered window" in rep.note
+
+
+def test_family_builds_one_convergent_table(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return convergents(*args, **kwargs)
+
+    for module in (construct_module, engine_module):
+        monkeypatch.setattr(module, "convergents", counting)
+    rep = family_section6(1, 5, 3)
+    assert rep.verified and rep.char_poly_check
+    assert len(calls) == 1
 
 
 def test_family_domain_constraints():

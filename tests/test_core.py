@@ -164,7 +164,7 @@ def test_hensel_rejects_bad_branch():
 def test_mod_inverse():
     assert mod_inverse(2, 9) == 5
     assert mod_inverse(6, 25) == 21
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="3 is not invertible mod 6"):
         mod_inverse(3, 6)
 
 

@@ -34,6 +34,8 @@ from padiccf.engine import (
     OPEN,
     PERIODIC,
     RUBAN,
+    Expansion,
+    first_reexpansion,
     parse_expansion_text,
     parse_quotient_list,
     quad_distance_valuation,
@@ -299,8 +301,11 @@ def test_periodic_limit_round_trips_preperiodic_values(flavor, draws, max_steps)
         exp = expand(alpha, flavor, max_steps=max_steps)
         if exp.status != PERIODIC or not exp.preperiod:
             continue
-        back = periodic_limit(exp.preperiod, exp.period, p, flavor)
-        assert back.value_equals(alpha), (alpha, flavor)
+        pre, per = exp.preperiod, exp.period
+        # non-minimal claims of the same stream name the same value
+        for claim in ((pre, per), (pre, per * 2), (pre + per, per)):
+            back = periodic_limit(*claim, p, flavor)
+            assert back.value_equals(alpha), (alpha, flavor, claim)
         primes_hit.add(p)
     assert primes_hit == {3, 5, 7, 11}
 
@@ -318,6 +323,22 @@ def test_periodic_limit_builds_one_convergent_table(monkeypatch):
     back = periodic_limit(exp.preperiod, exp.period, 5)
     assert back.value_equals(QuadIrr(5, -434, 0, -434, 1, 1))
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("status", [OPEN, PERIODIC])
+def test_reexpansion_needs_a_state_repeat_where_the_claim_says(monkeypatch, status):
+    # fakes agreeing with the claim [(x)*] on its first m + 2N + 2 = 4 digits:
+    # an open stream, and a period (x, x, x, x, y) whose length does not divide 1
+    alpha = QuadIrr(3, 37, 1, 2, 1, 1)
+    x = expand(alpha).period[0]
+    assert first_reexpansion([alpha], (), (x,))
+    if status == OPEN:
+        fake = Expansion(3, BROWKIN, OPEN, (x,) * 4, (), 1, alpha)
+    else:
+        fake = Expansion(3, BROWKIN, PERIODIC, (), (x,) * 4 + (LaurentInt(3, -1, 1),), 1, alpha)
+    assert [fake.quotient_at(i) for i in range(4)] == [x] * 4
+    monkeypatch.setattr(engine_module, "expand", lambda *args, **kwargs: fake)
+    assert first_reexpansion([alpha], (), (x,)) is None
 
 
 def test_periodic_limit_rejects_degenerate_input():
