@@ -33,7 +33,6 @@ from .engine import (
     _val_linear,
     convergents,
     expand,
-    step,
 )
 
 
@@ -48,48 +47,50 @@ class RegularityReport:
     first_regular_index: int | None
     preperiod_bound: int
 
-    def to_json(self) -> dict:
-        return {
-            "v_alpha": self.v_alpha,
-            "v_conj": self.v_conj,
-            "regular": self.regular,
-            "first_regular_index": self.first_regular_index,
-            "preperiod_bound": self.preperiod_bound,
-        }
-
 
 def _conjugate_valuation(alpha: QuadIrr) -> int:
     """v_p of (b - delta)/(p**k c), without building the conjugate."""
     return _val_linear(-alpha.b, 1, alpha.Delta, alpha.branch, alpha.p) - alpha.k
 
 
-def _is_regular_state(alpha: QuadIrr) -> bool:
-    return alpha.valuation < 0 and _conjugate_valuation(alpha) > 0
+def _first_regular_index(alpha: QuadIrr) -> int:
+    """Index of the first regular complete quotient of alpha's expansion:
+    0 if alpha is regular, else 1 if alpha.k >= 1, else 2.
+
+    Here k is the state's exponent, not -v_p(alpha). Take a state with
+    k >= 0 and its digit a. Then v(alpha - a) >= 1, and alpha - a =
+    (delta - b')/(p**k c), so v(b' - delta) >= k + 1 and b' = delta mod p.
+    As p is odd, b' + delta = 2 delta mod p is a unit, and with
+    Delta - b'**2 = p**(k + k') c c' the next quotient has v(alpha') = -k'
+    <= -1 and v(alpha'^c) = k. So alpha_{n+1} is regular iff k_n >= 1.
+    Every k_n with n >= 1 is at least 1 (step's invariant), so every
+    alpha_n with n >= 2 is regular. If k < 0 the digit is 0 and alpha_1 =
+    1/alpha, so v(alpha_1^c) = -v(alpha^c) < 0 and alpha_1 is not regular.
+    Nothing here depends on the digit window, so it holds in both flavors.
+    """
+    if alpha.valuation < 0 < _conjugate_valuation(alpha):
+        return 0
+    return 1 if alpha.k >= 1 else 2
 
 
 def is_regular(alpha: QuadIrr, max_steps: int = 200) -> RegularityReport:
     """Exact regularity data plus the contraction-based preperiod estimate.
 
     first_regular_index is the index of the first regular complete quotient
-    in the centered expansion (None if not seen within max_steps, which for
-    a periodic expansion means never). preperiod_bound is n0 + 1 with
-    n0 = ceil(v_p(alpha - alpha^c)/2); it is recorded as a rule of thumb and
-    deliberately never asserted against the detected preperiod, because the
-    estimate can be off by one at valuation-zero boundaries.
+    in the centered expansion, which is always 0, 1 or 2 (see
+    _first_regular_index); it is None only when it is not below max_steps.
+    preperiod_bound is n0 + 1 with n0 = ceil(v_p(alpha - alpha^c)/2); it is
+    recorded as a rule of thumb and deliberately never asserted against the
+    detected preperiod, because the estimate can be off by one at
+    valuation-zero boundaries.
     """
     va = alpha.valuation
     vc = _conjugate_valuation(alpha)
-    idx = None
-    cur = alpha
-    for n in range(max_steps):
-        if _is_regular_state(cur):
-            idx = n
-            break
-        _, cur = step(cur, BROWKIN)
+    idx = _first_regular_index(alpha)
     # alpha - alpha^c = 2*delta/(p**k c) has valuation exactly -k
     vdiff = -alpha.k
     n0 = -((-vdiff) // 2)
-    return RegularityReport(va, vc, va < 0 < vc, idx, n0 + 1)
+    return RegularityReport(va, vc, va < 0 < vc, idx if idx < max_steps else None, n0 + 1)
 
 
 @dataclass(frozen=True)
@@ -97,19 +98,9 @@ class GaloisVerdict:
     ok: bool
     regular: bool
     preperiod_length: int
-    first_regular_index: int | None
+    first_regular_index: int
     v_alpha: int
     v_conj: int
-
-    def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "regular": self.regular,
-            "preperiod_length": self.preperiod_length,
-            "first_regular_index": self.first_regular_index,
-            "v_alpha": self.v_alpha,
-            "v_conj": self.v_conj,
-        }
 
 
 def galois_check(alpha: QuadIrr, expansion: Expansion) -> GaloisVerdict:
@@ -118,14 +109,13 @@ def galois_check(alpha: QuadIrr, expansion: Expansion) -> GaloisVerdict:
 
     Checks both halves: empty preperiod iff alpha is regular, and the
     preperiod length equals the index of the first regular complete
-    quotient. That index is read off expansion.states, which hold the
-    preperiod and one period; every later state repeats one of them, so
-    no state is stepped again.
+    quotient. That index is the closed form of _first_regular_index, a
+    function of alpha alone, so no state is stepped or read again.
     """
     if expansion.status != PERIODIC:
         raise ValueError("galois_check needs a periodic expansion")
     pre = len(expansion.preperiod)
-    first = next((i for i, st in enumerate(expansion.states) if _is_regular_state(st)), None)
+    first = _first_regular_index(alpha)
     va, vc = alpha.valuation, _conjugate_valuation(alpha)
     regular = va < 0 < vc
     ok = ((pre == 0) == regular) and first == pre
@@ -218,24 +208,6 @@ class NormSignTrace:
     alternating_window: int
     negative_window_triggered: bool
     alternating_window_triggered: bool
-
-    def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "Delta": self.Delta,
-            "signs": self.signs,
-            "b_values": list(self.b_values),
-            "K_bound": self.K_bound,
-            "abs_b_counts": [list(x) for x in self.abs_b_counts],
-            "all_b_bounded": self.all_b_bounded,
-            "ever_b_bounded": self.ever_b_bounded,
-            "status": self.status,
-            "period_length": self.period_length,
-            "negative_window": self.negative_window,
-            "alternating_window": self.alternating_window,
-            "negative_window_triggered": self.negative_window_triggered,
-            "alternating_window_triggered": self.alternating_window_triggered,
-        }
 
 
 def _longest_sign_run(word: str, sign: str) -> int:
@@ -333,16 +305,6 @@ class TraceZeroReport:
     matched: bool | None
     a0_small: bool | None
     expansion: Expansion
-
-    def to_json(self) -> dict:
-        return {
-            "class": self.klass,
-            "valuation": self.valuation,
-            "template": self.template,
-            "matched": self.matched,
-            "a0_small": self.a0_small,
-            "status": self.expansion.status,
-        }
 
 
 def _palindromic(seq) -> bool:
@@ -456,17 +418,6 @@ class RubanProbe:
     a1_tilde: int | None
     witness_negative_embeddings: bool | None
     expansion: Expansion
-
-    def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "m": self.m,
-            "k": self.k,
-            "status": self.status,
-            "horizon": self.horizon,
-            "a1_tilde": self.a1_tilde,
-            "witness_negative_embeddings": self.witness_negative_embeddings,
-        }
 
 
 def ruban_nonperiodic_probe(m: int, k: int, p: int, N: int = 2000,

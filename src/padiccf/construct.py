@@ -267,16 +267,9 @@ def construct(cert: NiceCertificate, h: int = 0,
     q1, rem = divmod(B1 * B1, cert.q)
     _invariant(rem == 0, "q must divide B~_{t-1}**2")
     log10p = math.log10(p)
-    found = []
-    j = 0
-    while len(found) <= h:
-        if j > h + 200:
-            raise RuntimeError(
-                "no valid omega within 200 coset steps; the certificate "
-                "violates the growth expectations of condition (b)"
-            )
+    valid = 0  # valid members before the current one
+    for j in range(h + 201):
         omega = cert.omega0 + j * s
-        j += 1
         if omega <= k0 + 2 * Kt1:
             continue
         if omega * log10p > max_digits:
@@ -301,13 +294,18 @@ def construct(cert: NiceCertificate, h: int = 0,
         _invariant(m % p != 0, "m must be prime to p")
         if m == 0 or _is_square(m):
             continue
-        found.append((omega, kt, b_int, ctil, m))
-    omega, kt, b_int, ctil, m = found[h]
+        if valid == h:
+            break
+        valid += 1
+    else:
+        raise RuntimeError(
+            "no valid omega within 200 coset steps; the certificate "
+            "violates the growth expectations of condition (b)"
+        )
     # eq. (12) on the rows of cf + (a_t,): with J = p**(k_t + k_{t-1}),
     # row t is 2 c~ row(t-1) + J row(t-2), and the division defining c~
     # turns its A side into 2 (-1)**t b A~_{t-1} B~_{t-1}; B~_{t-1} != 0
     # cancels, leaving this one identity on the certificate's rows
-    jump = p ** (kt + kt1)
     eq12_ok = ctil * B1 + jump * B2_ == (-1) ** t * b_int * A1
     a_t = LaurentInt(p, 2 * ctil, kt)
     period = cert.cf[1:] + (a_t,) + tuple(reversed(cert.cf[1:])) + (cert.cf[0].doubled(),)
@@ -470,22 +468,6 @@ class FamilyReport:
     char_poly_check: bool | None
     verified: bool
     note: str | None
-
-    def to_json(self) -> dict:
-        return {
-            "variant": self.variant,
-            "p": self.p,
-            "t": self.t,
-            "alpha": self.alpha.to_json(),
-            "status": self.expansion.status,
-            "branch": self.branch,
-            "matched_sign": self.matched_sign,
-            "literal_check": self.literal_check,
-            "matrix_check": self.matrix_check,
-            "char_poly_check": self.char_poly_check,
-            "verified": self.verified,
-            "note": self.note,
-        }
 
 
 def family_section6(variant: int, p: int, t: int) -> FamilyReport:

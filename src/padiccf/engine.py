@@ -298,22 +298,23 @@ def _from_uvw(p: int, u: int, v: int, w: int, Delta: int, branch: int) -> QuadIr
 # -- s-functions -----------------------------------------------------------
 
 
-def _window_digit(num: int, den: int, k: int, p: int, flavor: str) -> LaurentInt:
-    """The digit of num/(p**k * den) for a p-unit den and k >= 0: its residue
-    mod p**(k+1), centered for the Browkin flavor, over p**k."""
+def _window_residue(num: int, den: int, k: int, p: int, flavor: str) -> int:
+    """The numerator r of the digit r/p**k of num/(p**k * den), for a p-unit
+    den and k >= 0: the residue mod p**(k+1), centered for the Browkin
+    flavor."""
     pn = p ** (k + 1)
     t = num * mod_inverse(den % pn, pn) % pn
-    r = centered_residue(t, k + 1, p) if flavor == BROWKIN else t
-    return LaurentInt(p, r, k)
+    return centered_residue(t, k + 1, p) if flavor == BROWKIN else t
 
 
-def _digit(alpha: QuadIrr, flavor: str) -> LaurentInt:
+def _residue(alpha: QuadIrr, flavor: str) -> int:
+    """The digit numerator r = p**k * a of alpha (0 when k < 0)."""
     p, k = alpha.p, alpha.k
     if k < 0:
         # v_p(alpha) = v_p(b + delta) - k >= 1, the digit window is empty
-        return LaurentInt(p, 0, 0)
+        return 0
     dig = hensel_digits(p, alpha.Delta, alpha.branch, k + 1)
-    return _window_digit(alpha.b + dig, alpha.c, k, p, flavor)
+    return _window_residue(alpha.b + dig, alpha.c, k, p, flavor)
 
 
 # -- the stepper -----------------------------------------------------------
@@ -322,16 +323,13 @@ def _digit(alpha: QuadIrr, flavor: str) -> LaurentInt:
 def step(alpha: QuadIrr, flavor: str = BROWKIN):
     """One algorithm step: returns (digit, next complete quotient).
 
-    The update is exact integer arithmetic: with a~ = p**k * a,
-    b' = a~ c - b, and Delta - b'**2 = p**(k + k') c c' defines k' and c'.
+    The update is exact integer arithmetic: with r = p**k * a the window
+    residue, b' = r c - b, and Delta - b'**2 = p**(k + k') c c' defines k'
+    and c'.
     """
     _check_flavor(flavor)
-    a = _digit(alpha, flavor)
-    if a.tilde == 0:
-        atilde = 0
-    else:
-        atilde = a.tilde * alpha.p ** (alpha.k - a.e)
-    b1 = atilde * alpha.c - alpha.b
+    r = _residue(alpha, flavor)
+    b1 = r * alpha.c - alpha.b
     D = alpha.Delta - b1 * b1
     if D == 0:
         raise ValueError("rational leak: Delta = b'**2, invariant violation")
@@ -344,7 +342,8 @@ def step(alpha: QuadIrr, flavor: str = BROWKIN):
     # Delta - b1**2 = p**e * c * c1, so QuadIrr's checks are skipped.
     nxt = object.__new__(QuadIrr)
     nxt.__dict__.update(p=alpha.p, Delta=alpha.Delta, b=b1, c=c1, k=k1, branch=alpha.branch)
-    return a, nxt
+    # for k < 0, r = 0 and LaurentInt stores the digit as (0, 0)
+    return LaurentInt(alpha.p, r, alpha.k), nxt
 
 
 # -- expansions ------------------------------------------------------------
@@ -472,7 +471,7 @@ def expand_rational(x, p: int, flavor: str = BROWKIN, max_steps: int = DEFAULT_M
                 return Expansion(p, flavor, PERIODIC, tuple(quots[:j]), tuple(quots[j:]), k0, x)
             seen[cur] = i
         k, den = split_p(cur.denominator, p)
-        a = _window_digit(cur.numerator, den, k, p, flavor)
+        a = LaurentInt(p, _window_residue(cur.numerator, den, k, p, flavor), k)
         quots.append(a)
         rem = cur - a.value
         if rem == 0:
@@ -592,7 +591,7 @@ def first_reexpansion(candidates, preperiod, period, flavor: str = BROWKIN):
     """
     first = (preperiod + period)[0]
     for alpha in candidates:
-        if _digit(alpha, flavor) != first:
+        if LaurentInt(alpha.p, _residue(alpha, flavor), alpha.k) != first:
             continue
         exp = expand(alpha, flavor, max_steps=len(preperiod) + len(period) + 1)
         if _reproduces(exp, preperiod, period):
@@ -657,48 +656,39 @@ class ValuationAudit:
     n_checked: int
     failures: tuple
 
-    def to_json(self) -> dict:
-        return {"ok": self.ok, "n_checked": self.n_checked, "failures": list(self.failures)}
 
-
-def valuation_audit(expansion: Expansion, table: ConvergentTable = None, depth: int = None) -> ValuationAudit:
+def valuation_audit(expansion: Expansion) -> ValuationAudit:
     """Check v_p(A_n) = -K'_n, v_p(B_n) = -K_n and the approximation law
     v_p(Q_n - alpha) = 2 K_n + k_{n+1} >= 2n + 1 on an expansion of a
-    quadratic irrational."""
+    quadratic irrational: through the second period of a periodic one,
+    through the recorded digits of any other.
+
+    K_n comes from the convergent table and K'_n = K_n + k_0, with k_0 =
+    -v_p(alpha) from the expansion: the table's own first exponent is that
+    of a_0, which is 0 rather than k_0 when v_p(alpha) > 0.
+    """
     alpha = expansion.alpha
     if not isinstance(alpha, QuadIrr):
         raise ValueError("audit needs an expansion produced from a QuadIrr")
-    p = expansion.p
-    pre, per = len(expansion.preperiod), len(expansion.period)
-    available = pre + per if expansion.status == PERIODIC else pre
-    if depth is None:
-        depth = available if expansion.status != PERIODIC else pre + 2 * per
-    digits = [expansion.quotient_at(i) for i in range(depth)]
-    if table is None:
-        table = convergents(digits, p)
+    p, k0 = expansion.p, expansion.k_at(0)
+    depth = len(expansion.preperiod) + 2 * len(expansion.period)
+    table = convergents([expansion.quotient_at(i) for i in range(depth)], p)
     failures = []
-    K = 0
-    Kp = expansion.k_at(0)
     if table.A_(0) != 0:
         got = vp(table.A_(0), p)
-        if got != -Kp:
-            failures.append(f"v(A_0)={got} != {-Kp}")
+        if got != -k0:
+            failures.append(f"v(A_0)={got} != {-k0}")
     for n in range(1, depth):
-        K += expansion.k_at(n)
-        Kp += expansion.k_at(n)
+        K = table.K(n)
         va = vp(table.A_(n), p)
         vb = vp(table.B_(n), p)
-        if va != -Kp:
-            failures.append(f"v(A_{n})={va} != -K'_{n}={-Kp}")
+        if va != -(K + k0):
+            failures.append(f"v(A_{n})={va} != -K'_{n}={-(K + k0)}")
         if vb != -K:
             failures.append(f"v(B_{n})={vb} != -K_{n}={-K}")
-    K = 0
-    for n in range(0, depth - 1):
-        if n >= 1:
-            K += expansion.k_at(n)
-        q_n = table.A_(n) / table.B_(n)
-        want = 2 * K + expansion.k_at(n + 1)
-        got = quad_distance_valuation(alpha, q_n)
+    for n in range(depth - 1):
+        want = 2 * table.K(n) + table.ks[n + 1]
+        got = quad_distance_valuation(alpha, table.A_(n) / table.B_(n))
         if got != want:
             failures.append(f"v(Q_{n}-alpha)={got} != 2K_{n}+k_{n+1}={want}")
         if got < 2 * n + 1:

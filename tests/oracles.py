@@ -188,6 +188,21 @@ def surd_expand_brute(u, v, Delta, branch, p, flavor, n_steps):
     return digits
 
 
+def first_regular_brute(u, v, Delta, branch, p, n):
+    """Index of the first regular complete quotient of u + v*sqrt(Delta) in
+    the centered expansion, among the first n, else None. Regular means
+    val(u, v) < 0 < val(u, -v)."""
+    u, v = Fraction(u), Fraction(v)
+    for i in range(n):
+        val = surd_valuation_brute(u, v, Delta, branch, p)
+        if val < 0 < surd_valuation_brute(u, -v, Delta, branch, p):
+            return i
+        u -= surd_digit_brute(u, v, Delta, branch, p, "browkin")
+        den = u * u - v * v * Delta
+        u, v = u / den, -v / den
+    return None
+
+
 def rational_expand_brute(x, p, flavor, max_steps=500):
     """Digit list of a rational; returns (digits, terminated)."""
     x = Fraction(x)

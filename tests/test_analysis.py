@@ -24,12 +24,14 @@ from padiccf import (
     trace_zero_classify,
 )
 from padiccf.analysis import reversal_prefix_check
+from padiccf.core import divisors
 from padiccf.corpus import random_digits, random_periodic, random_quad
 from padiccf.engine import OPEN, PERIODIC, RUBAN
 
-from oracles import K_bound_brute
+from oracles import K_bound_brute, first_regular_brute
 
 analysis_module = importlib.import_module("padiccf.analysis")
+engine_module = importlib.import_module("padiccf.engine")
 
 PERIOD12_STATE = QuadIrr(5, 19, -13, 6, 1, 2)
 SQRT37_STATE = QuadIrr(3, 37, 1, 2, 1, 1)
@@ -38,6 +40,27 @@ INV_5_SQRT_M434 = QuadIrr(5, -434, 0, -434, 1, 1)
 
 
 # -- regularity and the periodicity criterion -----------------------------------
+
+
+def _brute_first_regular(alpha, n):
+    den = Fraction(alpha.p) ** alpha.k * alpha.c
+    return first_regular_brute(alpha.b / den, 1 / den, alpha.Delta, alpha.branch, alpha.p, n)
+
+
+def _random_state(rng, p):
+    """A state with k in -3..3; about 40% have b = +-delta mod p, where the
+    valuation of b + delta or of its conjugate is at least 1."""
+    while True:
+        base = random_quad(rng, p)
+        b = base.b
+        if rng.random() < 0.4:
+            b += (rng.choice((base.branch, -base.branch)) - b) % p
+        rem = base.Delta - b * b
+        if rem == 0:
+            continue
+        c = rng.choice(divisors(abs(rem))) * rng.choice((1, -1))
+        if c % p:
+            return QuadIrr(p, base.Delta, b, c, rng.randint(-3, 3), base.branch)
 
 
 def test_regular_state_is_purely_periodic():
@@ -52,6 +75,32 @@ def test_irregular_state_has_positive_first_regular_index():
     assert not rep.regular
     assert rep.v_alpha == -1 and rep.v_conj == -1
     assert rep.first_regular_index == 1  # preperiod [6/5] then the cycle
+
+
+def test_first_regular_index_matches_the_brute_stepper():
+    rng = random.Random(2203)
+    negative_k_on_delta = 0
+    for _ in range(2000):
+        p = rng.choice([3, 5, 7, 11, 13])
+        alpha = _random_state(rng, p)
+        negative_k_on_delta += alpha.k < 0 and (alpha.b - alpha.branch) % p == 0
+        for m in (1, 2, 3, 200):
+            rep = is_regular(alpha, max_steps=m)
+            assert rep.first_regular_index == _brute_first_regular(alpha, m), (alpha, m)
+    assert negative_k_on_delta >= 50
+
+
+def test_is_regular_steps_no_state(monkeypatch):
+    def no_step(*args, **kwargs):
+        raise AssertionError("is_regular stepped a state")
+
+    monkeypatch.setattr(analysis_module, "step", no_step, raising=False)
+    monkeypatch.setattr(engine_module, "step", no_step)
+    assert is_regular(PERIOD12_STATE).first_regular_index == 0
+    assert is_regular(INV_5_SQRT_M434).first_regular_index == 1
+    # sqrt(126)/2 (k = 0) and 5*sqrt(19) (k = -1) are regular from index 2
+    assert is_regular(QuadIrr(5, 126, 0, 2, 0, 1)).first_regular_index == 2
+    assert is_regular(QuadIrr(5, 19, 0, 1, -1, 2)).first_regular_index == 2
 
 
 def test_galois_check_on_pinned_states():
@@ -85,7 +134,8 @@ def test_galois_check_reads_the_stored_states(monkeypatch):
 
     exp = expand(INV_5_SQRT_M434)
     assert len(exp.preperiod) == 1
-    monkeypatch.setattr(analysis_module, "step", no_step)
+    monkeypatch.setattr(analysis_module, "step", no_step, raising=False)
+    monkeypatch.setattr(engine_module, "step", no_step)
     verdict = galois_check(INV_5_SQRT_M434, exp)
     assert verdict.ok and not verdict.regular
     assert verdict.first_regular_index == verdict.preperiod_length == 1
@@ -102,11 +152,12 @@ def test_galois_check_agrees_with_is_regular_on_preperiodic_values():
             continue
         seen += bool(exp.preperiod)
         verdict = galois_check(alpha, exp)
-        # is_regular steps from alpha again: the route galois_check replaced
         rep = is_regular(alpha, max_steps=len(exp.quotients) + 2)
         assert verdict.ok, alpha
         assert (verdict.regular, verdict.first_regular_index, verdict.v_alpha, verdict.v_conj) == (
             rep.regular, rep.first_regular_index, rep.v_alpha, rep.v_conj)
+        # both share one closed form, so the index is also checked by stepping
+        assert verdict.first_regular_index == _brute_first_regular(alpha, len(exp.quotients) + 2)
     assert seen >= 10
 
 
@@ -340,13 +391,3 @@ def test_ruban_probe_input_validation():
         ruban_nonperiodic_probe(16, 1, 5)  # square
     with pytest.raises(ValueError):
         ruban_nonperiodic_probe(7, 1, 5)  # nonresidue mod 5
-
-
-def test_report_serialization_shapes():
-    probe = ruban_nonperiodic_probe(6, 1, 5, N=50)
-    js = probe.to_json()
-    assert js["status"] == "nonperiodic" and js["p"] == 5
-    rep = trace_zero_classify(INV_5_SQRT_M434)
-    assert rep.to_json()["class"] == "preperiod_1"
-    trace = b_sequence_analysis(PERIOD12_STATE, 20)
-    assert trace.to_json()["period_length"] == 12
