@@ -34,17 +34,13 @@ from .engine import (
     expand,
     expand_rational,
     normalize,
-    parse_expansion_text,
     parse_quotient_list,
     periodic_limit,
     step,
     valuation_audit,
 )
 from .analysis import (
-    K_bound,
-    NormSignTrace,
     RegularityReport,
-    b_sequence_analysis,
     dt_identities,
     galois_check,
     is_regular,
@@ -63,5 +59,4 @@ from .construct import (
     family_section6,
     is_nice,
     nice_search,
-    positive_shortcut,
 )

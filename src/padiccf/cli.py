@@ -186,23 +186,31 @@ def cmd_expand(p, quad_spec, rational_spec, flavor, max_steps, as_json, out_file
 # -- construct -------------------------------------------------------------------
 
 
-def _parse_h_spec(spec: str) -> tuple:
-    """Offsets like "0", "1,3" or "0..4" (inclusive), deduplicated in order."""
-    out = []
+def _parse_h_spec(spec: str, p: int, max_digits: int) -> tuple:
+    """Offsets like "0", "1,3" or "0..4" (inclusive), deduplicated in order.
+
+    Every range is bounded before it is expanded: the h-th valid omega is
+    at least h, so an offset with h * log10(p) > max_digits is infeasible.
+    """
+    spans = []
     for piece in spec.split(","):
         piece = piece.strip()
         if not piece:
             continue
-        if ".." in piece:
-            lo, hi = piece.split("..", 1)
-            out.extend(range(int(lo), int(hi) + 1))
-        else:
-            out.append(int(piece))
-    if not out:
+        lo, dots, hi = piece.partition("..")
+        spans.append((int(lo), int(hi) if dots else int(lo)))
+    spans = [(lo, hi) for lo, hi in spans if lo <= hi]
+    if not spans:
         raise ValueError(f"empty h range {spec!r}")
-    if any(h < 0 for h in out):
+    if any(lo < 0 for lo, _ in spans):
         raise ValueError("h offsets must be nonnegative")
-    return tuple(dict.fromkeys(out))
+    # the division keeps a huge h from overflowing a float
+    top = max(hi for _, hi in spans)
+    if top > max_digits / math.log10(p):
+        raise ValueError(
+            f"h offset {top} needs p**omega with omega >= {top}, "
+            f"more than --max-digits {max_digits} decimal digits")
+    return tuple(dict.fromkeys(h for lo, hi in spans for h in range(lo, hi + 1)))
 
 
 def _not_nice_message(cert) -> str:
@@ -263,7 +271,7 @@ def cmd_construct(p, cf_text, cf_file, h_spec, dlog_budget, max_digits, jobs, as
             cf_text = fh.read().replace("\n", ",")
     try:
         cf = parse_quotient_list(cf_text, p)
-        hs = _parse_h_spec(h_spec)
+        hs = _parse_h_spec(h_spec, p, max_digits)
         cert = is_nice(cf, dlog_budget)
     except ValueError as exc:
         _fail(str(exc))

@@ -173,16 +173,6 @@ def is_nice(cf, dlog_budget: int | None = None) -> NiceCertificate:
     )
 
 
-def positive_shortcut(cf) -> bool:
-    """Whether condition (b) follows for free: all digits positive and the
-    last one above 4/p."""
-    cf = tuple(cf)
-    if not cf:
-        raise ValueError("empty digit list")
-    p = cf[0].p
-    return all(a.value > 0 for a in cf) and cf[-1].value > Fraction(4, p)
-
-
 # -- the construction ----------------------------------------------------------
 
 

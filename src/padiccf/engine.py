@@ -706,23 +706,3 @@ def parse_quotient_list(text: str, p: int):
         raise ValueError("empty digit list")
     return tuple(LaurentInt.parse(s, p) for s in items)
 
-
-def parse_expansion_text(text: str, p: int):
-    """Inverse of Expansion.text(); returns (preperiod, period, status)."""
-    body = text.strip()
-    if not (body.startswith("[") and body.endswith("]")):
-        raise ValueError(f"expansion text must be bracketed, got {text!r}")
-    body = body[1:-1].strip()
-    status = FINITE
-    period: tuple = ()
-    if body.endswith("..."):
-        status = OPEN
-        body = body[: -len("...")].rstrip().rstrip(",")
-    elif "(" in body:
-        status = PERIODIC
-        open_i = body.index("(")
-        star_i = body.rindex(")*")
-        period = parse_quotient_list(body[open_i + 1 : star_i], p)
-        body = body[:open_i].rstrip().rstrip(",")
-    preperiod = parse_quotient_list(body, p) if body.strip() else ()
-    return preperiod, period, status

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .analysis import (
+    dt_identities,
     galois_check,
     reversed_period_identity,
     ruban_nonperiodic_probe,
@@ -250,6 +251,21 @@ def _tracezero_suite(ctx):
     _require(periodic_seen >= cases // 10)
     return (f"{cases} trace-zero values, {periodic_seen} periodic with the "
             f"right preperiod length, {templated} matching the full template")
+
+
+@_register("palindrome.identities")
+def _palindrome_suite(ctx):
+    rng = random.Random(ctx["seed"] + 7)
+    cases = ctx["cases"]
+    for _ in range(cases):
+        p = rng.choice((3, 5, 7))
+        t = rng.randint(1, 4)
+        parity = rng.choice(("even", "odd"))
+        # a palindrome of d + 1 digits, d = 2t (even) or 2t + 1 (odd)
+        w = random_digits(rng, p, t + 1)
+        cf = w + tuple(reversed(w[:-1] if parity == "even" else w))
+        _require(dt_identities(cf, t, parity), (cf, parity))
+    return f"{cases} palindromes, t <= 4, both parities"
 
 
 @_register("rational.finiteness")

@@ -104,11 +104,6 @@ def convergents_brute(values):
     return A, B
 
 
-def K_bound_brute(Delta):
-    t = isqrt(Delta)
-    return 1 + sum(Delta - i * i for i in range(-t, t + 1))
-
-
 # -- expansion twin over Q(sqrt(Delta)) ---------------------------------------
 #
 # State is the pair (u, v) of Fractions with alpha = u + v*sqrt(Delta). Digits

@@ -238,6 +238,7 @@ _STRUCTURAL_SUITES = (
     "regularity.pure_iff_regular",
     "reversal.palindrome_norm",
     "tracezero.preperiods",
+    "palindrome.identities",
     "rational.finiteness",
     "bedocchi.scan",
 )

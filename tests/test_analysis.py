@@ -11,9 +11,7 @@ import pytest
 
 import padiccf
 from padiccf import (
-    K_bound,
     QuadIrr,
-    b_sequence_analysis,
     dt_identities,
     expand,
     galois_check,
@@ -23,12 +21,11 @@ from padiccf import (
     ruban_nonperiodic_probe,
     trace_zero_classify,
 )
-from padiccf.analysis import reversal_prefix_check
 from padiccf.core import divisors
 from padiccf.corpus import random_digits, random_periodic, random_quad
 from padiccf.engine import OPEN, PERIODIC, RUBAN
 
-from oracles import K_bound_brute, first_regular_brute
+from oracles import first_regular_brute
 
 analysis_module = importlib.import_module("padiccf.analysis")
 engine_module = importlib.import_module("padiccf.engine")
@@ -222,43 +219,6 @@ def test_reversed_period_is_rejected_under_python_O():
     assert proc.stdout.strip() == "1 InvariantError -1/alpha^c period is the reversal", proc.stderr
 
 
-def test_reversal_prefix_identity():
-    exp = expand(PERIOD12_STATE)
-    for n in range(9):
-        assert reversal_prefix_check(exp, n)
-
-
-# -- norm-sign traces --------------------------------------------------------------
-
-
-@pytest.mark.parametrize("Delta", [2, 3, 19, 37, 89, 126, 150, 300])
-def test_K_bound_matches_brute_sum(Delta):
-    assert K_bound(Delta) == K_bound_brute(Delta)
-
-
-def test_K_bound_needs_positive_discriminant():
-    with pytest.raises(ValueError):
-        K_bound(-434)
-
-
-def test_b_sequence_trace_on_real_discriminant():
-    trace = b_sequence_analysis(PERIOD12_STATE, 40)
-    assert trace.status == PERIODIC and trace.period_length == 12
-    assert trace.has_real_norms and trace.K_bound == K_bound_brute(19)
-    assert len(trace.signs) == len(trace.b_values) == len(trace.k_values)
-    assert set(trace.signs) <= set("+-0")
-    if trace.negative_window_triggered:
-        assert trace.period_length <= trace.K_bound
-    assert trace.ever_b_bounded or not trace.all_b_bounded
-
-
-def test_b_sequence_trace_on_imaginary_discriminant():
-    trace = b_sequence_analysis(INV_5_SQRT_M434, 30)
-    assert not trace.has_real_norms
-    assert trace.K_bound is None
-    assert not trace.negative_window_triggered
-
-
 # -- trace-zero trichotomy -----------------------------------------------------------
 
 
@@ -287,7 +247,7 @@ def test_trace_zero_valuation_zero_class():
     rep = trace_zero_classify(QuadIrr(5, 126, 0, 2, 0, 1))
     assert rep.klass == "preperiod_2"
     assert rep.valuation == 0
-    assert rep.template is None
+    assert rep.a0_small is None
     if rep.expansion.status == PERIODIC:
         assert rep.matched == (len(rep.expansion.preperiod) == 2)
 
@@ -313,10 +273,18 @@ def test_dt_identities_hold_on_random_palindromes():
         parity = rng.choice(["even", "odd"])
         w = random_digits(rng, p, t + 1)
         cf = _mirror(w, parity)
-        verdict = dt_identities(cf, t, parity)
-        assert verdict.ok, (cf, parity)
-        assert verdict.d == (2 * t if parity == "even" else 2 * t + 1)
-        assert verdict.lhs_A == verdict.rhs_A and verdict.lhs_B == verdict.rhs_B
+        assert dt_identities(cf, t, parity) is True, (cf, parity)
+
+
+def test_dt_identities_fail_off_the_palindromes(monkeypatch):
+    # with the palindrome gate lifted, a list whose digit a_{d-1} differs
+    # from its mirror a_1 changes A_{d-1} and B_{d-1} but no right side
+    monkeypatch.setattr(analysis_module, "_palindromic", lambda seq: True)
+    rng = random.Random(2205)
+    for parity in ("even", "odd"):
+        crooked = list(_mirror(random_digits(rng, 5, 3), parity))
+        crooked[-2] = crooked[-2].doubled()
+        assert dt_identities(crooked, 2, parity) is False
 
 
 def test_dt_identities_input_validation():
@@ -339,7 +307,7 @@ def test_ruban_probe_certifies_nonperiodicity():
     probe = ruban_nonperiodic_probe(6, 1, 5, N=200)
     assert probe.status == "nonperiodic"
     assert probe.witness_negative_embeddings is True
-    assert probe.a1_tilde >= 1
+    assert probe.expansion.quotient_at(1).tilde >= 1
     assert probe.expansion.status == OPEN
 
 
@@ -365,7 +333,6 @@ def test_ruban_state_witness_matches_the_closed_form(p):
         a1 = exp.quotient_at(1)
         assert a1.e == k
         at1 = a1.tilde
-        assert probe.a1_tilde == at1
         assert probe.witness_negative_embeddings == (at1 >= 1 and at1 * at1 * m > 1)
         closed = normalize(p, p ** (2 * k) * m, p**k * at1 * m, 1 - at1 * at1 * m, 0,
                            exp.alpha.branch)

@@ -197,6 +197,31 @@ def test_construct_rejects_bad_h_spec():
     assert "empty h range" in empty.stderr
 
 
+def test_construct_rejects_h_beyond_max_digits(monkeypatch):
+    # the h-th valid omega is at least h, so the spec is refused from its
+    # endpoints; a range over more than a few offsets is never built
+    def small_range(lo, hi):
+        assert hi - lo <= 10, f"expanded range({lo}, {hi})"
+        return range(lo, hi)
+
+    monkeypatch.setattr(cli, "range", small_range, raising=False)
+    huge = run("construct", "--p", "5", "--cf", "6/5", "--h", "0..1000000000000")
+    assert huge.exit_code == 1
+    assert huge.stdout == ""
+    assert "h offset 1000000000000 needs p**omega" in huge.stderr
+    assert "--max-digits 200000" in huge.stderr
+    # past the float range, still refused cleanly
+    vast = run("construct", "--p", "5", "--cf", "6/5", "--h", "1" + "0" * 400)
+    assert vast.exit_code == 1
+    assert "needs p**omega" in vast.stderr
+    # 4 * log10(5) < 3 < 5 * log10(5): h = 4 reaches construct, h = 5 does not
+    edge = run("construct", "--p", "5", "--cf", "6/5", "--max-digits", "3", "--h", "4")
+    assert edge.exit_code == 4
+    over = run("construct", "--p", "5", "--cf", "6/5", "--max-digits", "3", "--h", "2,5")
+    assert over.exit_code == 1
+    assert "h offset 5 needs p**omega" in over.stderr
+
+
 def test_construct_needs_exactly_one_source(tmp_path):
     cf_file = tmp_path / "seed.txt"
     cf_file.write_text("6/5", encoding="utf-8")
@@ -224,7 +249,8 @@ def test_verify_paper_lists_names():
     names = res.stdout.split()
     assert "section6.variant1" in names
     assert "dlog.trio" in names
-    assert len(names) == len(set(names))
+    assert "palindrome.identities" in names
+    assert len(names) == len(set(names)) == 28
 
 
 def test_verify_paper_unknown_group_exits_1():

@@ -18,7 +18,6 @@ from padiccf import (
     is_nice,
     nice_search,
     periodic_limit,
-    positive_shortcut,
 )
 from padiccf.core import LaurentInt
 from padiccf.engine import PERIODIC, QuadIrr, parse_quotient_list
@@ -72,13 +71,6 @@ def test_digit_list_validation():
         is_nice((LaurentInt(5, 6, 1), LaurentInt(3, 1, 1)))
     with pytest.raises(ValueError):
         is_nice((LaurentInt(5, 6, 1), LaurentInt(5, 2, 0)))
-
-
-def test_positive_shortcut_agrees_with_is_nice():
-    for text, p in (("6/5", 5), ("1/5, 1/5", 5), ("1/3, 1/3", 3), ("1/7, 2/7, 1/7", 7)):
-        cf = parse_quotient_list(text, p)
-        if positive_shortcut(cf):
-            assert is_nice(cf).nice, text
 
 
 def test_indeterminate_dlog_budget_blocks_construction():

@@ -36,7 +36,6 @@ from padiccf.engine import (
     RUBAN,
     Expansion,
     first_reexpansion,
-    parse_expansion_text,
     parse_quotient_list,
     quad_distance_valuation,
 )
@@ -436,28 +435,11 @@ def test_normalize_preserves_value():
         done += 1
 
 
-# -- text round trips -------------------------------------------------------------
-
-
-def test_expansion_text_round_trips():
-    cases = [
-        expand(PERIOD12_STATE),
-        expand(SQRT89_STATE, max_steps=14),
-        expand_rational(Fraction(10, 3), 3),
-        expand_rational(Fraction(-1), 5, RUBAN),
-    ]
-    for exp in cases:
-        pre, per, status = parse_expansion_text(exp.text(), exp.p)
-        assert (pre, per, status) == (exp.preperiod, exp.period, exp.status)
-
-
 def test_quotient_list_parsing_errors():
     with pytest.raises(ValueError):
         parse_quotient_list("", 5)
     with pytest.raises(ValueError):
         parse_quotient_list("1/6", 5)
-    with pytest.raises(ValueError):
-        parse_expansion_text("1/5, 2/5", 5)
 
 
 # -- approximation digits -----------------------------------------------------------
