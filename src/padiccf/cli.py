@@ -28,10 +28,10 @@ from . import __version__
 from .construct import (
     DEFAULT_MAX_DIGITS,
     ConstructionInfeasible,
-    _digit_pool,
     construct as run_construction,
     is_nice,
     nice_search,
+    search_space_size,
 )
 from .core import _check_odd_prime
 from .engine import (
@@ -47,6 +47,8 @@ from .engine import (
     parse_quotient_list,
 )
 from .refchecks import DEFAULT_CASES, DEFAULT_SEED, check_names, run_checks
+
+MAX_DIGITS_CEILING = 10**6  # one construct at a million digits takes minutes
 
 
 def _fail(message: str, code: int = 1):
@@ -264,6 +266,8 @@ def cmd_construct(p, cf_text, cf_file, h_spec, dlog_budget, max_digits, jobs, as
     start = time.perf_counter()
     _need_odd_prime(p)
     _need_jobs(jobs)
+    if not 1 <= max_digits <= MAX_DIGITS_CEILING:  # before --h is read
+        _fail(f"--max-digits must lie in 1..{MAX_DIGITS_CEILING}, got {max_digits}")
     if (cf_text is None) == (cf_file is None):
         _fail("exactly one of --cf or --cf-file is required")
     if cf_file is not None:
@@ -431,11 +435,12 @@ def cmd_search(p, t, pool_kind, num_bound, exp_bound, limit, dlog_budget,
     start = time.perf_counter()
     _need_odd_prime(p)
     _need_jobs(jobs)
-    if t < 1:
-        _fail("need t >= 1")
+    try:
+        total = search_space_size(p, t, pool_kind, num_bound, exp_bound)
+    except ValueError as exc:
+        _fail(str(exc))
     if limit is not None and limit < 1:
         _fail(f"--limit must be >= 1, got {limit}")
-    total = len(_digit_pool(p, pool_kind, num_bound, exp_bound)) ** t
     cursor_path = f"{out_file}.cursor" if out_file else None
     start_index = 0
     if resume:

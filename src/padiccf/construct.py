@@ -535,7 +535,7 @@ def family_section6(variant: int, p: int, t: int) -> FamilyReport:
     char_ok = None
     if exp.status == PERIODIC:
         tail = exp.state_at(len(exp.preperiod))
-        tab = convergents(exp.period, p)
+        tab = convergents(exp.period)
         matrix_ok = any(g.value_equals(tail) for g in _period_roots(tab, 0))
         if variant == 1:
             N = len(exp.period)
@@ -564,6 +564,40 @@ def _digit_pool(p: int, pool: str, num_bound: int, exp_bound: int) -> tuple:
     return tuple(out)
 
 
+MAX_SEARCH_T, MAX_SEARCH_POOL, MAX_SEARCH_SPACE = 60, 10**5, 10**18
+
+
+def search_space_size(p: int, t: int, pool: str, num_bound: int, exp_bound: int) -> int:
+    """len(_digit_pool(p, pool, num_bound, exp_bound)) ** t, counted without
+    building either, or ValueError past one of the MAX_SEARCH_* caps.
+
+    Exponent e admits the numerators up to min(num_bound, p**(e+1) // 2)
+    prime to p. The windows grow by a factor p, so only a few exponents are
+    counted one by one; from the first whose window holds num_bound on,
+    each admits the same count.
+    """
+    _check_odd_prime(p)
+    if not 1 <= t <= MAX_SEARCH_T:
+        raise ValueError(f"t must lie in 1..{MAX_SEARCH_T}, got {t}")
+    if pool not in ("pos", "all"):
+        raise ValueError("pool must be 'pos' or 'all'")
+    size, e = 0, 1
+    while e <= exp_bound and p ** (e + 1) // 2 < num_bound and size <= MAX_SEARCH_POOL:
+        m = p ** (e + 1) // 2
+        size += m - m // p
+        e += 1
+    if num_bound > 0:
+        size += max(exp_bound - e + 1, 0) * (num_bound - num_bound // p)
+    size *= 2 if pool == "all" else 1
+    if size > MAX_SEARCH_POOL:
+        raise ValueError(f"the digit pool would hold more than {MAX_SEARCH_POOL} digits")
+    space = size**t
+    if space > MAX_SEARCH_SPACE:
+        raise ValueError(f"the search space would hold {size}**{t} candidates, "
+                         f"more than {MAX_SEARCH_SPACE}")
+    return space
+
+
 def nice_search(p: int, t: int, pool: str = "pos", num_bound: int = 6,
                 exp_bound: int = 2, start_index: int = 0,
                 dlog_budget: int | None = None, stop_index: int | None = None):
@@ -577,11 +611,7 @@ def nice_search(p: int, t: int, pool: str = "pos", num_bound: int = 6,
     gives exact resumption. Only indices in [start_index, stop_index) are
     scanned (stop_index None means to the end of the space).
     """
-    _check_odd_prime(p)
-    if t < 1:
-        raise ValueError("need t >= 1")
-    if pool not in ("pos", "all"):
-        raise ValueError("pool must be 'pos' or 'all'")
+    search_space_size(p, t, pool, num_bound, exp_bound)
     digits = _digit_pool(p, pool, num_bound, exp_bound)
     combos = islice(product(digits, repeat=t), start_index, stop_index)
     for idx, combo in enumerate(combos, start_index):

@@ -10,14 +10,13 @@ Conventions used throughout the package:
 * the "tilde" of a nonzero x in Z[1/p] is its prime-to-p numerator,
   ``x~ = x * p**(-vp(x))``, carried around as an integer.
 * square roots of a nonsquare integer Delta in Q_p come in two branches,
-  labelled by the residue of the root mod p; Hensel digits for a branch are
-  grown lazily and cached per (p, Delta, branch).
+  labelled by the residue of the root mod p; hensel_digits lifts a branch
+  to the precision asked for, and nothing is stored between calls.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -156,63 +155,26 @@ def sqrt_mod_p(a: int, p: int):
     return min(r, p - r)
 
 
-def _newton_lift(p: int, Delta: int, x: int, have: int, want: int) -> int:
-    # classic x -> (x + Delta/x)/2, doubling the precision each round
-    n = have
-    while n < want:
-        n = min(2 * n, want)
+def hensel_digits(p: int, Delta: int, branch: int, N: int) -> int:
+    """The root of Delta mod p**N (N < 1 counts as 1) that is branch mod p,
+    for p an odd prime, Delta prime to p and branch a root mod p in [1, p-1].
+
+    Newton's x -> (x + Delta/x)/2 doubles the precision each round. Nothing
+    is cached: the engine lifts only the first states of an expansion.
+    """
+    _check_odd_prime(p)
+    if Delta % p == 0:
+        raise ValueError("Delta must be prime to p")
+    if not 1 <= branch < p:
+        raise ValueError("branch must lie in [1, p-1]")
+    if (branch * branch - Delta) % p != 0:
+        raise ValueError("branch**2 != Delta mod p")
+    x, n = branch, 1
+    while n < N:
+        n = min(2 * n, N)
         mod = p**n
         x = (x + Delta * pow(x, -1, mod)) * pow(2, -1, mod) % mod
     return x
-
-
-class _HenselCache:
-    """Lazily grown digit store, one entry per (p, Delta, branch).
-
-    Readers may share the cache; growth happens under a lock. Precision is
-    grown to at least double the previous value so deep expansions do O(log)
-    lifts total. A new key is validated before it is stored: p an odd prime,
-    Delta prime to p, and branch a square root of Delta mod p in [1, p-1].
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._store: dict[tuple[int, int, int], tuple[int, int]] = {}
-
-    def digits(self, p: int, Delta: int, branch: int, N: int) -> int:
-        if N < 1:
-            N = 1
-        key = (p, Delta, branch)
-        with self._lock:
-            hit = self._store.get(key)
-            if hit is None:
-                _check_odd_prime(p)
-                if Delta % p == 0:
-                    raise ValueError("Delta must be prime to p")
-                if not 1 <= branch < p:
-                    raise ValueError("branch must lie in [1, p-1]")
-                if (branch * branch - Delta) % p != 0:
-                    raise ValueError("branch**2 != Delta mod p")
-                hit = (branch, 1)
-            digits, have = hit
-            if have < N:
-                grow_to = max(N, 2 * have)
-                digits = _newton_lift(p, Delta, digits, have, grow_to)
-                have = grow_to
-            self._store[key] = (digits, have)
-        return digits % p**N
-
-    def clear(self):
-        with self._lock:
-            self._store.clear()
-
-
-HENSEL_CACHE = _HenselCache()
-
-
-def hensel_digits(p: int, Delta: int, branch: int, N: int) -> int:
-    """Cached branch root of Delta mod p**N (grows the shared cache)."""
-    return HENSEL_CACHE.digits(p, Delta, branch, N)
 
 
 def mod_inverse(a: int, m: int) -> int:

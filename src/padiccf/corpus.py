@@ -23,14 +23,13 @@ def random_digit(rng: random.Random, p: int, e: int) -> LaurentInt:
             return LaurentInt(p, t, e)
 
 
-def random_digits(rng: random.Random, p: int, length: int, k_max: int = 3,
-                  int_first: bool = True):
+def random_digits(rng: random.Random, p: int, length: int, int_first: bool = True):
     """A digit list that is its own centered expansion.
 
-    Every entry past the first is a legal negative-valuation digit; the
-    first is either a small integer (including 0) or another digit,
-    depending on int_first. Such a list always reproduces itself when the
-    evaluated rational is re-expanded.
+    Every entry past the first is a legal negative-valuation digit with
+    denominator p**1 to p**3; the first is either a small integer
+    (including 0) or another digit, depending on int_first. Such a list
+    always reproduces itself when the evaluated rational is re-expanded.
     """
     if length < 1:
         raise ValueError("need length >= 1")
@@ -38,34 +37,33 @@ def random_digits(rng: random.Random, p: int, length: int, k_max: int = 3,
     if int_first and rng.random() < 0.5:
         out.append(LaurentInt(p, rng.randint(-(p // 2), p // 2), 0))
     else:
-        out.append(random_digit(rng, p, rng.randint(1, k_max)))
+        out.append(random_digit(rng, p, rng.randint(1, 3)))
     for _ in range(length - 1):
-        out.append(random_digit(rng, p, rng.randint(1, k_max)))
+        out.append(random_digit(rng, p, rng.randint(1, 3)))
     return tuple(out)
 
 
-def random_rational(rng: random.Random, p: int, num_bound: int = 10**6,
-                    den_bound: int = 10**4) -> Fraction:
-    num = rng.randint(-num_bound, num_bound)
-    den = rng.randint(1, den_bound)
+def random_rational(rng: random.Random) -> Fraction:
+    """num/den with |num| <= 10**6 and 1 <= den <= 10**4."""
+    num = rng.randint(-(10**6), 10**6)
+    den = rng.randint(1, 10**4)
     return Fraction(num, den)
 
 
-def random_quad(rng: random.Random, p: int, Delta_bound: int = 400,
-                b_bound: int = 20, k_max: int = 2) -> QuadIrr:
+def random_quad(rng: random.Random, p: int) -> QuadIrr:
     """A uniform-ish quadratic irrational state over p.
 
-    Delta is drawn in both signs, kept prime to p, nonsquare and a residue;
-    c is a signed divisor of Delta - b**2 so the state is valid without any
-    rescaling.
+    Delta is drawn in both signs with 2 <= |Delta| <= 400, kept prime to p,
+    nonsquare and a residue; |b| <= 20, k lies in 0..2, and c is a signed
+    divisor of Delta - b**2 so the state is valid without any rescaling.
     """
     while True:
-        Delta = rng.choice((1, -1)) * rng.randint(2, Delta_bound)
+        Delta = rng.choice((1, -1)) * rng.randint(2, 400)
         if Delta % p == 0 or (Delta > 0 and _is_square(Delta)):
             continue
         if legendre(Delta % p, p) != 1:
             continue
-        b = rng.randint(-b_bound, b_bound)
+        b = rng.randint(-20, 20)
         rem = Delta - b * b
         if rem == 0:
             continue
@@ -74,7 +72,7 @@ def random_quad(rng: random.Random, p: int, Delta_bound: int = 400,
             continue
         r = sqrt_mod_p(Delta % p, p)
         branch = rng.choice((r, p - r))
-        return QuadIrr(p, Delta, b, c, rng.randint(0, k_max), branch)
+        return QuadIrr(p, Delta, b, c, rng.randint(0, 2), branch)
 
 
 def periodic_bases(p: int):
@@ -131,18 +129,17 @@ def random_periodic(rng: random.Random, p: int) -> QuadIrr:
     return st
 
 
-def random_trace_zero(rng: random.Random, p: int, m_bound: int = 3000,
-                      k_max: int = 2) -> QuadIrr:
-    """A value of the form p**j * sqrt(m), j in [-k_max, k_max], b = 0."""
+def random_trace_zero(rng: random.Random, p: int) -> QuadIrr:
+    """A trace-zero state sqrt(m)/(p**k * c): 2 <= |m| <= 3000, k in [-2, 2]."""
     while True:
-        m = rng.choice((1, -1)) * rng.randint(2, m_bound)
+        m = rng.choice((1, -1)) * rng.randint(2, 3000)
         if m % p == 0 or (m > 0 and _is_square(m)):
             continue
         if legendre(m % p, p) != 1:
             continue
         r = sqrt_mod_p(m % p, p)
         branch = rng.choice((r, p - r))
-        k = rng.randint(-k_max, k_max)
+        k = rng.randint(-2, 2)
         c = rng.choice(divisors(abs(m))) * rng.choice((1, -1))
         if c % p == 0:
             continue

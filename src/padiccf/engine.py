@@ -147,17 +147,6 @@ class QuadIrr:
         u_other = mod_inverse(other.c % p, p) * other.branch % p
         return u_self == u_other
 
-    def approx_digits(self, n_digits: int):
-        """(e, u): value = p**e * (u + O(p**n_digits)) with u a unit mod p**n_digits."""
-        w = self.valuation + self.k
-        N = w + n_digits
-        dig = hensel_digits(self.p, self.Delta, self.branch, N)
-        pn = self.p**n_digits
-        unit = (self.b + dig) // self.p**w % pn
-        unit = unit * mod_inverse(self.c % pn, pn) % pn
-        _invariant(unit % self.p != 0, "the leading digit of the value must be a unit")
-        return w - self.k, unit
-
     def to_json(self) -> dict:
         return {
             "p": self.p,
@@ -307,28 +296,38 @@ def _window_residue(num: int, den: int, k: int, p: int, flavor: str) -> int:
     return centered_residue(t, k + 1, p) if flavor == BROWKIN else t
 
 
-def _residue(alpha: QuadIrr, flavor: str) -> int:
-    """The digit numerator r = p**k * a of alpha (0 when k < 0)."""
+def _residue(alpha: QuadIrr, flavor: str, root_in_b: bool = False) -> int:
+    """The digit numerator r = p**k * a of alpha (0 when k < 0).
+
+    r is the window residue of (b + delta)/c, so delta is needed only mod
+    p**(k+1). root_in_b says b is delta mod p**(k+1), which holds on every
+    state stepped from one with k >= 1; then nothing is lifted. Proof: for
+    a state with k >= 0, digit r/p**k and b' = r c - b, v(alpha - a) >= 1
+    gives b' = delta mod p, so delta + b' is a unit and Delta - b'**2 =
+    (delta - b')(delta + b') = p**(k + k') c c' gives b' = delta mod
+    p**(k + k'), which covers the next digit's p**(k' + 1) when k >= 1.
+    """
     p, k = alpha.p, alpha.k
     if k < 0:
         # v_p(alpha) = v_p(b + delta) - k >= 1, the digit window is empty
         return 0
-    dig = hensel_digits(p, alpha.Delta, alpha.branch, k + 1)
-    return _window_residue(alpha.b + dig, alpha.c, k, p, flavor)
+    root = alpha.b if root_in_b else hensel_digits(p, alpha.Delta, alpha.branch, k + 1)
+    return _window_residue(alpha.b + root, alpha.c, k, p, flavor)
 
 
 # -- the stepper -----------------------------------------------------------
 
 
-def step(alpha: QuadIrr, flavor: str = BROWKIN):
+def step(alpha: QuadIrr, flavor: str = BROWKIN, _root_in_b: bool = False):
     """One algorithm step: returns (digit, next complete quotient).
 
     The update is exact integer arithmetic: with r = p**k * a the window
     residue, b' = r c - b, and Delta - b'**2 = p**(k + k') c c' defines k'
-    and c'.
+    and c'. step(alpha, flavor) is exact on any valid state; expand passes
+    _root_in_b=True on states stepped from one with k >= 1 (see _residue).
     """
     _check_flavor(flavor)
-    r = _residue(alpha, flavor)
+    r = _residue(alpha, flavor, _root_in_b)
     b1 = r * alpha.c - alpha.b
     D = alpha.Delta - b1 * b1
     if D == 0:
@@ -436,6 +435,9 @@ def expand(alpha: QuadIrr, flavor: str = BROWKIN, max_steps: int = DEFAULT_MAX_S
     quots: list[LaurentInt] = []
     states: list[QuadIrr] = []
     cur = alpha
+    # every state after the first has k >= 1, so from this index on b is
+    # delta to the precision the digit needs (see _residue)
+    root_from = 1 if alpha.k >= 1 else 2
     for i in range(max_steps):
         key = (cur.b, cur.c, cur.k)
         j = seen.get(key)
@@ -446,7 +448,7 @@ def expand(alpha: QuadIrr, flavor: str = BROWKIN, max_steps: int = DEFAULT_MAX_S
             return Expansion(alpha.p, flavor, PERIODIC, pre, per, k0, alpha, tuple(states))
         seen[key] = i
         states.append(cur)
-        a, cur = step(cur, flavor)
+        a, cur = step(cur, flavor, _root_in_b=i >= root_from)
         quots.append(a)
     return Expansion(alpha.p, flavor, OPEN, tuple(quots), (), k0, alpha,
                      tuple(states))
@@ -529,13 +531,12 @@ class ConvergentTable:
         return self.Ksum[n + 1] + self.ks[0] if n >= 0 else 0
 
 
-def convergents(quotients, p: int = None) -> ConvergentTable:
-    """Build the full table for a digit list (LaurentInt entries)."""
+def convergents(quotients) -> ConvergentTable:
+    """Build the full table for a digit list (LaurentInt entries over one p)."""
     quotients = tuple(quotients)
     if not quotients:
         raise ValueError("need at least one digit")
-    if p is None:
-        p = quotients[0].p
+    p = quotients[0].p
     ks = tuple(q.e for q in quotients)
     Atilde = [1, quotients[0].tilde]
     Btilde = [0, 1]
@@ -640,7 +641,9 @@ def periodic_limit(preperiod, period, p: int, flavor: str = BROWKIN) -> QuadIrr:
     preperiod, period = tuple(preperiod), tuple(period)
     if not period:
         raise ValueError("period must be nonempty")
-    roots = _period_roots(convergents(preperiod + period, p), len(preperiod))
+    if any(q.p != p for q in preperiod + period):
+        raise ValueError(f"every digit must lie over p={p}")
+    roots = _period_roots(convergents(preperiod + period), len(preperiod))
     hit = first_reexpansion(roots, preperiod, period, flavor)
     if hit is None:
         raise ValueError("no branch of the reconstructed value re-expands to the given digits")
@@ -672,7 +675,7 @@ def valuation_audit(expansion: Expansion) -> ValuationAudit:
         raise ValueError("audit needs an expansion produced from a QuadIrr")
     p, k0 = expansion.p, expansion.k_at(0)
     depth = len(expansion.preperiod) + 2 * len(expansion.period)
-    table = convergents([expansion.quotient_at(i) for i in range(depth)], p)
+    table = convergents([expansion.quotient_at(i) for i in range(depth)])
     failures = []
     if table.A_(0) != 0:
         got = vp(table.A_(0), p)

@@ -7,6 +7,7 @@ JSONL record log is parsed back to check its shape.
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import subprocess
@@ -18,6 +19,8 @@ from click.testing import CliRunner
 import padiccf
 from padiccf import __version__, cli
 from padiccf.cli import main
+
+construct_module = importlib.import_module("padiccf.construct")
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -222,6 +225,29 @@ def test_construct_rejects_h_beyond_max_digits(monkeypatch):
     assert "h offset 5 needs p**omega" in over.stderr
 
 
+def test_construct_rejects_max_digits_beyond_its_ceiling(monkeypatch):
+    # checked before the --h spec is read, so not even its endpoints are used
+    def no_h_spec(*args):
+        raise AssertionError("the --h spec was parsed")
+
+    def no_range(*args):
+        raise AssertionError("a range was built")
+
+    monkeypatch.setattr(cli, "_parse_h_spec", no_h_spec)
+    monkeypatch.setattr(cli, "range", no_range, raising=False)
+    ceiling = cli.MAX_DIGITS_CEILING
+    for digits in ("10000000000000", str(ceiling + 1), "0", "-5"):
+        res = run("construct", "--p", "5", "--cf", "6/5", "--max-digits", digits,
+                  "--h", "0..1000000000000")
+        assert res.exit_code == 1
+        assert res.stdout == ""
+        assert f"--max-digits must lie in 1..{ceiling}, got {digits}" in res.stderr
+    monkeypatch.undo()
+    top = run("construct", "--p", "5", "--cf", "6/5", "--max-digits", str(ceiling), "--json")
+    assert top.exit_code == 0
+    assert [r["m"] for r in json.loads(top.stdout)["results"]] == [-434]
+
+
 def test_construct_needs_exactly_one_source(tmp_path):
     cf_file = tmp_path / "seed.txt"
     cf_file.write_text("6/5", encoding="utf-8")
@@ -414,6 +440,30 @@ def test_search_parallel_matches_serial():
     parallel = run("search", "--p", "5", "--t", "2", "--json", "--jobs", "3")
     assert parallel.exit_code == 0
     assert parallel.stdout == serial.stdout
+
+
+def test_search_rejects_huge_spaces_before_building_the_pool(monkeypatch):
+    # the pool and the space are counted arithmetically, so neither the
+    # pool nor len(pool) ** t is ever built for a refused spec
+    def refuse(*args, **kwargs):
+        raise AssertionError("the digit pool was built or scanned")
+
+    monkeypatch.setattr(construct_module, "_digit_pool", refuse)
+    monkeypatch.setattr(cli, "nice_search", refuse)
+    cases = (
+        (("--t", "1000000000"), "t must lie in 1..60, got 1000000000"),
+        (("--t", "0"), "t must lie in 1..60, got 0"),
+        (("--t", "1", "--num-bound", "1000000000000", "--exp-bound", "30"),
+         "digit pool would hold"),
+        (("--t", "1", "--exp-bound", "1000000000000"), "digit pool would hold"),
+        (("--t", "16", "--pool", "all", "--num-bound", "8"),
+         "search space would hold 28**16 candidates, more than 1000000000000000000"),
+    )
+    for args, message in cases:
+        res = run("search", "--p", "5", *args)
+        assert res.exit_code == 1, args
+        assert res.stdout == ""
+        assert message in res.stderr
 
 
 def test_search_json_lines_parse():

@@ -364,3 +364,26 @@ def test_search_input_validation():
         list(nice_search(5, 0))
     with pytest.raises(ValueError):
         list(nice_search(5, 1, pool="negatives"))
+
+
+def test_search_space_size_counts_the_pool_without_building_it():
+    for p in (3, 5, 7, 11):
+        for pool in ("pos", "all"):
+            for num_bound in range(-1, 40):
+                for exp_bound in range(-1, 5):
+                    n = len(construct_module._digit_pool(p, pool, num_bound, exp_bound))
+                    for t in (1, 2, 3):
+                        got = construct_module.search_space_size(p, t, pool, num_bound, exp_bound)
+                        assert got == n**t, (p, pool, num_bound, exp_bound, t)
+    # the caps: t, the pool, then the space
+    size = construct_module.search_space_size
+    assert size(5, 60, "pos", 1, 1) == 1
+    with pytest.raises(ValueError, match="t must lie in 1..60"):
+        size(5, 61, "pos", 1, 1)
+    # numerators 1..4 fit every window over p = 5: 8 signed digits per exponent
+    assert size(5, 1, "all", 4, 12_500) == 10**5
+    with pytest.raises(ValueError, match="digit pool would hold more than 100000 digits"):
+        size(5, 1, "all", 4, 12_501)
+    assert size(3, 29, "pos", 1, 4) == 4**29
+    with pytest.raises(ValueError, match="search space would hold 4\\*\\*30"):
+        size(3, 30, "pos", 1, 4)

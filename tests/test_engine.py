@@ -43,6 +43,7 @@ from padiccf.engine import (
 from oracles import (
     convergents_brute,
     eval_cf_brute,
+    hensel_brute,
     rational_expand_brute,
     surd_expand_brute,
     surd_valuation_brute,
@@ -50,6 +51,8 @@ from oracles import (
 )
 
 engine_module = importlib.import_module("padiccf.engine")
+analysis_module = importlib.import_module("padiccf.analysis")
+construct_module = importlib.import_module("padiccf.construct")
 
 # The classical period-12 value over p=5 and its complete digit list.
 PERIOD12_STATE = QuadIrr(5, 19, -13, 6, 1, 2)
@@ -154,7 +157,7 @@ def test_rational_expansions_match_oracle():
     rng = random.Random(1106)
     for _ in range(60):
         p = rng.choice([3, 5, 7])
-        x = random_rational(rng, p)
+        x = random_rational(rng)
         digs, terminated = rational_expand_brute(x, p, BROWKIN, 400)
         assert terminated
         exp = expand_rational(x, p)
@@ -209,6 +212,63 @@ def test_step_rejects_a_corrupted_state_under_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
                           text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
     assert proc.stdout.strip() == "1 InvariantError c | Delta - b'**2 must propagate", proc.stderr
+
+
+def test_stepped_states_carry_the_root_in_b():
+    # a state stepped from one with k >= 1 has b = delta mod p**(k+1), the
+    # fact that lets expand skip the Hensel lift on it; first states with
+    # k <= 0 or b != branch mod p are drawn too, and every digit stream
+    # must still match the rational-pair oracle
+    rng = random.Random(1212)
+    checked, first_kinds = 0, set()
+    for i in range(80):
+        p = rng.choice([3, 5, 7])
+        alpha = random_quad(rng, p) if i % 2 else random_trace_zero(rng, p)
+        first_kinds.add((alpha.k <= 0, (alpha.b - alpha.branch) % p != 0))
+        u, v = _pair(alpha)
+        for flavor in (BROWKIN, RUBAN):
+            exp = expand(alpha, flavor, max_steps=10)
+            want = surd_expand_brute(u, v, alpha.Delta, alpha.branch, p, flavor, 8)
+            assert [exp.quotient_at(j).value for j in range(8)] == want, (alpha, flavor)
+            for prev, st in zip(exp.states, exp.states[1:]):
+                if prev.k < 1:
+                    continue
+                pk = p ** (st.k + 1)
+                if pk <= 10**5:
+                    assert (st.b - hensel_brute(st.Delta, st.branch, st.k + 1, p)) % pk == 0
+                else:  # the congruences that define hensel_brute's unique root
+                    assert (st.b * st.b - st.Delta) % pk == 0 and st.b % p == st.branch
+                checked += 1
+    assert {(False, False), (False, True), (True, True)} <= first_kinds
+    assert checked > 1000
+
+
+def test_expand_lifts_delta_at_most_twice(monkeypatch):
+    # only state 0, and state 1 when k_0 <= 0, need a Hensel lift
+    lifts, per_expansion = [0], []
+    real_lift, real_expand = engine_module.hensel_digits, engine_module.expand
+
+    def counting_lift(*args):
+        lifts[0] += 1
+        return real_lift(*args)
+
+    def counting_expand(*args, **kwargs):
+        before = lifts[0]
+        exp = real_expand(*args, **kwargs)
+        per_expansion.append(lifts[0] - before)
+        return exp
+
+    monkeypatch.setattr(engine_module, "hensel_digits", counting_lift)
+    for module in (engine_module, analysis_module, construct_module):
+        monkeypatch.setattr(module, "expand", counting_expand)
+    opened = engine_module.expand(SQRT89_STATE, max_steps=2000)
+    assert opened.status == OPEN and len(opened.preperiod) == 2000
+    assert engine_module.expand(PERIOD12_STATE).status == PERIODIC
+    assert len(analysis_module.ruban_nonperiodic_probe(6, 1, 5).expansion.preperiod) == 2000
+    cert = construct_module.is_nice((LaurentInt(3, 1, 1), LaurentInt(3, 110, 4)))
+    assert construct_module.construct(cert, 0).verified
+    assert len(per_expansion) >= 4
+    assert max(per_expansion) <= 2, per_expansion
 
 
 def test_digit_windows_along_expansion():
@@ -371,7 +431,7 @@ def test_rational_ks_are_the_valuations_of_the_complete_quotients():
     samples = [(Fraction(0), 5, BROWKIN), (Fraction(0), 5, RUBAN), (Fraction(-1), 5, RUBAN)]
     for _ in range(300):
         p = rng.choice([3, 5, 7, 11])
-        x = random_rational(rng, p) * Fraction(p) ** rng.randint(-2, 3)
+        x = random_rational(rng) * Fraction(p) ** rng.randint(-2, 3)
         samples.append((x, p, rng.choice([BROWKIN, RUBAN])))
     for x, p, flavor in samples:
         exp = expand_rational(x, p, flavor, max_steps=60)
@@ -440,21 +500,6 @@ def test_quotient_list_parsing_errors():
         parse_quotient_list("", 5)
     with pytest.raises(ValueError):
         parse_quotient_list("1/6", 5)
-
-
-# -- approximation digits -----------------------------------------------------------
-
-
-def test_approx_digits_defines_the_value():
-    rng = random.Random(1114)
-    for _ in range(25):
-        p = rng.choice([3, 5, 7])
-        alpha = random_quad(rng, p)
-        e, unit = alpha.approx_digits(6)
-        assert e == alpha.valuation
-        assert unit % p != 0
-        r = Fraction(unit) * Fraction(p) ** e
-        assert quad_distance_valuation(alpha, r) >= e + 6
 
 
 def test_state_accessors_are_consistent():

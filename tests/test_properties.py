@@ -84,7 +84,7 @@ def test_convergent_table_holds_up(seed, p, flavor):
     alpha = quad(seed, p)
     exp = expand(alpha, flavor, max_steps=10)
     digits = digits_of(exp)[:10]
-    table = convergents(digits, p)
+    table = convergents(digits)
     A, B = convergents_brute([d.value for d in digits])
     for n in range(-1, len(table)):
         assert table.A_(n) == A[n + 1] and table.B_(n) == B[n + 1]
