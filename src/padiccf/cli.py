@@ -49,6 +49,9 @@ from .engine import (
 from .refchecks import DEFAULT_CASES, DEFAULT_SEED, check_names, run_checks
 
 MAX_DIGITS_CEILING = 10**6  # one construct at a million digits takes minutes
+# expand stores every state and states grow by ~0.7 bits a step, so memory
+# grows with the square of the step count: 50,000 steps take ~280 MB
+MAX_STEPS_CEILING = 50_000
 
 
 def _fail(message: str, code: int = 1):
@@ -129,12 +132,15 @@ def main():
 )
 @click.option("--rational", "rational_spec", default=None, metavar="N[/D]")
 @click.option("--flavor", type=click.Choice(FLAVORS), default=BROWKIN, show_default=True)
-@click.option("--max-steps", type=int, default=DEFAULT_MAX_STEPS, show_default=True)
+@click.option("--max-steps", type=int, default=DEFAULT_MAX_STEPS, show_default=True,
+              help=f"report the expansion open after this many digits, 1..{MAX_STEPS_CEILING}")
 @_io_options
 def cmd_expand(p, quad_spec, rational_spec, flavor, max_steps, as_json, out_file):
     """Expand one value and report its digit stream and periodicity status."""
     start = time.perf_counter()
     _need_odd_prime(p)
+    if not 1 <= max_steps <= MAX_STEPS_CEILING:
+        _fail(f"--max-steps must lie in 1..{MAX_STEPS_CEILING}, got {max_steps}")
     if (quad_spec is None) == (rational_spec is None):
         _fail("exactly one of --quad or --rational is required")
     try:

@@ -8,7 +8,14 @@ Ruban flavor) and produces the next state by the closed-form update
 
     b' = a~ * c - b,      p**(k + k') * c * c' = Delta - b'**2,
 
-which keeps every quantity an integer. Periodicity is detected by the first
+which keeps every quantity an integer. The update needs no squaring and no
+big division: with r = a~ and X = (Delta - b**2)/c,
+
+    p**(k + k') * c' = (Delta - b'**2)/c = X + r * (b - b'),
+
+because Delta - b'**2 = (Delta - b**2) + r*c*(b - b') when b + b' = r*c, and
+the next state's X is p**(k + k') * c. Every operation is small-by-big or
+linear in the state size. Periodicity is detected by the first
 repeat of the exact triple (b, c, k); for a fixed (Delta, branch) that triple
 determines the value (c is prime to p, so k and c are recoverable from the
 denominator), hence the first repeat yields the minimal preperiod and period.
@@ -318,31 +325,43 @@ def _residue(alpha: QuadIrr, flavor: str, root_in_b: bool = False) -> int:
 # -- the stepper -----------------------------------------------------------
 
 
-def step(alpha: QuadIrr, flavor: str = BROWKIN, _root_in_b: bool = False):
+def step(alpha: QuadIrr, flavor: str = BROWKIN, _prev: QuadIrr | None = None):
     """One algorithm step: returns (digit, next complete quotient).
 
     The update is exact integer arithmetic: with r = p**k * a the window
-    residue, b' = r c - b, and Delta - b'**2 = p**(k + k') c c' defines k'
-    and c'. step(alpha, flavor) is exact on any valid state; expand passes
-    _root_in_b=True on states stepped from one with k >= 1 (see _residue).
+    residue and b' = r c - b, Delta - b'**2 = p**(k + k') c c' defines k'
+    and c'. It is computed without a division by c: X = (Delta - b**2)/c
+    gives p**(k + k') c' = X + r (b - b'), since Delta - b'**2 =
+    (Delta - b**2) + r c (b - b') when b + b' = r c.
+
+    step(alpha, flavor) is exact on any valid state and finds X with one
+    exact division. expand passes _prev, the state alpha was stepped from:
+    then X = p**(k_prev + k) c_prev needs no division, and b is delta to the
+    digit's precision when k_prev >= 1 (see _residue).
     """
     _check_flavor(flavor)
-    r = _residue(alpha, flavor, _root_in_b)
-    b1 = r * alpha.c - alpha.b
-    D = alpha.Delta - b1 * b1
-    if D == 0:
+    p, b, c = alpha.p, alpha.b, alpha.c
+    if _prev is None:
+        # Delta - b'**2 = Delta - b**2 mod c, so this is the check that c
+        # divides the next state's Delta - b'**2
+        X, rem = divmod(alpha.Delta - b * b, c)
+        _invariant(rem == 0, "c | Delta - b'**2 must propagate")
+    else:
+        X = p ** (_prev.k + alpha.k) * _prev.c
+    r = _residue(alpha, flavor, _prev is not None and _prev.k >= 1)
+    b1 = r * c - b
+    Xc1 = X + r * (b - b1)  # (Delta - b1**2)/c = p**(k + k1) * c1
+    if Xc1 == 0:
         raise ValueError("rational leak: Delta = b'**2, invariant violation")
-    e, Dt = split_p(D, alpha.p)
-    c1, rem = divmod(Dt, alpha.c)
-    _invariant(rem == 0, "c | Delta - b'**2 must propagate")
+    e, c1 = split_p(Xc1, p)
     k1 = e - alpha.k
     _invariant(k1 >= 1, "next complete quotient must have negative valuation")
     # Delta and branch are kept, and c1 != 0 is free of p and divides
     # Delta - b1**2 = p**e * c * c1, so QuadIrr's checks are skipped.
     nxt = object.__new__(QuadIrr)
-    nxt.__dict__.update(p=alpha.p, Delta=alpha.Delta, b=b1, c=c1, k=k1, branch=alpha.branch)
+    nxt.__dict__.update(p=p, Delta=alpha.Delta, b=b1, c=c1, k=k1, branch=alpha.branch)
     # for k < 0, r = 0 and LaurentInt stores the digit as (0, 0)
-    return LaurentInt(alpha.p, r, alpha.k), nxt
+    return LaurentInt(p, r, alpha.k), nxt
 
 
 # -- expansions ------------------------------------------------------------
@@ -434,10 +453,7 @@ def expand(alpha: QuadIrr, flavor: str = BROWKIN, max_steps: int = DEFAULT_MAX_S
     seen: dict[tuple[int, int, int], int] = {}
     quots: list[LaurentInt] = []
     states: list[QuadIrr] = []
-    cur = alpha
-    # every state after the first has k >= 1, so from this index on b is
-    # delta to the precision the digit needs (see _residue)
-    root_from = 1 if alpha.k >= 1 else 2
+    cur, prev = alpha, None
     for i in range(max_steps):
         key = (cur.b, cur.c, cur.k)
         j = seen.get(key)
@@ -448,7 +464,8 @@ def expand(alpha: QuadIrr, flavor: str = BROWKIN, max_steps: int = DEFAULT_MAX_S
             return Expansion(alpha.p, flavor, PERIODIC, pre, per, k0, alpha, tuple(states))
         seen[key] = i
         states.append(cur)
-        a, cur = step(cur, flavor, _root_in_b=i >= root_from)
+        a, nxt = step(cur, flavor, _prev=prev)
+        prev, cur = cur, nxt
         quots.append(a)
     return Expansion(alpha.p, flavor, OPEN, tuple(quots), (), k0, alpha,
                      tuple(states))

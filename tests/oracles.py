@@ -123,6 +123,21 @@ def newton_sqrt_mod(Delta, branch, p, N):
     return x
 
 
+def step_brute(Delta, b, c, k, r, p):
+    """(b', c', k') after the digit r/p**k of (b + sqrt(Delta))/(p**k * c), by
+    the dividing update: b' = r*c - b, strip p from Delta - b'**2, divide by c."""
+    b1 = r * c - b
+    D = Delta - b1 * b1
+    assert D != 0
+    e = 0
+    while D % p == 0:
+        D //= p
+        e += 1
+    c1, rem = divmod(D, c)
+    assert rem == 0
+    return b1, c1, e - k
+
+
 def surd_valuation_brute(u, v, Delta, branch, p):
     u, v = Fraction(u), Fraction(v)
     if v == 0:

@@ -97,6 +97,26 @@ def test_expand_rejects_malformed_quad():
     assert nonresidue.stderr.startswith("error:")
 
 
+def test_expand_rejects_max_steps_outside_its_bounds(monkeypatch):
+    # checked before any state is built or stepped
+    def refuse(*args, **kwargs):
+        raise AssertionError("a value was normalized or expanded")
+
+    for name in ("normalize", "expand", "expand_rational"):
+        monkeypatch.setattr(cli, name, refuse)
+    ceiling = cli.MAX_STEPS_CEILING
+    for steps in ("0", "-3", str(ceiling + 1), "10000000000000"):
+        for subject in (("--quad", "89,8,1,1,3"), ("--rational", "1/3")):
+            res = run("expand", "--p", "5", *subject, "--max-steps", steps)
+            assert res.exit_code == 1
+            assert res.stdout == ""
+            assert f"--max-steps must lie in 1..{ceiling}, got {steps}" in res.stderr
+    monkeypatch.undo()
+    top = run("expand", "--p", "3", "--rational", "10/3", "--max-steps", str(ceiling))
+    assert top.exit_code == 0
+    assert top.stdout.splitlines()[-1] == "[1/3, 1/3]"
+
+
 def test_expand_rejects_huge_k():
     # 5**286136 has 200,001 decimal digits, one past the digit cap; 286135
     # would still be admitted.

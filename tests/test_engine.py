@@ -45,6 +45,7 @@ from oracles import (
     eval_cf_brute,
     hensel_brute,
     rational_expand_brute,
+    step_brute,
     surd_expand_brute,
     surd_valuation_brute,
     vp_brute,
@@ -269,6 +270,55 @@ def test_expand_lifts_delta_at_most_twice(monkeypatch):
     assert construct_module.construct(cert, 0).verified
     assert len(per_expansion) >= 4
     assert max(per_expansion) <= 2, per_expansion
+
+
+@pytest.mark.parametrize("flavor", [BROWKIN, RUBAN])
+def test_expansion_states_follow_the_dividing_update(flavor):
+    # expand steps without dividing by c; every stored state, and the wrap
+    # back into the cycle, must equal the dividing update of the state before
+    # it, and the digits must match the rational-pair oracle
+    rng = random.Random(1313)
+    pinned = [PERIOD12_STATE, SQRT89_STATE, QuadIrr(7, 386, 0, -386, -1, 6),
+              QuadIrr(5, 126, 0, 2, 0, 1)]
+    drawn = [random_quad(rng, rng.choice([3, 5, 7])) for _ in range(30)]
+    drawn += [random_trace_zero(rng, rng.choice([3, 5, 7])) for _ in range(30)]
+    checked = 0
+    for alpha in pinned + drawn:
+        p = alpha.p
+        exp = expand(alpha, flavor, max_steps=40)
+        n = len(exp.quotients)
+        u, v = _pair(alpha)
+        want = surd_expand_brute(u, v, alpha.Delta, alpha.branch, p, flavor, n)
+        assert [q.value for q in exp.quotients] == want, (alpha, flavor)
+        for i in range(n if exp.status == PERIODIC else n - 1):
+            st, nxt = exp.state_at(i), exp.state_at(i + 1)
+            r = exp.quotient_at(i).value * Fraction(p) ** max(st.k, 0)
+            assert r.denominator == 1
+            assert (nxt.b, nxt.c, nxt.k) == step_brute(st.Delta, st.b, st.c, st.k, int(r), p)
+            checked += 1
+    assert {-1, 0} <= {alpha.k for alpha in drawn}  # first states with k <= 0
+    assert checked > 1500
+
+
+def test_expand_divides_at_most_once(monkeypatch):
+    # only state 0's (Delta - b**2)/c is a division; every later step is
+    # linear in the state size
+    calls = [0]
+
+    def counting_divmod(*args):
+        calls[0] += 1
+        return divmod(*args)
+
+    monkeypatch.setattr(engine_module, "divmod", counting_divmod, raising=False)
+    runs = [
+        lambda: engine_module.expand(SQRT89_STATE, max_steps=2000).status == OPEN,
+        lambda: engine_module.expand(PERIOD12_STATE).status == PERIODIC,
+        lambda: len(analysis_module.ruban_nonperiodic_probe(6, 1, 5).expansion.preperiod) == 2000,
+    ]
+    for run in runs:
+        calls[0] = 0
+        assert run()
+        assert calls[0] <= 1
 
 
 def test_digit_windows_along_expansion():
