@@ -13,7 +13,6 @@ from .core import (
     DlogBudgetExceeded,
     InvariantError,
     LaurentInt,
-    centered_residue,
     discrete_log,
     hensel_digits,
     legendre,

@@ -96,22 +96,6 @@ def vp(x, p):
     return split_p(num, p)[0] - split_p(den, p)[0]
 
 
-def centered_residue(x: int, n: int, p: int) -> int:
-    """The representative of x mod p**n lying strictly inside (-p**n/2, p**n/2).
-
-    p is odd so p**n is odd and the representative is unique.
-    """
-    _check_odd_prime(p)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    pn = p**n
-    r = x % pn
-    if 2 * r > pn:
-        r -= pn
-    _invariant(-pn < 2 * r < pn, "centered residue must lie inside the window")
-    return r
-
-
 def legendre(a: int, p: int) -> int:
     """Legendre symbol (a|p) in {-1, 0, 1}."""
     _check_odd_prime(p)

@@ -14,11 +14,26 @@ big division: with r = a~ and X = (Delta - b**2)/c,
     p**(k + k') * c' = (Delta - b'**2)/c = X + r * (b - b'),
 
 because Delta - b'**2 = (Delta - b**2) + r*c*(b - b') when b + b' = r*c, and
-the next state's X is p**(k + k') * c. Every operation is small-by-big or
-linear in the state size. Periodicity is detected by the first
-repeat of the exact triple (b, c, k); for a fixed (Delta, branch) that triple
-determines the value (c is prime to p, so k and c are recoverable from the
-denominator), hence the first repeat yields the minimal preperiod and period.
+the next state's X is p**(k + k') * c. On a state stepped from one with
+k_prev >= 0, X = p**(k_prev + k) * c_prev and the digit numerator r is a
+p-unit (the state has k >= 1 and valuation exactly -k), so
+
+    r * (b - b') = p**k * (p**k' * c' - p**k_prev * c_prev)
+
+puts p**k in b - b', and the step computes
+
+    p**k' * c' = p**k_prev * c_prev + r * (b - b')/p**k
+
+after one exact division by p**k. Its divisor is small when k is small, and
+its quotient is small when k is near the state size, as for the middle digit
+of a construction's re-expansion (k ~ omega); split_p then strips only k'.
+Apart from split_p's strip of a huge k', every operation is small-by-big,
+linear in the state size or a division with a small quotient.
+
+Periodicity is detected by the first repeat of the exact triple (b, c, k);
+for a fixed (Delta, branch) that triple determines the value (c is prime to
+p, so k and c are recoverable from the denominator), hence the first repeat
+yields the minimal preperiod and period.
 """
 
 from __future__ import annotations
@@ -33,7 +48,6 @@ from .core import (
     LaurentInt,
     _check_odd_prime,
     _invariant,
-    centered_residue,
     hensel_digits,
     mod_inverse,
     padic_square_exists,
@@ -294,32 +308,50 @@ def _from_uvw(p: int, u: int, v: int, w: int, Delta: int, branch: int) -> QuadIr
 # -- s-functions -----------------------------------------------------------
 
 
-def _window_residue(num: int, den: int, k: int, p: int, flavor: str) -> int:
-    """The numerator r of the digit r/p**k of num/(p**k * den), for a p-unit
-    den and k >= 0: the residue mod p**(k+1), centered for the Browkin
-    flavor."""
-    pn = p ** (k + 1)
-    t = num * mod_inverse(den % pn, pn) % pn
-    return centered_residue(t, k + 1, p) if flavor == BROWKIN else t
+def _window_residue(num: int, den: int, pk: int, p: int, flavor: str) -> int:
+    """The numerator r of the digit r/pk of num/(pk * den), for pk = p**k
+    with k >= 0 and a p-unit den: num/den mod pn = p**(k+1), centered for
+    the Browkin flavor.
+
+    With t = num mod pn and d = den mod pn (den made positive first, so a
+    small den stays small), the residue in [0, pn) is (t + j*pn)/d for
+    j = -t/pn mod d: d divides that numerator, which lies in [0, d*pn).
+    Every product and division is then by d, so the cost is O(bits(d) * k)
+    where reducing num times an inverse mod pn costs O(k**2).
+    """
+    pn = pk * p
+    if den < 0:
+        num, den = -num, -den
+    t, d = num % pn, den % pn
+    j = -(t % d) * pow(pn, -1, d) % d
+    r = (t + j * pn) // d
+    if flavor == BROWKIN:
+        if 2 * r > pn:
+            r -= pn
+        _invariant(-pn < 2 * r < pn, "centered residue must lie inside the window")
+    return r
 
 
-def _residue(alpha: QuadIrr, flavor: str, root_in_b: bool = False) -> int:
-    """The digit numerator r = p**k * a of alpha (0 when k < 0).
+def _residue(alpha: QuadIrr, flavor: str, root_in_b: bool = False):
+    """(r, p**k) for the digit numerator r = p**k * a of alpha; (0, None)
+    when k < 0.
 
     r is the window residue of (b + delta)/c, so delta is needed only mod
     p**(k+1). root_in_b says b is delta mod p**(k+1), which holds on every
     state stepped from one with k >= 1; then nothing is lifted. Proof: for
     a state with k >= 0, digit r/p**k and b' = r c - b, v(alpha - a) >= 1
-    gives b' = delta mod p, so delta + b' is a unit and Delta - b'**2 =
-    (delta - b')(delta + b') = p**(k + k') c c' gives b' = delta mod
-    p**(k + k'), which covers the next digit's p**(k' + 1) when k >= 1.
+    gives b' = delta mod p, so delta + b' is a unit (the next state has
+    valuation exactly -k') and Delta - b'**2 = (delta - b')(delta + b') =
+    p**(k + k') c c' gives b' = delta mod p**(k + k'), which covers the
+    next digit's p**(k' + 1) when k >= 1.
     """
     p, k = alpha.p, alpha.k
     if k < 0:
         # v_p(alpha) = v_p(b + delta) - k >= 1, the digit window is empty
-        return 0
+        return 0, None
     root = alpha.b if root_in_b else hensel_digits(p, alpha.Delta, alpha.branch, k + 1)
-    return _window_residue(alpha.b + root, alpha.c, k, p, flavor)
+    pk = p**k
+    return _window_residue(alpha.b + root, alpha.c, pk, p, flavor), pk
 
 
 # -- the stepper -----------------------------------------------------------
@@ -337,31 +369,44 @@ def step(alpha: QuadIrr, flavor: str = BROWKIN, _prev: QuadIrr | None = None):
     step(alpha, flavor) is exact on any valid state and finds X with one
     exact division. expand passes _prev, the state alpha was stepped from:
     then X = p**(k_prev + k) c_prev needs no division, and b is delta to the
-    digit's precision when k_prev >= 1 (see _residue).
+    digit's precision when k_prev >= 1 (see _residue). When k_prev >= 0,
+    alpha has k >= 1 and valuation exactly -k (see _residue), so r is a
+    p-unit, and r (b - b') = p**k (p**k' c' - p**k_prev c_prev) shows that
+    p**k divides b - b'. The step then strips only k' from
+
+        p**k' c' = p**k_prev c_prev + r (b - b')/p**k,
+
+    after one exact division by p**k, whose divisor is small when k is
+    small and whose quotient is small when k is near the state size.
     """
     _check_flavor(flavor)
-    p, b, c = alpha.p, alpha.b, alpha.c
-    if _prev is None:
-        # Delta - b'**2 = Delta - b**2 mod c, so this is the check that c
-        # divides the next state's Delta - b'**2
-        X, rem = divmod(alpha.Delta - b * b, c)
-        _invariant(rem == 0, "c | Delta - b'**2 must propagate")
-    else:
-        X = p ** (_prev.k + alpha.k) * _prev.c
-    r = _residue(alpha, flavor, _prev is not None and _prev.k >= 1)
+    p, b, c, k = alpha.p, alpha.b, alpha.c, alpha.k
+    r, pk = _residue(alpha, flavor, _prev is not None and _prev.k >= 1)
     b1 = r * c - b
-    Xc1 = X + r * (b - b1)  # (Delta - b1**2)/c = p**(k + k1) * c1
-    if Xc1 == 0:
+    if _prev is not None and _prev.k >= 0:
+        q, rem = divmod(b - b1, pk)
+        _invariant(rem == 0, "p**k must divide b - b'")
+        Y, shift = p**_prev.k * _prev.c + r * q, 0  # p**k1 * c1
+    else:
+        if _prev is None:
+            # Delta - b'**2 = Delta - b**2 mod c, so this is the check that c
+            # divides the next state's Delta - b'**2
+            X, rem = divmod(alpha.Delta - b * b, c)
+            _invariant(rem == 0, "c | Delta - b'**2 must propagate")
+        else:  # after a state 0 with k0 < 0, alpha need not have valuation -k
+            X = p ** (_prev.k + k) * _prev.c
+        Y, shift = X + r * (b - b1), k  # (Delta - b1**2)/c = p**(k + k1) * c1
+    if Y == 0:
         raise ValueError("rational leak: Delta = b'**2, invariant violation")
-    e, c1 = split_p(Xc1, p)
-    k1 = e - alpha.k
+    e, c1 = split_p(Y, p)
+    k1 = e - shift
     _invariant(k1 >= 1, "next complete quotient must have negative valuation")
     # Delta and branch are kept, and c1 != 0 is free of p and divides
     # Delta - b1**2 = p**e * c * c1, so QuadIrr's checks are skipped.
     nxt = object.__new__(QuadIrr)
     nxt.__dict__.update(p=p, Delta=alpha.Delta, b=b1, c=c1, k=k1, branch=alpha.branch)
     # for k < 0, r = 0 and LaurentInt stores the digit as (0, 0)
-    return LaurentInt(p, r, alpha.k), nxt
+    return LaurentInt(p, r, k), nxt
 
 
 # -- expansions ------------------------------------------------------------
@@ -490,7 +535,7 @@ def expand_rational(x, p: int, flavor: str = BROWKIN, max_steps: int = DEFAULT_M
                 return Expansion(p, flavor, PERIODIC, tuple(quots[:j]), tuple(quots[j:]), k0, x)
             seen[cur] = i
         k, den = split_p(cur.denominator, p)
-        a = LaurentInt(p, _window_residue(cur.numerator, den, k, p, flavor), k)
+        a = LaurentInt(p, _window_residue(cur.numerator, den, p**k, p, flavor), k)
         quots.append(a)
         rem = cur - a.value
         if rem == 0:
@@ -609,7 +654,7 @@ def first_reexpansion(candidates, preperiod, period, flavor: str = BROWKIN):
     """
     first = (preperiod + period)[0]
     for alpha in candidates:
-        if LaurentInt(alpha.p, _residue(alpha, flavor), alpha.k) != first:
+        if LaurentInt(alpha.p, _residue(alpha, flavor)[0], alpha.k) != first:
             continue
         exp = expand(alpha, flavor, max_steps=len(preperiod) + len(period) + 1)
         if _reproduces(exp, preperiod, period):

@@ -125,14 +125,17 @@ def newton_sqrt_mod(Delta, branch, p, N):
 
 def step_brute(Delta, b, c, k, r, p):
     """(b', c', k') after the digit r/p**k of (b + sqrt(Delta))/(p**k * c), by
-    the dividing update: b' = r*c - b, strip p from Delta - b'**2, divide by c."""
+    the dividing update: b' = r*c - b, strip p from Delta - b'**2, divide by c.
+    p is stripped 256 and 16 factors at a time first, so that exponents
+    near omega stay cheap."""
     b1 = r * c - b
     D = Delta - b1 * b1
     assert D != 0
     e = 0
-    while D % p == 0:
-        D //= p
-        e += 1
+    for f in (256, 16, 1):
+        while D % p**f == 0:
+            D //= p**f
+            e += f
     c1, rem = divmod(D, c)
     assert rem == 0
     return b1, c1, e - k

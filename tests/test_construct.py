@@ -19,8 +19,10 @@ from padiccf import (
     nice_search,
     periodic_limit,
 )
-from padiccf.core import LaurentInt
+from padiccf.core import LaurentInt, split_p
 from padiccf.engine import PERIODIC, QuadIrr, parse_quotient_list
+
+from oracles import step_brute
 
 SEED_6_5 = (LaurentInt(5, 6, 1),)
 SEED_T2 = (LaurentInt(3, 1, 1), LaurentInt(3, 1, 1))
@@ -164,6 +166,35 @@ def test_construction_is_the_limit_of_its_digits(seed, h):
     exp = res.expansion
     assert exp.status == PERIODIC
     assert (exp.preperiod, exp.period) == (res.preperiod, res.period)
+
+
+@pytest.mark.parametrize("seed", [SEED_353, SEED_P16], ids=["l353", "p16"])
+def test_reexpansion_states_follow_the_dividing_update(seed):
+    # the middle digit's exponent is about omega (31,852 for l = 353), the
+    # state size where step divides b - b' by p**k before it strips p
+    res = construct(is_nice(seed), 0)
+    exp, p = res.expansion, res.p
+    assert max(st.k for st in exp.states) > 7000
+    for i in range(len(exp.quotients)):
+        st, nxt = exp.state_at(i), exp.state_at(i + 1)
+        assert (nxt.b, nxt.c, nxt.k) == step_brute(st.Delta, st.b, st.c, st.k,
+                                                    exp.quotient_at(i).tilde, p)
+
+
+def test_reexpansion_strips_p_only_from_state_size_numbers(monkeypatch):
+    # step divides b - b' by p**k before it strips p, so no strip in the
+    # l = 353 re-expansion sees a product twice the size of m, as the one
+    # that would strip p**31,853 at once would
+    sizes = []
+
+    def spying_split_p(n, p):
+        sizes.append(n.bit_length())
+        return split_p(n, p)
+
+    monkeypatch.setattr(engine_module, "split_p", spying_split_p)
+    res = construct(is_nice(SEED_353), 0)
+    assert res.verified and res.m.bit_length() == 50489
+    assert sizes and max(sizes) <= res.m.bit_length() + 64
 
 
 @pytest.mark.parametrize("text,p", [("-6/5", 5), ("-1/3, -1/3", 3), ("-1/3, -110/81", 3)])

@@ -11,7 +11,6 @@ from padiccf.core import (
     DlogBudgetExceeded,
     LaurentInt,
     _check_odd_prime,
-    centered_residue,
     discrete_log,
     divisors,
     factorint,
@@ -25,6 +24,7 @@ from padiccf.core import (
     sqrt_mod_p,
     vp,
 )
+from padiccf.engine import BROWKIN, _window_residue
 
 from oracles import (
     centered_residue_brute,
@@ -94,6 +94,12 @@ def test_vp_is_a_valuation(p, x, y):
     assert vp(x * y, p) == vp(x, p) + vp(y, p)
     if x + y != 0:
         assert vp(x + y, p) >= min(vp(x, p), vp(y, p))
+
+
+def centered_residue(x, n, p):
+    # the residue of x mod p**n centered in (-p**n/2, p**n/2) is the Browkin
+    # digit window of x/1 at k = n - 1
+    return _window_residue(x, 1, p ** (n - 1), p, BROWKIN)
 
 
 def test_centered_residue_pinned():

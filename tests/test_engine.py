@@ -35,6 +35,7 @@ from padiccf.engine import (
     PERIODIC,
     RUBAN,
     Expansion,
+    _window_residue,
     first_reexpansion,
     parse_quotient_list,
     quad_distance_valuation,
@@ -194,25 +195,50 @@ def test_step_emits_digit_and_reciprocal_remainder():
             assert nxt.valuation < 0
 
 
-def test_step_rejects_a_corrupted_state_under_python_O():
-    # step skips QuadIrr's checks on the state it builds; its own invariants
-    # must fire under python -O, which strips assert statements
+def _step_under_python_O(setup):
+    """Run step(alpha, **step_kw) under python -O after the lines in setup.
+
+    step skips QuadIrr's checks on the state it builds; its own invariants
+    must fire under -O, which strips assert statements.
+    """
     code = (
         "import sys\n"
         "from padiccf import QuadIrr, step\n"
-        "alpha = QuadIrr(5, 19, -13, 6, 1, 2)\n"
-        "object.__setattr__(alpha, 'c', 7)\n"
+        "step_kw = {}\n"
+        + setup +
         "try:\n"
-        "    step(alpha)\n"
+        "    step(alpha, **step_kw)\n"
         "    print(sys.flags.optimize, 'accepted')\n"
         "except AssertionError as exc:\n"
         "    print(sys.flags.optimize, type(exc).__name__, exc)\n"
     )
     src = str(Path(padiccf.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+    return subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
                           text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
+
+
+def test_step_rejects_a_corrupted_state_under_python_O():
+    setup = (
+        "alpha = QuadIrr(5, 19, -13, 6, 1, 2)\n"
+        "object.__setattr__(alpha, 'c', 7)\n"
+    )
+    proc = _step_under_python_O(setup)
     assert proc.stdout.strip() == "1 InvariantError c | Delta - b'**2 must propagate", proc.stderr
+
+
+def test_step_rejects_an_inexact_p_power_division_under_python_O():
+    # a stepped state whose b is no longer delta mod p: adding c keeps
+    # c | Delta - b**2, but p**k no longer divides b - b'; prev has k = 0,
+    # so the root is lifted rather than read from b
+    setup = (
+        "prev = QuadIrr(5, 126, 0, 2, 0, 1)\n"
+        "alpha = step(prev)[1]\n"
+        "object.__setattr__(alpha, 'b', alpha.b + alpha.c)\n"
+        "step_kw = {'_prev': prev}\n"
+    )
+    proc = _step_under_python_O(setup)
+    assert proc.stdout.strip() == "1 InvariantError p**k must divide b - b'", proc.stderr
 
 
 def test_stepped_states_carry_the_root_in_b():
@@ -300,25 +326,54 @@ def test_expansion_states_follow_the_dividing_update(flavor):
     assert checked > 1500
 
 
-def test_expand_divides_at_most_once(monkeypatch):
-    # only state 0's (Delta - b**2)/c is a division; every later step is
-    # linear in the state size
-    calls = [0]
+def test_expand_divides_by_c_only_on_state_0(monkeypatch):
+    # only state 0's (Delta - b**2)/c divides by c; every later step divides
+    # b - b' exactly by p**k, except the step after a state 0 with k0 < 0,
+    # which divides by nothing
+    divisors = []
 
-    def counting_divmod(*args):
-        calls[0] += 1
-        return divmod(*args)
+    def recording_divmod(x, y):
+        divisors.append(y)
+        return divmod(x, y)
 
-    monkeypatch.setattr(engine_module, "divmod", counting_divmod, raising=False)
+    monkeypatch.setattr(engine_module, "divmod", recording_divmod, raising=False)
     runs = [
-        lambda: engine_module.expand(SQRT89_STATE, max_steps=2000).status == OPEN,
-        lambda: engine_module.expand(PERIOD12_STATE).status == PERIODIC,
-        lambda: len(analysis_module.ruban_nonperiodic_probe(6, 1, 5).expansion.preperiod) == 2000,
+        lambda: engine_module.expand(SQRT89_STATE, max_steps=2000),
+        lambda: engine_module.expand(PERIOD12_STATE),
+        lambda: analysis_module.ruban_nonperiodic_probe(6, 1, 5).expansion,
     ]
     for run in runs:
-        calls[0] = 0
-        assert run()
-        assert calls[0] <= 1
+        divisors.clear()
+        exp = run()
+        st = exp.states
+        assert len(st) in (12, 2000)
+        want = [st[0].c] + [exp.p**cur.k for prev, cur in zip(st, st[1:]) if prev.k >= 0]
+        assert divisors == want
+    assert st[0].k < 0 and len(divisors) == len(st) - 1  # the probe's state 0
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 40, 5000])
+def test_window_residue_matches_the_inverse_route(k):
+    # solving through the small denominator must give num * den**-1 mod
+    # p**(k+1), centered for Browkin, for any sign and size of den
+    rng = random.Random(1414 + k)
+    for p in (3, 5, 7):
+        pn = p ** (k + 1)
+        bits = pn.bit_length()
+        dens = [1, -1]
+        for size in (3, 12, bits + 20):
+            d = rng.getrandbits(size) | 1
+            if d % p == 0:
+                d += 2
+            dens += [d, -d]
+        assert any(d > pn for d in dens)
+        for den in dens:
+            for size in (0, 5, bits, 3 * bits):
+                num = rng.getrandbits(size) * rng.choice((1, -1)) if size else 0
+                want = num * pow(den, -1, pn) % pn
+                assert _window_residue(num, den, p**k, p, RUBAN) == want
+                centered = want - pn if 2 * want > pn else want
+                assert _window_residue(num, den, p**k, p, BROWKIN) == centered
 
 
 def test_digit_windows_along_expansion():
