@@ -49,8 +49,8 @@ from .engine import (
 from .refchecks import DEFAULT_CASES, DEFAULT_SEED, check_names, run_checks
 
 MAX_DIGITS_CEILING = 10**6  # one construct at a million digits takes minutes
-# expand stores every state and states grow by ~0.7 bits a step, so memory
-# grows with the square of the step count: 50,000 steps take ~280 MB
+# expand holds four states, so memory is linear in the step count; states grow
+# by ~0.7 bits a step and a step is linear in the state, so time is quadratic
 MAX_STEPS_CEILING = 50_000
 
 

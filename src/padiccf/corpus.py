@@ -120,8 +120,7 @@ def random_periodic(rng: random.Random, p: int) -> QuadIrr:
         for base in periodic_bases(p):
             exp = expand(base, BROWKIN, max_steps=600)
             _invariant(exp.status == PERIODIC, "periodic base list is stale")
-            for i in range(len(exp.preperiod) + len(exp.period)):
-                pool.append(exp.state_at(i))
+            pool.extend(exp.walk())
         _PERIODIC_STATE_CACHE[p] = pool = tuple(pool)
     st = rng.choice(pool)
     if rng.random() < 0.5:

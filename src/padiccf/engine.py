@@ -33,7 +33,12 @@ linear in the state size or a division with a small quotient.
 Periodicity is detected by the first repeat of the exact triple (b, c, k);
 for a fixed (Delta, branch) that triple determines the value (c is prime to
 p, so k and c are recoverable from the denominator), hence the first repeat
-yields the minimal preperiod and period.
+yields the minimal preperiod and period. expand holds a fixed four states
+and a fingerprint of each triple, and a matching fingerprint counts
+only when the state it points back to, replayed from alpha, has the exact
+triple. An Expansion keeps its digits and alpha, and replays any state it
+is asked for, so memory grows with the digit count, not with the total
+size of the states.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, islice
 from math import gcd, isqrt, lcm, prod
 
 from .core import (
@@ -418,8 +424,9 @@ class Expansion:
 
     k0 is -v_p(alpha_0) (0 for alpha_0 = 0). Every later complete quotient
     has negative valuation, so its k_n = -v_p(alpha_n) is the exponent of
-    the digit a_n; ks and k_at(i) read it from there. states mirrors the
-    recorded complete quotients when the source was a QuadIrr.
+    the digit a_n; ks and k_at(i) read it from there. No complete quotient
+    is stored: when the source alpha is a QuadIrr, walk() and state_at(i)
+    replay them from alpha with the step chain expand ran.
     """
 
     p: int
@@ -429,7 +436,6 @@ class Expansion:
     period: tuple
     k0: int
     alpha: object = None
-    states: tuple = ()
 
     @property
     def quotients(self) -> tuple:
@@ -457,11 +463,24 @@ class Expansion:
         # expansion state N is state 0, so the wrap-around agrees with k0
         return self.k0 if i == 0 else self.quotient_at(i).e
 
+    def walk(self):
+        """Yields the complete quotients 0, 1, ..., n - 1 behind the n
+        recorded digits, one at a time, replayed from alpha; nothing when
+        the source was a rational."""
+        if isinstance(self.alpha, QuadIrr):
+            yield from islice(_walk(self.alpha, self.flavor), len(self.quotients))
+
     def state_at(self, i: int) -> "QuadIrr":
+        """Complete quotient i, replayed from alpha in O(i) steps. On a
+        periodic expansion an index past the cycle wraps into it. IndexError
+        for a negative index, an index past an open expansion's digits, or a
+        rational source."""
         pre, per = len(self.preperiod), len(self.period)
-        if i < pre or per == 0:
-            return self.states[i]
-        return self.states[pre + (i - pre) % per]
+        n = i if i < pre or per == 0 else pre + (i - pre) % per
+        if n >= 0:
+            for st in islice(self.walk(), n, None):
+                return st
+        raise IndexError(f"no complete quotient {i} on this {self.status} expansion")
 
     def text(self) -> str:
         pre = ", ".join(str(q) for q in self.preperiod)
@@ -485,35 +504,67 @@ class Expansion:
         }
 
 
+def _walk(cur: QuadIrr, flavor: str, prev: QuadIrr | None = None):
+    """Yields cur and the states after it, without end, by the chain
+    step(cur, flavor, _prev=prev) that expand runs, where prev is the state
+    cur was stepped from (None for state 0): a replayed state is the one
+    expand saw, triple for triple."""
+    while True:
+        yield cur
+        prev, cur = cur, step(cur, flavor, _prev=prev)[1]
+
+
 def expand(alpha: QuadIrr, flavor: str = BROWKIN, max_steps: int = DEFAULT_MAX_STEPS) -> Expansion:
     """Run the algorithm with cycle detection on the exact state triple.
 
     Returns a periodic expansion with minimal preperiod and period, or an
-    open one if no state repeats within max_steps.
+    open one if no state repeats within max_steps. The states held are
+    alpha, state 1, the current state and the one before it; seen maps
+    the fingerprint hash((b, c, k)) of each state to the last index that
+    had it.
+
+    When state i's fingerprint is in seen, states 0 .. seen[fingerprint]
+    are replayed and state i repeats the first of them whose exact triple
+    equals its own. State 0 is alpha itself, and the replay steps on from
+    the held state 1, since state 0's step is the one that divides by c
+    and lifts delta. A replay without a match is a hash collision, and i
+    then becomes the index kept for that fingerprint.
+
+    Proof that this finds the first exact repeat: equal triples have
+    equal fingerprints, so every j < i with state j = state i has a
+    fingerprint in seen, and j is at most the last index kept for it,
+    which the replay reaches. By induction no exact repeat went unseen
+    before i, so states 0 .. i - 1 are pairwise distinct, at most one j
+    matches, and state i = state j is the first repeat: j is the minimal
+    preperiod and i - j the minimal period. A collision only costs a
+    replay; PERIODIC is never declared without exact equality.
     """
     _check_flavor(flavor)
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     k0 = -alpha.valuation
-    seen: dict[tuple[int, int, int], int] = {}
+    seen: dict[int, int] = {}
     quots: list[LaurentInt] = []
-    states: list[QuadIrr] = []
     cur, prev = alpha, None
     for i in range(max_steps):
+        if i == 1:
+            state1 = cur
         key = (cur.b, cur.c, cur.k)
-        j = seen.get(key)
-        if j is not None:
-            pre, per = tuple(quots[:j]), tuple(quots[j:])
-            if pre:
-                _invariant(pre[-1] != per[-1], "state-minimal cycle should be digit-minimal")
-            return Expansion(alpha.p, flavor, PERIODIC, pre, per, k0, alpha, tuple(states))
-        seen[key] = i
-        states.append(cur)
+        fingerprint = hash(key)
+        last = seen.get(fingerprint)
+        if last is not None:
+            replay = islice(chain((alpha,), _walk(state1, flavor, alpha)), last + 1)
+            j = next((n for n, st in enumerate(replay) if (st.b, st.c, st.k) == key), None)
+            if j is not None:
+                pre, per = tuple(quots[:j]), tuple(quots[j:])
+                if pre:
+                    _invariant(pre[-1] != per[-1], "state-minimal cycle should be digit-minimal")
+                return Expansion(alpha.p, flavor, PERIODIC, pre, per, k0, alpha)
+        seen[fingerprint] = i
         a, nxt = step(cur, flavor, _prev=prev)
         prev, cur = cur, nxt
         quots.append(a)
-    return Expansion(alpha.p, flavor, OPEN, tuple(quots), (), k0, alpha,
-                     tuple(states))
+    return Expansion(alpha.p, flavor, OPEN, tuple(quots), (), k0, alpha)
 
 
 def expand_rational(x, p: int, flavor: str = BROWKIN, max_steps: int = DEFAULT_MAX_STEPS) -> Expansion:

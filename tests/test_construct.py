@@ -174,9 +174,10 @@ def test_reexpansion_states_follow_the_dividing_update(seed):
     # state size where step divides b - b' by p**k before it strips p
     res = construct(is_nice(seed), 0)
     exp, p = res.expansion, res.p
-    assert max(st.k for st in exp.states) > 7000
-    for i in range(len(exp.quotients)):
-        st, nxt = exp.state_at(i), exp.state_at(i + 1)
+    states = list(exp.walk())
+    assert max(st.k for st in states) > 7000
+    wrapped = states[1:] + [exp.state_at(len(states))]
+    for i, (st, nxt) in enumerate(zip(states, wrapped)):
         assert (nxt.b, nxt.c, nxt.k) == step_brute(st.Delta, st.b, st.c, st.k,
                                                     exp.quotient_at(i).tilde, p)
 

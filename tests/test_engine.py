@@ -1,8 +1,12 @@
+import gc
+import hashlib
 import importlib
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -54,6 +58,7 @@ from oracles import (
 
 engine_module = importlib.import_module("padiccf.engine")
 analysis_module = importlib.import_module("padiccf.analysis")
+corpus_module = importlib.import_module("padiccf.corpus")
 construct_module = importlib.import_module("padiccf.construct")
 
 # The classical period-12 value over p=5 and its complete digit list.
@@ -257,7 +262,8 @@ def test_stepped_states_carry_the_root_in_b():
             exp = expand(alpha, flavor, max_steps=10)
             want = surd_expand_brute(u, v, alpha.Delta, alpha.branch, p, flavor, 8)
             assert [exp.quotient_at(j).value for j in range(8)] == want, (alpha, flavor)
-            for prev, st in zip(exp.states, exp.states[1:]):
+            states = list(exp.walk())
+            for prev, st in zip(states, states[1:]):
                 if prev.k < 1:
                     continue
                 pk = p ** (st.k + 1)
@@ -336,16 +342,25 @@ def test_expand_divides_by_c_only_on_state_0(monkeypatch):
         divisors.append(y)
         return divmod(x, y)
 
-    monkeypatch.setattr(engine_module, "divmod", recording_divmod, raising=False)
+    real_expand = engine_module.expand
+
+    def recording_expand(*args, **kwargs):
+        # records inside expand only: walk() and state_at, as the probe's
+        # read of state 2, replay state 0 and divide by its c again
+        with monkeypatch.context() as spy:
+            spy.setattr(engine_module, "divmod", recording_divmod, raising=False)
+            return real_expand(*args, **kwargs)
+
+    monkeypatch.setattr(analysis_module, "expand", recording_expand)
     runs = [
-        lambda: engine_module.expand(SQRT89_STATE, max_steps=2000),
-        lambda: engine_module.expand(PERIOD12_STATE),
+        lambda: recording_expand(SQRT89_STATE, max_steps=2000),
+        lambda: recording_expand(PERIOD12_STATE),
         lambda: analysis_module.ruban_nonperiodic_probe(6, 1, 5).expansion,
     ]
     for run in runs:
         divisors.clear()
         exp = run()
-        st = exp.states
+        st = list(exp.walk())
         assert len(st) in (12, 2000)
         want = [st[0].c] + [exp.p**cur.k for prev, cur in zip(st, st[1:]) if prev.k >= 0]
         assert divisors == want
@@ -526,8 +541,9 @@ def test_ks_are_the_valuations_of_the_stored_states():
         # random_trace_zero also draws k < 0, where k_0 is not a digit exponent
         alpha = random_quad(rng, p) if i % 2 else random_trace_zero(rng, p)
         exp = expand(alpha, flavor, max_steps=40)
-        assert len(exp.ks) == len(exp.states) == len(exp.quotients)
-        for n, st in enumerate(exp.states):
+        states = list(exp.walk())
+        assert len(exp.ks) == len(states) == len(exp.quotients)
+        for n, st in enumerate(states):
             assert exp.ks[n] == -st.valuation, (alpha, flavor, n)
 
 
@@ -615,3 +631,133 @@ def test_state_accessors_are_consistent():
         a, nxt = step(st, BROWKIN)
         assert a == exp.quotient_at(i)
         assert nxt.value_equals(exp.state_at(i + 1))
+
+
+# -- one state held, the rest replayed ------------------------------------------
+
+
+# Ruban cycles are rare among corpus draws: two preperiodic values (one with
+# k0 < 0) and two purely periodic tails.
+RUBAN_PERIODIC = [QuadIrr(5, 136, 15, 1, 1, 1), QuadIrr(7, 1628, 0, -407, -2, 5),
+                  QuadIrr(3, 835, 5, 10, 2, 2), QuadIrr(7, 379, 6, 1, 1, 6)]
+
+
+def _hand_chain(alpha, flavor, n):
+    """States 0..n - 1 and digits 0..n - 2 of alpha by step(..., _prev=...)."""
+    states, digits, prev = [alpha], [], None
+    while len(states) < n:
+        a, nxt = step(states[-1], flavor, _prev=prev)
+        prev = states[-1]
+        states.append(nxt)
+        digits.append(a)
+    return states, digits
+
+
+def test_collisions_never_make_a_period(monkeypatch):
+    # with every fingerprint equal, each state is checked by replaying all
+    # states before it; only an exact triple repeat may end the expansion,
+    # so the result must be the one of the unpatched run, and the oracle's
+    rng = random.Random(1515)
+    values = [(random_periodic, random_quad, random_trace_zero)[i % 3](rng, (3, 5, 7)[i % 3])
+              for i in range(100)]
+    cases = []
+    for alpha in values + RUBAN_PERIODIC:
+        for flavor in (BROWKIN, RUBAN):
+            cases.append((alpha, flavor, expand(alpha, flavor, max_steps=60)))
+    with monkeypatch.context() as patched:
+        patched.setattr(engine_module, "hash", lambda key: 0, raising=False)
+        got = [expand(alpha, flavor, max_steps=60) for alpha, flavor, _ in cases]
+    kinds = set()
+    for (alpha, flavor, plain), exp in zip(cases, got):
+        assert exp == plain, (alpha, flavor)
+        n = len(exp.preperiod) + 2 * len(exp.period) if exp.status == PERIODIC else 60
+        u, v = _pair(alpha)
+        want = surd_expand_brute(u, v, alpha.Delta, alpha.branch, alpha.p, flavor, n)
+        assert [exp.quotient_at(j).value for j in range(n)] == want, (alpha, flavor)
+        kinds.add((flavor, exp.status, exp.is_purely_periodic))
+    assert {(f, s, pure) for f in (BROWKIN, RUBAN) for s, pure in
+            ((OPEN, False), (PERIODIC, False), (PERIODIC, True))} <= kinds
+    assert min(alpha.k for alpha, _, _ in cases) < 0
+
+
+def _reachable(root):
+    """Objects reachable from root by gc.get_referents, types and modules
+    excluded (they lead to every global)."""
+    seen, todo, out = set(), [root], []
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+            continue
+        seen.add(id(obj))
+        out.append(obj)
+        todo.extend(gc.get_referents(obj))
+    return out
+
+
+def test_expand_keeps_no_state_but_alpha():
+    # 4,000 open steps of (8+sqrt(89))/5 reach ~2,800-bit states, 3.7 MB
+    # together; the digits and the fingerprints take far less
+    gc.collect()
+    tracemalloc.start()
+    try:
+        exp = expand(SQRT89_STATE, max_steps=4000)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert exp.status == OPEN and len(exp.preperiod) == 4000
+    assert retained < 1.5e6, retained
+    quads = [obj for obj in _reachable(exp) if isinstance(obj, QuadIrr)]
+    assert len(quads) == 1 and quads[0] is exp.alpha
+
+
+@pytest.mark.parametrize("flavor", [BROWKIN, RUBAN])
+def test_replayed_states_are_the_hand_stepped_chain(flavor):
+    # walk() yields the states behind the digits, state_at(i) wraps into the
+    # cycle, and both are the chain step(..., _prev=...) builds by hand
+    rng = random.Random(1717)
+    values = [PERIOD12_STATE, SQRT89_STATE, QuadIrr(5, -434, 0, -434, 1, 1),
+              QuadIrr(7, 386, 0, -386, -1, 6)]
+    values += [random_periodic(rng, rng.choice([3, 5, 7])) for _ in range(8)]
+    values += [random_trace_zero(rng, rng.choice([3, 5, 7])) for _ in range(8)]
+    values += RUBAN_PERIODIC
+    wrapped = 0
+    for alpha in values:
+        exp = expand(alpha, flavor, max_steps=30)
+        n = len(exp.quotients)
+        extra = 2 * len(exp.period) + 1 if exp.status == PERIODIC else 0
+        chain, digits = _hand_chain(alpha, flavor, n + extra)
+        assert list(exp.walk()) == chain[:n]
+        assert digits[: n - 1] == list(exp.quotients[: n - 1])
+        for i in range(n + extra):
+            assert exp.state_at(i) == chain[i], (alpha, flavor, i)
+        if exp.status == PERIODIC:
+            wrapped += 1
+        else:
+            with pytest.raises(IndexError):
+                exp.state_at(n)
+        with pytest.raises(IndexError):
+            exp.state_at(-1)
+    assert wrapped >= 4
+
+
+def test_rational_expansions_have_no_states():
+    for exp in (expand_rational(Fraction(10, 3), 3), expand_rational(Fraction(-1), 5, RUBAN)):
+        assert list(exp.walk()) == []
+        with pytest.raises(IndexError):
+            exp.state_at(0)
+
+
+def test_periodic_pool_is_unchanged(monkeypatch):
+    # the pool random_periodic draws from, rebuilt from walk(), and seeded
+    # draws from it, pinned by digest
+    monkeypatch.setattr(corpus_module, "_PERIODIC_STATE_CACHE", {})
+    draws = []
+    for p in (3, 5, 7):
+        rng = random.Random(1616 + p)
+        draws += [random_periodic(rng, p) for _ in range(40)]
+    pools = [corpus_module._PERIODIC_STATE_CACHE[p] for p in (3, 5, 7)]
+    assert [len(pool) for pool in pools] == [11, 28, 13]
+    h = hashlib.sha256()
+    for st in [s for pool in pools for s in pool] + draws:
+        h.update(repr((st.p, st.Delta, st.b, st.c, st.k, st.branch)).encode())
+    assert h.hexdigest() == "cbb666fb5f00a044e3b0c8b407a14a4701c9ca0a00939b5191a0d529cb19a5b6"

@@ -71,7 +71,7 @@ def test_stepped_states_pass_public_validation(seed, p, flavor):
     # step builds its states without QuadIrr's checks; the public
     # constructor must accept every state an expansion records
     exp = expand(quad(seed, p), flavor, max_steps=60)
-    for state in exp.states:
+    for state in exp.walk():
         assert QuadIrr(**state.to_json()) == state
 
 
