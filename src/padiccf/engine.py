@@ -30,6 +30,15 @@ of a construction's re-expansion (k ~ omega); split_p then strips only k'.
 Apart from split_p's strip of a huge k', every operation is small-by-big,
 linear in the state size or a division with a small quotient.
 
+That update is one private kernel, _advance, on plain ints: it carries
+p**k and Z = p**k_prev * c_prev from step to step, so no power of p is
+built twice, and it builds no QuadIrr. Only states 0 and 1 can need the
+division by c, the Hensel lift of delta or the route for k_prev < 0, so
+expand and the replay run those two through step and every later state
+through the kernel; step itself calls the kernel whenever k_prev >= 0.
+The kernel checks that r is a p-unit, which lets expand build each digit
+r/p**k without LaurentInt's validation.
+
 Periodicity is detected by the first repeat of the exact triple (b, c, k);
 for a fixed (Delta, branch) that triple determines the value (c is prime to
 p, so k and c are recoverable from the denominator), hence the first repeat
@@ -51,6 +60,7 @@ from math import gcd, isqrt, lcm, prod
 
 from .core import (
     INF,
+    InvariantError,
     LaurentInt,
     _check_odd_prime,
     _invariant,
@@ -71,6 +81,9 @@ PERIODIC = "periodic"
 OPEN = "open"
 
 DEFAULT_MAX_STEPS = 10_000
+
+# build a digit or state whose checks a proof in the stepper stands in for
+_new, _setattr = object.__new__, object.__setattr__
 
 
 def _check_flavor(flavor: str) -> str:
@@ -334,33 +347,67 @@ def _window_residue(num: int, den: int, pk: int, p: int, flavor: str) -> int:
     if flavor == BROWKIN:
         if 2 * r > pn:
             r -= pn
-        _invariant(-pn < 2 * r < pn, "centered residue must lie inside the window")
+        if not -pn < 2 * r < pn:
+            raise InvariantError("centered residue must lie inside the window")
     return r
 
 
-def _residue(alpha: QuadIrr, flavor: str, root_in_b: bool = False):
-    """(r, p**k) for the digit numerator r = p**k * a of alpha; (0, None)
-    when k < 0.
+def _residue(alpha: QuadIrr, flavor: str):
+    """The digit numerator r = p**k * a of alpha; 0 when k < 0.
 
     r is the window residue of (b + delta)/c, so delta is needed only mod
-    p**(k+1). root_in_b says b is delta mod p**(k+1), which holds on every
-    state stepped from one with k >= 1; then nothing is lifted. Proof: for
-    a state with k >= 0, digit r/p**k and b' = r c - b, v(alpha - a) >= 1
-    gives b' = delta mod p, so delta + b' is a unit (the next state has
-    valuation exactly -k') and Delta - b'**2 = (delta - b')(delta + b') =
-    p**(k + k') c c' gives b' = delta mod p**(k + k'), which covers the
-    next digit's p**(k' + 1) when k >= 1.
+    p**(k+1), and this lifts it. A state stepped from one with k >= 1 needs
+    no lift, because its b is delta mod p**(k+1). Proof: for a state with
+    k >= 0, digit r/p**k and b' = r c - b, v(alpha - a) >= 1 gives b' =
+    delta mod p, so delta + b' is a unit (the next state has valuation
+    exactly -k') and Delta - b'**2 = (delta - b')(delta + b') = p**(k + k')
+    c c' gives b' = delta mod p**(k + k'), which covers the next digit's
+    p**(k' + 1) when k >= 1.
     """
     p, k = alpha.p, alpha.k
     if k < 0:
         # v_p(alpha) = v_p(b + delta) - k >= 1, the digit window is empty
-        return 0, None
-    root = alpha.b if root_in_b else hensel_digits(p, alpha.Delta, alpha.branch, k + 1)
-    pk = p**k
-    return _window_residue(alpha.b + root, alpha.c, pk, p, flavor), pk
+        return 0
+    root = hensel_digits(p, alpha.Delta, alpha.branch, k + 1)
+    return _window_residue(alpha.b + root, alpha.c, p**k, p, flavor)
 
 
 # -- the stepper -----------------------------------------------------------
+
+
+def _advance(p: int, b: int, c: int, k: int, pk: int, Z: int, root: int, flavor: str):
+    """The step kernel on plain ints, for a state (b + delta)/(pk * c),
+    pk = p**k, stepped from one with k_prev >= 0: Z = p**k_prev * c_prev,
+    and root is delta mod p**(k+1), which is b itself when k_prev >= 1
+    (see _residue). Returns (r, b', c', k', p**k', p**k * c): the digit
+    numerator and the next state with its own pk and Z.
+
+    The state has k >= 1 and valuation exactly -k, so r is a p-unit and the
+    digit r/p**k needs no p stripped; r (b - b') = p**k (p**k' c' - Z)
+    puts p**k in b - b', and p**k' c' = Z + r (b - b')/p**k. k' is almost
+    always 1 or 2, so two divisions by p come before split_p, which strips
+    the huge k' of a construction's middle digit.
+    """
+    r = _window_residue(b + root, c, pk, p, flavor)
+    b1 = r * c - b
+    q, rem = divmod(b - b1, pk)
+    if rem:
+        raise InvariantError("p**k must divide b - b'")
+    if r % p == 0:
+        raise InvariantError("digit numerator must be a p-unit")
+    Y = Z + r * q  # p**k1 * c1
+    if Y == 0:
+        raise InvariantError("rational leak: Delta = b'**2")
+    if Y % p:
+        raise InvariantError("next complete quotient must have negative valuation")
+    c1 = Y // p
+    if c1 % p:
+        return r, b1, c1, 1, p, pk * c
+    c1 //= p
+    if c1 % p:
+        return r, b1, c1, 2, p * p, pk * c
+    e, c1 = split_p(c1, p)
+    return r, b1, c1, e + 2, p ** (e + 2), pk * c
 
 
 def step(alpha: QuadIrr, flavor: str = BROWKIN, _prev: QuadIrr | None = None):
@@ -373,27 +420,23 @@ def step(alpha: QuadIrr, flavor: str = BROWKIN, _prev: QuadIrr | None = None):
     (Delta - b**2) + r c (b - b') when b + b' = r c.
 
     step(alpha, flavor) is exact on any valid state and finds X with one
-    exact division. expand passes _prev, the state alpha was stepped from:
-    then X = p**(k_prev + k) c_prev needs no division, and b is delta to the
-    digit's precision when k_prev >= 1 (see _residue). When k_prev >= 0,
-    alpha has k >= 1 and valuation exactly -k (see _residue), so r is a
-    p-unit, and r (b - b') = p**k (p**k' c' - p**k_prev c_prev) shows that
-    p**k divides b - b'. The step then strips only k' from
-
-        p**k' c' = p**k_prev c_prev + r (b - b')/p**k,
-
-    after one exact division by p**k, whose divisor is small when k is
-    small and whose quotient is small when k is near the state size.
+    exact division. expand passes _prev, the state alpha was stepped from,
+    and X = p**(k_prev + k) c_prev needs no division. When k_prev >= 0 the
+    step is the kernel _advance, which divides b - b' exactly by p**k and
+    strips only k' from p**k' c' = p**k_prev c_prev + r (b - b')/p**k; its
+    divisor is small when k is small and its quotient is small when k is
+    near the state size. The kernel reads delta from b when k_prev >= 1,
+    and step lifts it only when k_prev = 0 (see _residue).
     """
     _check_flavor(flavor)
     p, b, c, k = alpha.p, alpha.b, alpha.c, alpha.k
-    r, pk = _residue(alpha, flavor, _prev is not None and _prev.k >= 1)
-    b1 = r * c - b
     if _prev is not None and _prev.k >= 0:
-        q, rem = divmod(b - b1, pk)
-        _invariant(rem == 0, "p**k must divide b - b'")
-        Y, shift = p**_prev.k * _prev.c + r * q, 0  # p**k1 * c1
+        root = b if _prev.k >= 1 else hensel_digits(p, alpha.Delta, alpha.branch, k + 1)
+        r, b1, c1, k1, _, _ = _advance(p, b, c, k, p**k, p**_prev.k * _prev.c, root, flavor)
+        a = _unit_digit(p, r, k)
     else:
+        r = _residue(alpha, flavor)
+        b1 = r * c - b
         if _prev is None:
             # Delta - b'**2 = Delta - b**2 mod c, so this is the check that c
             # divides the next state's Delta - b'**2
@@ -401,18 +444,36 @@ def step(alpha: QuadIrr, flavor: str = BROWKIN, _prev: QuadIrr | None = None):
             _invariant(rem == 0, "c | Delta - b'**2 must propagate")
         else:  # after a state 0 with k0 < 0, alpha need not have valuation -k
             X = p ** (_prev.k + k) * _prev.c
-        Y, shift = X + r * (b - b1), k  # (Delta - b1**2)/c = p**(k + k1) * c1
-    if Y == 0:
-        raise ValueError("rational leak: Delta = b'**2, invariant violation")
-    e, c1 = split_p(Y, p)
-    k1 = e - shift
-    _invariant(k1 >= 1, "next complete quotient must have negative valuation")
-    # Delta and branch are kept, and c1 != 0 is free of p and divides
-    # Delta - b1**2 = p**e * c * c1, so QuadIrr's checks are skipped.
-    nxt = object.__new__(QuadIrr)
-    nxt.__dict__.update(p=p, Delta=alpha.Delta, b=b1, c=c1, k=k1, branch=alpha.branch)
-    # for k < 0, r = 0 and LaurentInt stores the digit as (0, 0)
-    return LaurentInt(p, r, k), nxt
+        Y = X + r * (b - b1)  # (Delta - b1**2)/c = p**(k + k1) * c1
+        _invariant(Y, "rational leak: Delta = b'**2")
+        e, c1 = split_p(Y, p)
+        k1 = e - k
+        _invariant(k1 >= 1, "next complete quotient must have negative valuation")
+        # for k < 0, r = 0 and LaurentInt stores the digit as (0, 0)
+        a = LaurentInt(p, r, k)
+    return a, _state(alpha, b1, c1, k1)
+
+
+def _unit_digit(p: int, r: int, k: int) -> LaurentInt:
+    """The digit r/p**k for a p-unit r and k >= 1, which LaurentInt's
+    strip would leave as it is, so the strip is skipped. The fields are set
+    one by one: filling the instance __dict__ in one update would double
+    the digit's memory."""
+    a = _new(LaurentInt)
+    _setattr(a, "p", p)
+    _setattr(a, "tilde", r)
+    _setattr(a, "e", k)
+    return a
+
+
+def _state(alpha: QuadIrr, b: int, c: int, k: int) -> QuadIrr:
+    """The stepped state (b + delta)/(p**k c) over alpha's Delta and branch.
+
+    c != 0 is free of p and divides Delta - b**2 = p**(k_prev + k) c_prev c,
+    so QuadIrr's checks are skipped."""
+    st = _new(QuadIrr)
+    st.__dict__.update(p=alpha.p, Delta=alpha.Delta, b=b, c=c, k=k, branch=alpha.branch)
+    return st
 
 
 # -- expansions ------------------------------------------------------------
@@ -505,21 +566,33 @@ class Expansion:
 
 
 def _walk(cur: QuadIrr, flavor: str, prev: QuadIrr | None = None):
-    """Yields cur and the states after it, without end, by the chain
-    step(cur, flavor, _prev=prev) that expand runs, where prev is the state
-    cur was stepped from (None for state 0): a replayed state is the one
-    expand saw, triple for triple."""
-    while True:
+    """Yields cur and the states after it, without end, by the chain expand
+    runs, where prev is the state cur was stepped from (None for state 0):
+    step(cur, flavor, _prev=prev) until prev has k >= 1, then the kernel
+    _advance, with a QuadIrr built only for each state yielded. A replayed
+    state is the one expand saw, triple for triple."""
+    while prev is None or prev.k < 1:
         yield cur
         prev, cur = cur, step(cur, flavor, _prev=prev)[1]
+    p, b, c, k = cur.p, cur.b, cur.c, cur.k
+    pk, Z = p**k, p**prev.k * prev.c
+    while True:
+        yield cur
+        _, b, c, k, pk, Z = _advance(p, b, c, k, pk, Z, b, flavor)
+        cur = _state(cur, b, c, k)
 
 
 def expand(alpha: QuadIrr, flavor: str = BROWKIN, max_steps: int = DEFAULT_MAX_STEPS) -> Expansion:
     """Run the algorithm with cycle detection on the exact state triple.
 
     Returns a periodic expansion with minimal preperiod and period, or an
-    open one if no state repeats within max_steps. The states held are
-    alpha, state 1, the current state and the one before it; seen maps
+    open one if no state repeats within max_steps. States 0 and 1 go
+    through step, the only steps that can divide by c or lift delta; from
+    the first state stepped from one with k >= 1 (state 2 at the latest)
+    the loop runs the kernel _advance on the plain ints (b, c, k, p**k,
+    p**k_prev * c_prev), builds no QuadIrr and builds each digit without
+    LaurentInt's checks (the kernel checks that r is a p-unit). Held are
+    alpha, the states stepped by step and the current triple; seen maps
     the fingerprint hash((b, c, k)) of each state to the last index that
     had it.
 
@@ -543,13 +616,13 @@ def expand(alpha: QuadIrr, flavor: str = BROWKIN, max_steps: int = DEFAULT_MAX_S
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     k0 = -alpha.valuation
+    p = alpha.p
     seen: dict[int, int] = {}
     quots: list[LaurentInt] = []
     cur, prev = alpha, None
+    b, c, k = alpha.b, alpha.c, alpha.k
     for i in range(max_steps):
-        if i == 1:
-            state1 = cur
-        key = (cur.b, cur.c, cur.k)
+        key = (b, c, k)
         fingerprint = hash(key)
         last = seen.get(fingerprint)
         if last is not None:
@@ -559,12 +632,22 @@ def expand(alpha: QuadIrr, flavor: str = BROWKIN, max_steps: int = DEFAULT_MAX_S
                 pre, per = tuple(quots[:j]), tuple(quots[j:])
                 if pre:
                     _invariant(pre[-1] != per[-1], "state-minimal cycle should be digit-minimal")
-                return Expansion(alpha.p, flavor, PERIODIC, pre, per, k0, alpha)
+                return Expansion(p, flavor, PERIODIC, pre, per, k0, alpha)
         seen[fingerprint] = i
-        a, nxt = step(cur, flavor, _prev=prev)
-        prev, cur = cur, nxt
+        if cur is None:  # stepped from a state with k >= 1: the kernel
+            r, b, c, k1, pk, Z = _advance(p, b, c, k, pk, Z, b, flavor)
+            a = _unit_digit(p, r, k)
+            k = k1
+        else:
+            a, nxt = step(cur, flavor, _prev=prev)
+            if prev is None:
+                state1 = nxt
+            prev, cur = cur, nxt
+            b, c, k = nxt.b, nxt.c, nxt.k
+            if prev.k >= 1:
+                pk, Z, cur = p**k, p**prev.k * prev.c, None
         quots.append(a)
-    return Expansion(alpha.p, flavor, OPEN, tuple(quots), (), k0, alpha)
+    return Expansion(p, flavor, OPEN, tuple(quots), (), k0, alpha)
 
 
 def expand_rational(x, p: int, flavor: str = BROWKIN, max_steps: int = DEFAULT_MAX_STEPS) -> Expansion:
@@ -705,7 +788,7 @@ def first_reexpansion(candidates, preperiod, period, flavor: str = BROWKIN):
     """
     first = (preperiod + period)[0]
     for alpha in candidates:
-        if LaurentInt(alpha.p, _residue(alpha, flavor)[0], alpha.k) != first:
+        if LaurentInt(alpha.p, _residue(alpha, flavor), alpha.k) != first:
             continue
         exp = expand(alpha, flavor, max_steps=len(preperiod) + len(period) + 1)
         if _reproduces(exp, preperiod, period):

@@ -76,6 +76,12 @@ SQRT89_PREFIX = [
 ]
 
 
+# Construction seeds: the paper's l = 353 and a period-16 seed whose middle
+# digit has k ~ omega (7,661 at h = 0, 28,685 at h = 2).
+SEED_353 = (LaurentInt(3, 1, 1), LaurentInt(3, 110, 4))
+SEED_P16 = parse_quotient_list("-2/5, 9/5, 4/5, 6/5, 11/5, 11/5, 7/5, 12/5", 5)
+
+
 def _pair(alpha: QuadIrr):
     """(u, v) with alpha = u + v*sqrt(Delta), for feeding the oracle."""
     den = Fraction(alpha.p) ** alpha.k * alpha.c
@@ -246,6 +252,21 @@ def test_step_rejects_an_inexact_p_power_division_under_python_O():
     assert proc.stdout.strip() == "1 InvariantError p**k must divide b - b'", proc.stderr
 
 
+def test_step_rejects_a_corrupted_steady_state_under_python_O():
+    # prev has k >= 1, so step reads delta from b and runs the kernel;
+    # moving b by a multiple of c keeps c | Delta - b**2 but makes the digit
+    # numerator 2b/c mod p**(k+1) divisible by p
+    setup = (
+        "prev = QuadIrr(5, 89, 8, 1, 1, 3)\n"
+        "alpha = step(prev)[1]\n"
+        "b = next(b for b in range(alpha.b, alpha.b + 5 * alpha.c, alpha.c) if b % 5 == 0)\n"
+        "object.__setattr__(alpha, 'b', b)\n"
+        "step_kw = {'_prev': prev}\n"
+    )
+    proc = _step_under_python_O(setup)
+    assert proc.stdout.strip() == "1 InvariantError digit numerator must be a p-unit", proc.stderr
+
+
 def test_stepped_states_carry_the_root_in_b():
     # a state stepped from one with k >= 1 has b = delta mod p**(k+1), the
     # fact that lets expand skip the Hensel lift on it; first states with
@@ -365,6 +386,94 @@ def test_expand_divides_by_c_only_on_state_0(monkeypatch):
         want = [st[0].c] + [exp.p**cur.k for prev, cur in zip(st, st[1:]) if prev.k >= 0]
         assert divisors == want
     assert st[0].k < 0 and len(divisors) == len(st) - 1  # the probe's state 0
+
+
+def test_expand_steps_only_its_first_two_states(monkeypatch):
+    # from state 2 on, expand runs the kernel and never calls step; a replay
+    # steps the held state 1 again
+    calls = []
+    real_step = engine_module.step
+
+    def counting_step(*args, **kwargs):
+        calls.append(args[0])
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(engine_module, "step", counting_step)
+    digits = 0
+    for alpha in (SQRT89_STATE, PERIOD12_STATE, QuadIrr(7, 386, 0, -386, -1, 6),
+                  QuadIrr(5, 126, 0, 2, 0, 1)):
+        for flavor in (BROWKIN, RUBAN):
+            calls.clear()
+            digits += len(expand(alpha, flavor, max_steps=300).quotients)
+            assert calls[0] is alpha and len({id(st) for st in calls}) <= 2
+    assert digits > 1000
+
+
+def _corpus_values(seed, n):
+    """n seeded corpus values over p in {3, 5, 7}, first states with
+    k < 0, k = 0 and k >= 1 among them, plus the pinned states."""
+    rng = random.Random(seed)
+    draws = (random_quad, random_trace_zero, random_periodic)
+    values = [draws[i % 3](rng, (3, 5, 7)[i % 3]) for i in range(n)]
+    values += [PERIOD12_STATE, SQRT89_STATE, QuadIrr(7, 386, 0, -386, -1, 6),
+               QuadIrr(5, 126, 0, 2, 0, 1)] + RUBAN_PERIODIC
+    assert {alpha.k for alpha in values} >= {-1, 0, 1, 2}
+    return values
+
+
+def _construction_expansions(hs=(0,)):
+    """The re-expansions behind l = 353 at h = 0 and the period-16 seed at
+    each h in hs."""
+    cases = [(SEED_353, 0)] + [(SEED_P16, h) for h in hs]
+    return [construct_module.construct(construct_module.is_nice(seed), h).expansion
+            for seed, h in cases]
+
+
+def test_emitted_digits_pass_full_validation():
+    # expand builds each kernel digit without LaurentInt's strip; rebuilt
+    # with it, every digit must come back field for field
+    exps = [expand(alpha, flavor, max_steps=80)
+            for alpha in _corpus_values(1818, 150) for flavor in (BROWKIN, RUBAN)]
+    exps += _construction_expansions()
+    assert {exp.k0 for exp in exps} >= {-2, -1, 0, 1}
+    checked = 0
+    for exp in exps:
+        for d in exp.quotients:
+            rebuilt = LaurentInt(d.p, d.tilde, d.e)
+            assert type(d) is LaurentInt
+            assert (rebuilt.tilde, rebuilt.e) == (d.tilde, d.e), (exp.alpha, d)
+            checked += 1
+    assert checked > 10_000
+
+
+def _assert_kernel_chain_is_the_dividing_route(exp):
+    """step(state) with no _prev divides by c and lifts delta; on every
+    state walk() yields it must give the recorded digit and the next
+    state walk() yields (state_at wraps past a periodic end)."""
+    states = list(exp.walk())
+    n = len(states)
+    nexts = states[1:] + ([exp.state_at(n)] if exp.status == PERIODIC else [])
+    for i, st in enumerate(states):
+        a, nxt = step(st, exp.flavor)
+        assert a == exp.quotient_at(i), (exp.alpha, i)
+        if i < len(nexts):
+            assert (nxt.b, nxt.c, nxt.k) == (nexts[i].b, nexts[i].c, nexts[i].k), (exp.alpha, i)
+    return n
+
+
+@pytest.mark.parametrize("flavor", [BROWKIN, RUBAN])
+def test_kernel_chain_agrees_with_the_dividing_route(flavor):
+    checked = sum(_assert_kernel_chain_is_the_dividing_route(expand(alpha, flavor, max_steps=60))
+                  for alpha in _corpus_values(1919, 90))
+    assert checked > 3000
+
+
+def test_kernel_chain_agrees_with_the_dividing_route_at_k_near_omega():
+    exps = _construction_expansions(hs=(0, 1, 2))
+    assert max(st.k for st in exps[-1].walk()) > 28_000
+    for exp in exps:
+        assert exp.status == PERIODIC
+        _assert_kernel_chain_is_the_dividing_route(exp)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 40, 5000])
