@@ -97,21 +97,32 @@ class NiceCertificate:
 
 
 def _q_candidates(B: int):
-    """Signed q with B | q and q | B**2, ordered by |q| then positive first."""
+    """Signed q with B | q and q | B**2, ordered by |q| then positive first.
+
+    Lazy: +-|B| (the divisor 1) come out before B is factored, so a caller
+    that stops there never calls divisors. The divisors ascend from 1, so
+    the order is that of the full list.
+    """
     absB = abs(B)
-    for d in divisors(absB):
-        yield absB * d
-        yield -absB * d
+    yield absB
+    yield -absB
+    if absB > 1:
+        for d in divisors(absB)[1:]:
+            yield absB * d
+            yield -absB * d
 
 
 def is_nice(cf, dlog_budget: int | None = None) -> NiceCertificate:
     """Decide niceness of a finite digit list; every check is exact.
 
-    Condition (c) enumerates the finitely many admissible q and tests coset
-    membership by discrete log modulo Atilde_{t-1}**2. The common fast exits
-    (modulus 1, q = 1) avoid factoring entirely, so niceness of the beta
-    seeds stays cheap even when the convergents are huge. A discrete-log
-    budget overflow makes cond_c None: indeterminate rather than failed.
+    Condition (a) is 4|a~_0| < p**(e_0 + 1) on integers. Condition (c)
+    enumerates the finitely many admissible q lazily (_q_candidates, so B is
+    factored only when +-|B| both miss) and tests coset membership by
+    discrete log modulo Atilde_{t-1}**2; discrete_log rejects most
+    non-members by its order pre-test. The common fast exits (modulus 1,
+    q = 1) avoid factoring entirely, so niceness of the beta seeds stays
+    cheap even when the convergents are huge. A discrete-log budget
+    overflow makes cond_c None: indeterminate rather than failed.
     """
     cf = tuple(cf)
     if not cf:
@@ -126,8 +137,8 @@ def is_nice(cf, dlog_budget: int | None = None) -> NiceCertificate:
     A1, A2_ = tab.Atilde_(t - 1), tab.Atilde_(t - 2)
     B1, B2_ = tab.Btilde_(t - 1), tab.Btilde_(t - 2)
     _invariant(B1 != 0 and B1 % p != 0, "Btilde_{t-1} is a p-unit by the valuation law")
-    quarter = Fraction(p, 4)
-    cond_a = cf[0].e >= 1 and cf[0].abs_lt(quarter)
+    a0 = cf[0]
+    cond_a = a0.e >= 1 and 4 * abs(a0.tilde) < p ** (a0.e + 1)  # |a_0| < p/4
     # |A_{t-1}/A_{t-2}| > 4/p on the tilde rows: A_n = Atilde_n/p**K'_n and
     # K'_{t-1} - K'_{t-2} = k_{t-1}
     if A2_ == 0:
@@ -598,6 +609,29 @@ def search_space_size(p: int, t: int, pool: str, num_bound: int, exp_bound: int)
     return space
 
 
+def _candidates_from(digits: tuple, t: int, start: int):
+    """product(digits, repeat=t) from index start on, without walking the
+    start indices before it.
+
+    start is unranked into base-len(digits) ranks, most significant first.
+    The rest of the space is then t blocks, from the last position up: the
+    prefix ranks[:j] held fixed, position j past ranks[j] (from ranks[j]
+    itself in the first block), and every later position free.
+    """
+    n, ranks = len(digits), []
+    if start >= n**t:  # past the end of the space, or an empty pool
+        return
+    for _ in range(t):
+        start, r = divmod(start, n)
+        ranks.append(r)
+    ranks.reverse()
+    for j in reversed(range(t)):
+        head = tuple(digits[r] for r in ranks[:j])
+        first = ranks[j] + (j < t - 1)
+        for tail in product(digits[first:], *(digits,) * (t - 1 - j)):
+            yield head + tail
+
+
 def nice_search(p: int, t: int, pool: str = "pos", num_bound: int = 6,
                 exp_bound: int = 2, start_index: int = 0,
                 dlog_budget: int | None = None, stop_index: int | None = None):
@@ -609,11 +643,16 @@ def nice_search(p: int, t: int, pool: str = "pos", num_bound: int = 6,
     both signs; the enumeration order is deterministic (exponent, then
     numerator, then sign, cartesian power by position), so start_index
     gives exact resumption. Only indices in [start_index, stop_index) are
-    scanned (stop_index None means to the end of the space).
+    scanned (stop_index None means to the end of the space); the scan
+    starts in O(t) wherever start_index lies (_candidates_from).
     """
     search_space_size(p, t, pool, num_bound, exp_bound)
+    if start_index < 0 or (stop_index is not None and stop_index < 0):
+        raise ValueError("start_index and stop_index must be >= 0")
     digits = _digit_pool(p, pool, num_bound, exp_bound)
-    combos = islice(product(digits, repeat=t), start_index, stop_index)
+    combos = _candidates_from(digits, t, start_index)
+    if stop_index is not None:
+        combos = islice(combos, max(stop_index - start_index, 0))
     for idx, combo in enumerate(combos, start_index):
         cert = is_nice(combo, dlog_budget)
         if cert.nice:

@@ -1,7 +1,11 @@
 import dataclasses
 import importlib
+import random
+import time
+from collections import Counter
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
+from types import SimpleNamespace
 
 import pytest
 
@@ -19,7 +23,7 @@ from padiccf import (
     nice_search,
     periodic_limit,
 )
-from padiccf.core import LaurentInt, split_p
+from padiccf.core import LaurentInt, divisors, split_p
 from padiccf.engine import PERIODIC, QuadIrr, parse_quotient_list
 
 from oracles import step_brute
@@ -84,6 +88,67 @@ def test_indeterminate_dlog_budget_blocks_construction():
     assert not cert.nice
     with pytest.raises(ValueError, match="indeterminate"):
         construct(cert, 0)
+
+
+def _slice_candidates():
+    """The p = 5, t = 3 search slice: --pool all, numerators <= 8, exponents <= 2."""
+    return list(product(construct_module._digit_pool(5, "all", 8, 2), repeat=3))
+
+
+def test_is_nice_matches_an_eager_q_list(monkeypatch):
+    combos = _slice_candidates()
+    sample = [combos[i] for i in random.Random(17).sample(range(len(combos)), 300)]
+    lazy = [is_nice(cf) for cf in sample]
+
+    def eager(B):
+        absB = abs(B)
+        return [s * absB * d for d in divisors(absB) for s in (1, -1)]
+
+    monkeypatch.setattr(construct_module, "_q_candidates", eager)
+    assert [is_nice(cf) for cf in sample] == lazy
+    kinds = Counter()
+    for cert in lazy:
+        B = abs(cert.Btilde_last)
+        kinds["nice"] += cert.nice
+        kinds["c"] += cert.failure == "c"
+        kinds["+B"] += B > 1 and cert.q == B
+        kinds["-B"] += B > 1 and cert.q == -B
+        kinds["|q| > |B|"] += cert.q is not None and abs(cert.q) > B
+        kinds["|B| = 1"] += B == 1
+    assert len(kinds) == 6 and min(kinds.values()) >= 3, kinds
+
+
+def test_is_nice_factors_B_only_when_plus_minus_B_miss(monkeypatch):
+    calls = []
+    real = construct_module.divisors
+
+    def spy(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(construct_module, "divisors", spy)
+    by_q = {}
+    for cf in _slice_candidates()[::7]:
+        calls.clear()
+        cert = is_nice(cf)
+        B = abs(cert.Btilde_last)
+        if B > 1 and cert.q in (B, -B):
+            assert calls == [], cert.cf
+            by_q["+-B"] = cert
+        elif cert.q is not None and abs(cert.q) > B:
+            assert calls == [B], cert.cf
+            by_q["deeper"] = cert
+    assert set(by_q) == {"+-B", "deeper"}
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_integer_cond_a_matches_abs_lt(p):
+    digits = construct_module._digit_pool(p, "all", 60, 3)
+    digits += tuple(LaurentInt(p, t, 0) for t in range(-p, p + 1) if t % p)
+    for a0 in digits:
+        want = a0.e >= 1 and a0.abs_lt(Fraction(p, 4))
+        assert is_nice((a0,)).cond_a == want, a0
+    assert {is_nice((a0,)).cond_a for a0 in digits} == {True, False}
 
 
 # -- the period-2t construction ----------------------------------------------------
@@ -389,6 +454,45 @@ def test_search_is_deterministic_and_resumable():
     assert [(i, c.cf) for i, c in rest] == [(i, c.cf) for i, c in full[1:]]
     capped = list(islice(nice_search(5, 2, pool="pos", num_bound=4), 2))
     assert capped == full[:2]
+
+
+@pytest.mark.parametrize("start, stop", [(0, None), (1, 37), (63, 64), (100, 256), (200, 150), (255, 999), (256, None), (400, None)])
+def test_search_window_matches_islice_of_the_full_product(start, stop):
+    # p = 5, --pool all, numerators <= 4, exponents <= 2: 16 digits, 256 pairs
+    digits = construct_module._digit_pool(5, "all", 4, 2)
+    want = [(i, is_nice(cf)) for i, cf in enumerate(islice(product(digits, repeat=2), start, stop), start)]
+    want = [(i, cert) for i, cert in want if cert.nice]
+    got = list(nice_search(5, 2, "all", 4, 2, start_index=start, stop_index=stop))
+    assert got == want
+    if start < 256 and (stop is None or stop > start + 20):
+        assert want, "the window should hold nice seeds"
+
+
+def test_search_starts_near_the_end_of_a_huge_space_at_once(monkeypatch):
+    # t = 12 over the 28-digit pool: 28**12 ~ 2.3e17 candidates; the last
+    # three are scanned without walking the ones before
+    digits = construct_module._digit_pool(5, "all", 8, 2)
+    space = construct_module.search_space_size(5, 12, "all", 8, 2)
+    assert space == len(digits) ** 12 == 232_218_265_089_212_416
+    scanned = []
+
+    def stub(cf, dlog_budget=None):
+        scanned.append(cf)
+        return SimpleNamespace(nice=True, cf=cf)
+
+    monkeypatch.setattr(construct_module, "is_nice", stub)
+    start = time.perf_counter()
+    hits = list(nice_search(5, 12, "all", 8, 2, start_index=space - 3))
+    assert time.perf_counter() - start < 1.0
+    assert [i for i, _ in hits] == [space - 3, space - 2, space - 1]
+    assert scanned == [(digits[-1],) * 11 + (d,) for d in digits[-3:]]
+
+
+def test_search_rejects_negative_indices():
+    with pytest.raises(ValueError, match="must be >= 0"):
+        list(nice_search(5, 1, start_index=-1))
+    with pytest.raises(ValueError, match="must be >= 0"):
+        list(nice_search(5, 1, stop_index=-1))
 
 
 def test_search_input_validation():

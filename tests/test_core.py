@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from padiccf import core
 from padiccf.core import (
     INF,
     DlogBudgetExceeded,
@@ -307,16 +308,22 @@ def test_discrete_log_budget_is_distinct_from_none():
 
 def test_discrete_log_matches_brute_on_noncyclic_moduli():
     # 36 and 3*5*7**2 have non-cyclic unit groups: many bases generate a
-    # proper subgroup, so both the least w and None come up
+    # proper subgroup, so both the least w and None come up, and None comes
+    # in both kinds: a target that fails the order pre-test
+    # (target**ord(base) != 1) and one that passes it but lies outside
     for m in (36, 3 * 5 * 7**2):
         units = [u for u in range(1, m) if math.gcd(u, m) == 1]
         outcomes = set()
         for base in units[:: max(1, len(units) // 40)]:
+            order = mult_order(base, m)
             for target in units:
                 w = discrete_log(base, target, m)
                 assert w == dlog_brute(base, target, m), (base, target, m)
-                outcomes.add(w is None)
-        assert outcomes == {True, False}
+                if w is None:
+                    outcomes.add("pre-test" if pow(target, order, m) != 1 else "outside")
+                else:
+                    outcomes.add("log")
+        assert outcomes == {"log", "pre-test", "outside"}, m
         assert discrete_log(units[1], 0, m) is None  # not a unit
 
 
@@ -342,6 +349,63 @@ def test_discrete_log_budget_caps_the_largest_prime_subgroup():
     with pytest.raises(DlogBudgetExceeded):
         discrete_log(2, target, m, budget=408)
     assert discrete_log(2, target, m, budget=409) == 777777
+
+
+def test_prime_log_scan_and_bsgs_agree_with_brute():
+    # primes on both sides of the scan cut-over, each inside a prime field
+    # whose unit group it divides
+    for q in (2, 3, 5, 37, 41, 43, 101):
+        assert (q < core._SCAN_BELOW) == (q <= 37)
+        M = next(M for M in range(2 * q + 1, 10**6, 2 * q) if isprime(M))
+        gamma = next(g for g in (pow(x, (M - 1) // q, M) for x in range(2, M)) if g != 1)
+        for d in range(q):
+            assert core._prime_log(gamma, pow(gamma, d, M), q, M) == d
+        members = {pow(gamma, d, M) for d in range(q)}
+        for h in range(1, 60):
+            if h not in members:
+                assert core._prime_log(gamma, h, q, M) is None
+
+
+def test_discrete_log_runs_the_scan_and_bsgs_paths(monkeypatch):
+    # base 2 mod 1000003 has order 2 * 3 * 166667: two primes go to the scan,
+    # the third to baby-step/giant-step
+    m = 1000003
+    seen = []
+    real = core._prime_log
+
+    def spy(g, h, q, mod):
+        seen.append(q)
+        return real(g, h, q, mod)
+
+    monkeypatch.setattr(core, "_prime_log", spy)
+    for w in (0, 1, 5, 4321):
+        target = pow(2, w, m)
+        assert discrete_log(2, target, m) == dlog_brute(2, target, m) == w
+    assert sorted(set(seen)) == [2, 3, 166667]
+    assert 2 < core._SCAN_BELOW <= 166667
+    # 4 = 2**2 has order 3 * 166667, so the non-residues 5 and -1 fail the
+    # pre-test before any prime is tried
+    seen.clear()
+    for target in (5, m - 1):
+        assert pow(target, 500001, m) != 1
+        assert discrete_log(4, target, m) is None
+    assert seen == []
+
+
+def test_second_discrete_log_on_a_modulus_does_not_factor(monkeypatch):
+    m = 10007**2 * 13
+    assert discrete_log(3, pow(3, 12345, m), m) == 12345
+    calls = []
+    real = core.factorint
+
+    def spy(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(core, "factorint", spy)
+    for w in (1, 999, 77777):
+        assert discrete_log(3, pow(3, w, m), m) == w
+    assert calls == []
 
 
 @given(st.sampled_from([36, 100, 101, 341, 1009]), st.integers(1, 300), st.integers(1, 300))
