@@ -41,6 +41,7 @@ from .engine import (
     QuadIrr,
     _is_square,
     _period_roots,
+    _quad,
     convergents,
     expand,
     first_reexpansion,
@@ -212,9 +213,8 @@ class ConstructionResult:
     verified: bool
 
     def to_json(self) -> dict:
-        """Plain data; a_t and the period come out through str(), so a
-        caller outside the CLI must lift sys.set_int_max_str_digits first
-        when their numerators pass 4300 digits (l = 353 already does)."""
+        """Plain data: the integers stay ints, and a_t and the period are
+        strings of any length (LaurentInt.__str__ uses core.to_decimal)."""
         return {
             "p": self.p,
             "k0": self.k0,
@@ -249,6 +249,14 @@ def construct(cert: NiceCertificate, h: int = 0,
     branches start with opposite digits, so only one is expanded.
     expansion and branch are that re-expansion, or None when neither
     branch reproduces the digits; eq12_ok False also leaves verified False.
+
+    Cost: each coset member visited builds one power p**omega; the other
+    two big powers it needs are exact quotients of that one by small powers
+    of p, and its remaining arithmetic divides by the seed's small rows.
+    The target 1/(p**k0 sqrt(m)) is built without QuadIrr's checks, which
+    this function has proved, so isqrt(m) runs at most once per member. The
+    re-expansion's middle digit has k_t ~ omega, and its strip is linear in
+    the size of m (engine._advance, core.split_p).
     """
     if cert.cond_c is None:
         raise ValueError("niceness is indeterminate (discrete-log budget): cannot construct")
@@ -268,10 +276,11 @@ def construct(cert: NiceCertificate, h: int = 0,
     q1, rem = divmod(B1 * B1, cert.q)
     _invariant(rem == 0, "q must divide B~_{t-1}**2")
     log10p = math.log10(p)
+    lead = k0 + 2 * Kt1  # k_t = omega - lead; lead >= k_{t-1} and lead >= k0 >= 1
     valid = 0  # valid members before the current one
     for j in range(h + 201):
         omega = cert.omega0 + j * s
-        if omega <= k0 + 2 * Kt1:
+        if omega <= lead:
             continue
         if omega * log10p > max_digits:
             raise ConstructionInfeasible(
@@ -279,17 +288,20 @@ def construct(cert: NiceCertificate, h: int = 0,
                 f"(about {int(omega * log10p)} decimal digits, cap {max_digits})",
                 omega, int(omega * log10p),
             )
-        kt = omega - k0 - 2 * Kt1
-        b_int, rem = divmod(p**omega - cert.q, A1sq)
+        kt = omega - lead
+        # the one big power of the member; p**(kt + kt1) and p**(kt + 1)
+        # are exact quotients of it by small powers of p
+        pw = p**omega
+        b_int, rem = divmod(pw - cert.q, A1sq)
         _invariant(rem == 0, "coset membership must make b integral")
         if b_int == 0:
             continue
-        jump = p ** (kt + kt1)
+        jump = pw // p ** (lead - kt1)
         ctil, rem = divmod(sign_t * qq - jump * A2_, A1)
         if rem != 0:
             raise ValueError("certificate corrupt: c~ is not an integer")
         _invariant(ctil % p != 0, "c~ must be a p-unit")
-        if 4 * abs(ctil) >= p ** (kt + 1):
+        if 4 * abs(ctil) >= pw // p ** (lead - 1):
             continue
         m = -b_int * q1
         _invariant(m % p != 0, "m must be prime to p")
@@ -313,7 +325,9 @@ def construct(cert: NiceCertificate, h: int = 0,
     preperiod = (cert.cf[0],)
     r = sqrt_mod_p(m % p, p)
     _invariant(r, "sqrt(m) must exist in Q_p by construction")
-    targets = (QuadIrr(p, m, 0, m, k0, br) for br in (r, p - r))
+    # QuadIrr's checks hold: m is prime to p and not a square (the loop
+    # checked both), c = m divides Delta - b**2 = m, r**2 = m mod p
+    targets = (_quad(p, m, 0, m, k0, br) for br in (r, p - r))
     hit = first_reexpansion(targets, preperiod, period, BROWKIN)
     branch_used, actual = (hit[0].branch, hit[1]) if hit else (None, None)
     reexpand_ok = hit is not None

@@ -17,6 +17,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -60,13 +61,32 @@ def split_p(n: int, p: int):
 
     Divides by p, p**2, p**4, ... while the division is exact, then walks
     back down the same powers, so e factors cost O(log e) big divisions
-    instead of e of them.
+    instead of e of them. Those divisions cost O(bits(n) * bits(p**e)),
+    quadratic when p**e is most of n, so on an n of _TOP_BITS bits or more
+    _split_big tries _strip_top once p**63 divides n, which finds a huge e
+    next to a u of under 64 bits in time linear in the size of n.
     """
     if n % p:  # the common case, kept to one cheap test
         return 0, n
     if n == 0 or p < 2:
         raise ValueError(f"split_p needs n != 0 and p >= 2, got n={n}, p={p}")
-    return _split_p(n, p)
+    if n.bit_length() < _TOP_BITS:
+        return _split_p(n, p)
+    return _split_big(n, p)[:2]
+
+
+def split_p_power(n: int, p: int):
+    """(e, u, p**e) with (e, u) = split_p(n, p), for n != 0 and p >= 2
+    (unchecked).
+
+    _strip_top builds p**e to prove its answer, and that power comes back
+    here, so a caller that needs it does not build it a second time.
+    """
+    if n.bit_length() < _TOP_BITS:
+        e, u = _split_p(n, p)
+        return e, u, p**e
+    e, u, pe = _split_big(n, p)
+    return e, u, p**e if pe is None else pe
 
 
 def _split_p(n: int, p: int):
@@ -76,6 +96,113 @@ def _split_p(n: int, p: int):
     e, u = _split_p(q, p * p)  # n == p**(2e + 1) * u, and p**2 does not divide u
     q, r = divmod(u, p)
     return (2 * e + 1, u) if r else (2 * e + 2, q)
+
+
+# split_p hands numbers of at least this many bits to _split_big: the top
+# strip beats the doubling from ~2k bits (p = 3, 5, 7, with a 7-bit u), and
+# a miss adds a fixed ~20 us that the doubling of a bigger number hides
+_TOP_BITS = 8192
+_TOP_LEVEL = 6  # _split_big tries the top strip once p**(2**6 - 1) divides n
+_TOP_U_BITS = 64  # the cofactor bound |u| < 2**64 that the top strip covers
+_TOP_K = 16384  # the bit length of p**_TOP_K gives log2(p) to about 1/_TOP_K
+
+
+def _split_big(n: int, p: int):
+    """(e, u, p**e or None) with (e, u) = split_p(n, p), for p dividing n.
+
+    The doubling of _split_p, written out: it climbs through p**(2**j) for
+    j < _TOP_LEVEL while they divide, and when all do, e >= 63 and
+    _strip_top gets the quotient. On a hit that is the answer, with its
+    power. Otherwise _split_p goes on climbing from p**64, and the walk
+    back down through the bases climbed finishes e; no power comes back.
+    """
+    bases, pp, e = [], p, 0
+    while len(bases) < _TOP_LEVEL:
+        q, r = divmod(n, pp)
+        if r:
+            break
+        n = q
+        bases.append(pp)
+        pp *= pp
+    else:
+        hit = _strip_top(n, p)
+        if hit:
+            f, u, pf = hit
+            return f + 2**_TOP_LEVEL - 1, u, pf * p ** (2**_TOP_LEVEL - 1)
+        f, n = _split_p(n, pp)
+        e = f << _TOP_LEVEL
+    e += 2 ** len(bases) - 1  # the input is p**e * n, and p**(2**len(bases)) does not divide n
+    for j in reversed(range(len(bases))):
+        q, r = divmod(n, bases[j])
+        if not r:
+            n, e = q, e + 2**j
+    return e, n, None
+
+
+@lru_cache(maxsize=None)
+def _top_constants(p: int):
+    """The bit length of p**_TOP_K and the inverse of p mod 2**(S + 64),
+    S = _TOP_U_BITS, built once per odd p."""
+    return (p**_TOP_K).bit_length(), pow(p, -1, 1 << (_TOP_U_BITS + 64))
+
+
+def _strip_top(n: int, p: int):
+    """(e, u, p**e) with n == p**e * u and p not dividing u, when p is odd
+    and |u| < 2**_TOP_U_BITS; None otherwise.
+
+    With b the bit length of n and S = _TOP_U_BITS, 2**(b-1) <= |n| =
+    p**e |u| < 2**b and 1 <= |u| < 2**S put e log2(p) in (b - 1 - S, b).
+    L = bit length of p**K satisfies L - 1 <= K log2(p) < L, so e lies in
+    [lo, hi] = [(b - 1 - S) K // L, b K // (L - 1)], a window of about
+    (S + 1)/log2(p) + b/(K log2(p)**2) values (65 for p = 3 at a million
+    bits). p is odd, so it is a unit mod 2**W, W = S + 64, and for that e
+    the residue of n * p**-e mod 2**W, centred, is u itself. The scan walks
+    e down from hi on W-bit residues and returns the first e whose residue
+    x has |x| < 2**S, p not dividing x and p**e * x == n. That product
+    proves n == p**e * x with p not dividing x, which fixes e and u, so the
+    answer is exact whatever the scan order; a false small residue (chance
+    about 2**-63 per e) costs one power. A miss costs the scan alone, a
+    few dozen steps on W-bit numbers; a hit adds one power of p and one
+    product with u, both subquadratic.
+    """
+    if not p & 1:
+        return None
+    b, S = n.bit_length(), _TOP_U_BITS
+    L, inv = _top_constants(p)
+    hi, lo = b * _TOP_K // (L - 1), max((b - 1 - S) * _TOP_K // L, 0)
+    W = S + 64
+    mask, small, neg = (1 << W) - 1, 1 << S, (1 << W) - (1 << S)
+    x = (n & mask) * pow(inv, hi, 1 << W) & mask
+    for e in range(hi, lo - 1, -1):
+        if x < small or x >= neg:  # x centred lies in [-2**S, 2**S)
+            u = x if x < small else x - (1 << W)
+            if u % p and (pe := p**e) * u == n:
+                return e, u, pe
+        x = x * p & mask
+    return None
+
+
+def to_decimal(n: int) -> str:
+    """str(n) for an int of any size, under any sys.set_int_max_str_digits.
+
+    With the limit lifted this is str(n). Otherwise n is split at powers of
+    10 until every piece has fewer than 3 * limit bits, hence fewer than
+    limit digits, and the pieces are joined zero-padded: divide and
+    conquer, quadratic like str() itself.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        return str(n)
+    return "-" + _decimal(-n, 3 * limit) if n < 0 else _decimal(n, 3 * limit)
+
+
+def _decimal(n: int, max_bits: int) -> str:
+    bits = n.bit_length()
+    if bits < max_bits:
+        return str(n)
+    half = bits * 3 // 20  # about half the digits; 10**half < n, so hi >= 1
+    hi, lo = divmod(n, 10**half)
+    return _decimal(hi, max_bits) + _decimal(lo, max_bits).zfill(half)
 
 
 def vp(x, p):
@@ -564,8 +691,8 @@ class LaurentInt:
 
     def __str__(self) -> str:
         if self.e == 0:
-            return str(self.tilde)
-        return f"{self.tilde}/{self.p ** self.e}"
+            return to_decimal(self.tilde)
+        return f"{to_decimal(self.tilde)}/{to_decimal(self.p ** self.e)}"
 
     def __neg__(self) -> "LaurentInt":
         return LaurentInt(self.p, -self.tilde, self.e)

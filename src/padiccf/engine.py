@@ -28,7 +28,10 @@ after one exact division by p**k. Its divisor is small when k is small, and
 its quotient is small when k is near the state size, as for the middle digit
 of a construction's re-expansion (k ~ omega); split_p then strips only k'.
 Apart from split_p's strip of a huge k', every operation is small-by-big,
-linear in the state size or a division with a small quotient.
+linear in the state size or a division with a small quotient. That strip
+is linear too when c' is small, as it is at a middle digit: past 8,192
+bits core.split_p_power finds a huge k' next to a c' of under 64 bits from
+the top (core._strip_top), and it hands back the p**k' it built.
 
 That update is one private kernel, _advance, on plain ints: it carries
 p**k and Z = p**k_prev * c_prev from step to step, so no power of p is
@@ -68,6 +71,7 @@ from .core import (
     mod_inverse,
     padic_square_exists,
     split_p,
+    split_p_power,
     sqrt_mod_p,
     vp,
 )
@@ -385,8 +389,9 @@ def _advance(p: int, b: int, c: int, k: int, pk: int, Z: int, root: int, flavor:
     The state has k >= 1 and valuation exactly -k, so r is a p-unit and the
     digit r/p**k needs no p stripped; r (b - b') = p**k (p**k' c' - Z)
     puts p**k in b - b', and p**k' c' = Z + r (b - b')/p**k. k' is almost
-    always 1 or 2, so two divisions by p come before split_p, which strips
-    the huge k' of a construction's middle digit.
+    always 1 or 2, so two divisions by p come before split_p_power, which
+    strips the huge k' of a construction's middle digit and returns the
+    p**k' it built for that, the next state's pk.
     """
     r = _window_residue(b + root, c, pk, p, flavor)
     b1 = r * c - b
@@ -406,8 +411,8 @@ def _advance(p: int, b: int, c: int, k: int, pk: int, Z: int, root: int, flavor:
     c1 //= p
     if c1 % p:
         return r, b1, c1, 2, p * p, pk * c
-    e, c1 = split_p(c1, p)
-    return r, b1, c1, e + 2, p ** (e + 2), pk * c
+    e, c1, pe = split_p_power(c1, p)
+    return r, b1, c1, e + 2, pe * p * p, pk * c
 
 
 def step(alpha: QuadIrr, flavor: str = BROWKIN, _prev: QuadIrr | None = None):
@@ -451,7 +456,7 @@ def step(alpha: QuadIrr, flavor: str = BROWKIN, _prev: QuadIrr | None = None):
         _invariant(k1 >= 1, "next complete quotient must have negative valuation")
         # for k < 0, r = 0 and LaurentInt stores the digit as (0, 0)
         a = LaurentInt(p, r, k)
-    return a, _state(alpha, b1, c1, k1)
+    return a, _quad(p, alpha.Delta, b1, c1, k1, alpha.branch)
 
 
 def _unit_digit(p: int, r: int, k: int) -> LaurentInt:
@@ -466,13 +471,20 @@ def _unit_digit(p: int, r: int, k: int) -> LaurentInt:
     return a
 
 
-def _state(alpha: QuadIrr, b: int, c: int, k: int) -> QuadIrr:
-    """The stepped state (b + delta)/(p**k c) over alpha's Delta and branch.
-
-    c != 0 is free of p and divides Delta - b**2 = p**(k_prev + k) c_prev c,
-    so QuadIrr's checks are skipped."""
+def _quad(p: int, Delta: int, b: int, c: int, k: int, branch: int) -> QuadIrr:
+    """QuadIrr(p, Delta, b, c, k, branch) without its checks, for a caller
+    that has proved them: a stepped state (c != 0 is free of p and divides
+    Delta - b**2 = p**(k_prev + k) c_prev c) or a construction's target.
+    The fields are set one by one, in declaration order: filling the
+    instance __dict__ in one update would more than double the state's
+    memory."""
     st = _new(QuadIrr)
-    st.__dict__.update(p=alpha.p, Delta=alpha.Delta, b=b, c=c, k=k, branch=alpha.branch)
+    _setattr(st, "p", p)
+    _setattr(st, "Delta", Delta)
+    _setattr(st, "b", b)
+    _setattr(st, "c", c)
+    _setattr(st, "k", k)
+    _setattr(st, "branch", branch)
     return st
 
 
@@ -574,12 +586,12 @@ def _walk(cur: QuadIrr, flavor: str, prev: QuadIrr | None = None):
     while prev is None or prev.k < 1:
         yield cur
         prev, cur = cur, step(cur, flavor, _prev=prev)[1]
-    p, b, c, k = cur.p, cur.b, cur.c, cur.k
+    p, Delta, b, c, k, branch = cur.p, cur.Delta, cur.b, cur.c, cur.k, cur.branch
     pk, Z = p**k, p**prev.k * prev.c
     while True:
         yield cur
         _, b, c, k, pk, Z = _advance(p, b, c, k, pk, Z, b, flavor)
-        cur = _state(cur, b, c, k)
+        cur = _quad(p, Delta, b, c, k, branch)
 
 
 def expand(alpha: QuadIrr, flavor: str = BROWKIN, max_steps: int = DEFAULT_MAX_STEPS) -> Expansion:

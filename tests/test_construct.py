@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import random
+import sys
 import time
 from collections import Counter
 from fractions import Fraction
@@ -23,7 +24,7 @@ from padiccf import (
     nice_search,
     periodic_limit,
 )
-from padiccf.core import LaurentInt, divisors, split_p
+from padiccf.core import LaurentInt, divisors, split_p, split_p_power
 from padiccf.engine import PERIODIC, QuadIrr, parse_quotient_list
 
 from oracles import step_brute
@@ -250,17 +251,45 @@ def test_reexpansion_states_follow_the_dividing_update(seed):
 def test_reexpansion_strips_p_only_from_state_size_numbers(monkeypatch):
     # step divides b - b' by p**k before it strips p, so no strip in the
     # l = 353 re-expansion sees a product twice the size of m, as the one
-    # that would strip p**31,853 at once would
-    sizes = []
+    # that would strip p**31,853 at once would; and the kernel's strip of
+    # k' = k_t ~ omega hands the next step p**k' as the power it built
+    sizes, steps, advance = [], [], engine_module._advance
 
-    def spying_split_p(n, p):
-        sizes.append(n.bit_length())
-        return split_p(n, p)
+    def spying(split):
+        def spy(n, p):
+            sizes.append(n.bit_length())
+            return split(n, p)
+        return spy
 
-    monkeypatch.setattr(engine_module, "split_p", spying_split_p)
+    def spying_advance(*args):
+        steps.append(advance(*args))
+        return steps[-1]
+
+    monkeypatch.setattr(engine_module, "split_p", spying(split_p))
+    monkeypatch.setattr(engine_module, "split_p_power", spying(split_p_power))
+    monkeypatch.setattr(engine_module, "_advance", spying_advance)
     res = construct(is_nice(SEED_353), 0)
     assert res.verified and res.m.bit_length() == 50489
     assert sizes and max(sizes) <= res.m.bit_length() + 64
+    assert max(k1 for _, _, _, k1, _, _ in steps) == res.kt == 31852
+    for _, _, _, k1, pk1, _ in steps:
+        assert pk1 == 3**k1
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no str limit here")
+def test_to_json_needs_no_lifted_str_limit():
+    # conftest lifts CPython's 4,300-digit guard; put it back, and the
+    # l = 353 record (a_t's denominator has 15,198 digits) is unchanged
+    res = construct(is_nice(SEED_353), 0)
+    lifted = res.to_json()
+    try:
+        sys.set_int_max_str_digits(4300)
+        with pytest.raises(ValueError):
+            str(3**res.kt)
+        assert res.to_json() == lifted
+    finally:
+        sys.set_int_max_str_digits(0)
+    assert lifted["a_t"] == f"{2 * res.c_tilde}/{3**res.kt}"
 
 
 @pytest.mark.parametrize("text,p", [("-6/5", 5), ("-1/3, -1/3", 3), ("-1/3, -110/81", 3)])

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,9 @@ from padiccf.core import (
     mult_order,
     padic_square_exists,
     split_p,
+    split_p_power,
     sqrt_mod_p,
+    to_decimal,
     vp,
 )
 from padiccf.engine import BROWKIN, _window_residue
@@ -64,6 +67,12 @@ def _strip_one_at_a_time(n, p):
     return e, n
 
 
+def _unit(rng, p, bits):
+    """A random u of the given bit length that p does not divide."""
+    u = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+    return u + 2 if u % p == 0 else u
+
+
 def test_split_p_matches_the_naive_loop():
     rng = random.Random(6)
     for p in (3, 5, 7, 353):
@@ -71,11 +80,48 @@ def test_split_p_matches_the_naive_loop():
             u = rng.randrange(p**40) * p + rng.randrange(1, p)  # p does not divide u
             for n in (p**e * u, -(p**e) * u, p**e):
                 assert split_p(n, p) == _strip_one_at_a_time(n, p) == (e, n // p**e), (p, e)
+        # past 8,192 bits split_p runs _split_big: its climb stops below
+        # p**63 or hands the quotient to the top strip, which misses here
+        for e in (1, 62, 63, 64, 127, 128):
+            n = -(p**e) * _unit(rng, p, 9000)
+            assert split_p(n, p) == _strip_one_at_a_time(n, p) == (e, n // p**e), (p, e)
+    # the top strip's regime: a huge e next to a cofactor of 1 bit, below p,
+    # of ~64 bits (its bound) or half the size of n; past e ~ 5,000 the
+    # reference is the (e, u) the input is built from
+    for p, e in ((3, 5001), (3, 12345), (3, 31850), (5, 133805)):
+        pe = p**e
+        units = [1, 2, p - 1, _unit(rng, p, 63), _unit(rng, p, 64), _unit(rng, p, 70)]
+        if e < 10**5:
+            units.append(_unit(rng, p, pe.bit_length()))
+        for u in units:
+            for n in (pe * u, -pe * u):
+                assert split_p(n, p) == (e, n // pe), (p, e, u.bit_length())
+                assert split_p_power(n, p) == (e, n // pe, pe)
+    assert split_p_power(3**5 * 7, 3) == (5, 7, 243)
     assert split_p(2**20 * 3, 2) == (20, 3)
+    assert split_p(2**9000 * 3, 2) == (9000, 3)
     with pytest.raises(ValueError):
         split_p(0, 5)
     with pytest.raises(ValueError):
         split_p(5, 1)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no str limit here")
+def test_to_decimal_is_str_under_any_limit():
+    # conftest lifts the 4,300-digit guard; to_decimal must not need that
+    rng = random.Random(18)
+    values = [0, 7, -7, 10**4299, 10**4300, -(10**20000), 3**31861 * 7]
+    values += [rng.choice((1, -1)) * rng.getrandbits(rng.randrange(1, 120000)) for _ in range(20)]
+    want = [str(v) for v in values]
+    try:
+        for limit in (640, 4300):
+            sys.set_int_max_str_digits(limit)
+            with pytest.raises(ValueError):
+                str(10**20000)
+            assert [to_decimal(v) for v in values] == want
+    finally:
+        sys.set_int_max_str_digits(0)
+    assert [to_decimal(v) for v in values] == want
 
 
 @given(

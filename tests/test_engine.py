@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 import importlib
@@ -817,6 +818,27 @@ def test_expand_keeps_no_state_but_alpha():
     assert retained < 1.5e6, retained
     quads = [obj for obj in _reachable(exp) if isinstance(obj, QuadIrr)]
     assert len(quads) == 1 and quads[0] is exp.alpha
+
+
+def test_walked_states_cost_what_a_validated_state_does():
+    # the replay builds each state field by field (engine._quad); filling
+    # the instance __dict__ in one update made a state ~2.5x bigger
+    exp = expand(PERIOD12_STATE)
+    n = 10_000
+    first = tuple(exp.quotient_at(i) for i in range(n))
+    long = dataclasses.replace(exp, status=OPEN, preperiod=first, period=())
+    gc.collect()
+    tracemalloc.start()
+    try:
+        states = list(long.walk())
+        walked, _ = tracemalloc.get_traced_memory()
+        rebuilt = [QuadIrr(st.p, st.Delta, st.b, st.c, st.k, st.branch) for st in states]
+        validated = tracemalloc.get_traced_memory()[0] - walked
+    finally:
+        tracemalloc.stop()
+    assert len(states) == len(rebuilt) == n and states[len(exp.period)] == states[0]
+    # a walked state also holds its own b and c, at most 32 bytes each
+    assert walked / n <= validated / n + 64, (walked / n, validated / n)
 
 
 @pytest.mark.parametrize("flavor", [BROWKIN, RUBAN])

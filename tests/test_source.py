@@ -46,3 +46,34 @@ def test_every_package_export_has_a_caller():
             used |= _loaded_names(path)
     assert len(exported) >= 40 and PERFBENCH
     assert [name for name in exported if name not in used] == []
+
+
+# methods that write to the dict they are called on
+_DICT_WRITES = {"update", "setdefault", "pop", "popitem", "clear", "__setitem__", "__delitem__"}
+
+
+def _is_instance_dict(node):
+    """obj.__dict__ or vars(obj)."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == "__dict__"
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "vars" and len(node.args) == 1)
+
+
+def test_library_writes_no_instance_dict():
+    # a write to obj.__dict__ materializes a real dict per object: filling
+    # a stepped QuadIrr by __dict__.update cost ~2.5x its memory, so the
+    # engine sets fields one by one (engine._quad, engine._unit_digit)
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for parent in ast.walk(tree):
+            for node in ast.iter_child_nodes(parent):
+                if not _is_instance_dict(node):
+                    continue
+                stored = not isinstance(getattr(node, "ctx", ast.Load()), ast.Load)
+                item_stored = isinstance(parent, ast.Subscript) and not isinstance(parent.ctx, ast.Load)
+                mutated = isinstance(parent, ast.Attribute) and parent.attr in _DICT_WRITES
+                if stored or item_stored or mutated:
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
