@@ -35,11 +35,13 @@ the top (core._strip_top), and it hands back the p**k' it built.
 
 That update is one private kernel, _advance, on plain ints: it carries
 p**k and Z = p**k_prev * c_prev from step to step, so no power of p is
-built twice, and it builds no QuadIrr. Only states 0 and 1 can need the
-division by c, the Hensel lift of delta or the route for k_prev < 0, so
-expand and the replay run those two through step and every later state
-through the kernel; step itself calls the kernel whenever k_prev >= 0.
-The kernel checks that r is a p-unit, which lets expand build each digit
+built twice, and it builds no QuadIrr. State 0 has no predecessor, and a
+state stepped from one with k_prev < 0 (state 1 after a start with k0 < 0)
+need not have valuation -k, so those go through step, which finds X by one
+exact division by c. One generator, _chain, runs step while the previous
+state had k < 0 and the kernel from then on; expand, walk(), state_at and
+the replay all consume it, so a replayed state is the one expand saw. The
+kernel checks that r is a p-unit, which lets _chain build each digit
 r/p**k without LaurentInt's validation.
 
 Periodicity is detected by the first repeat of the exact triple (b, c, k);
@@ -58,7 +60,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, islice
+from itertools import islice
 from math import gcd, isqrt, lcm, prod
 
 from .core import (
@@ -73,6 +75,7 @@ from .core import (
     split_p,
     split_p_power,
     sqrt_mod_p,
+    to_decimal,
     vp,
 )
 
@@ -202,10 +205,8 @@ class QuadIrr:
         }
 
     def __str__(self) -> str:
-        return (
-            f"({self.b}+sqrt({self.Delta}))/({self.p}^{self.k}*{self.c})"
-            f"[delta={self.branch} mod {self.p}]"
-        )
+        b, Delta, c = (to_decimal(n) for n in (self.b, self.Delta, self.c))
+        return f"({b}+sqrt({Delta}))/({self.p}^{self.k}*{c})[delta={self.branch} mod {self.p}]"
 
 
 def _val_linear(x: int, y: int, Delta: int, branch: int, p: int):
@@ -415,48 +416,32 @@ def _advance(p: int, b: int, c: int, k: int, pk: int, Z: int, root: int, flavor:
     return r, b1, c1, e + 2, pe * p * p, pk * c
 
 
-def step(alpha: QuadIrr, flavor: str = BROWKIN, _prev: QuadIrr | None = None):
+def step(alpha: QuadIrr, flavor: str = BROWKIN):
     """One algorithm step: returns (digit, next complete quotient).
 
     The update is exact integer arithmetic: with r = p**k * a the window
     residue and b' = r c - b, Delta - b'**2 = p**(k + k') c c' defines k'
-    and c'. It is computed without a division by c: X = (Delta - b**2)/c
-    gives p**(k + k') c' = X + r (b - b'), since Delta - b'**2 =
-    (Delta - b**2) + r c (b - b') when b + b' = r c.
-
-    step(alpha, flavor) is exact on any valid state and finds X with one
-    exact division. expand passes _prev, the state alpha was stepped from,
-    and X = p**(k_prev + k) c_prev needs no division. When k_prev >= 0 the
-    step is the kernel _advance, which divides b - b' exactly by p**k and
-    strips only k' from p**k' c' = p**k_prev c_prev + r (b - b')/p**k; its
-    divisor is small when k is small and its quotient is small when k is
-    near the state size. The kernel reads delta from b when k_prev >= 1,
-    and step lifts it only when k_prev = 0 (see _residue).
+    and c'. It needs no squaring of b': X = (Delta - b**2)/c, found by one
+    exact division, gives p**(k + k') c' = X + r (b - b'), since
+    Delta - b'**2 = (Delta - b**2) + r c (b - b') when b + b' = r c. step is
+    exact on any valid state; expand runs it only where the kernel _advance
+    cannot start (see _chain).
     """
     _check_flavor(flavor)
     p, b, c, k = alpha.p, alpha.b, alpha.c, alpha.k
-    if _prev is not None and _prev.k >= 0:
-        root = b if _prev.k >= 1 else hensel_digits(p, alpha.Delta, alpha.branch, k + 1)
-        r, b1, c1, k1, _, _ = _advance(p, b, c, k, p**k, p**_prev.k * _prev.c, root, flavor)
-        a = _unit_digit(p, r, k)
-    else:
-        r = _residue(alpha, flavor)
-        b1 = r * c - b
-        if _prev is None:
-            # Delta - b'**2 = Delta - b**2 mod c, so this is the check that c
-            # divides the next state's Delta - b'**2
-            X, rem = divmod(alpha.Delta - b * b, c)
-            _invariant(rem == 0, "c | Delta - b'**2 must propagate")
-        else:  # after a state 0 with k0 < 0, alpha need not have valuation -k
-            X = p ** (_prev.k + k) * _prev.c
-        Y = X + r * (b - b1)  # (Delta - b1**2)/c = p**(k + k1) * c1
-        _invariant(Y, "rational leak: Delta = b'**2")
-        e, c1 = split_p(Y, p)
-        k1 = e - k
-        _invariant(k1 >= 1, "next complete quotient must have negative valuation")
-        # for k < 0, r = 0 and LaurentInt stores the digit as (0, 0)
-        a = LaurentInt(p, r, k)
-    return a, _quad(p, alpha.Delta, b1, c1, k1, alpha.branch)
+    r = _residue(alpha, flavor)
+    b1 = r * c - b
+    # Delta - b'**2 = Delta - b**2 mod c, so this is the check that c
+    # divides the next state's Delta - b'**2
+    X, rem = divmod(alpha.Delta - b * b, c)
+    _invariant(rem == 0, "c | Delta - b'**2 must propagate")
+    Y = X + r * (b - b1)  # (Delta - b1**2)/c = p**(k + k1) * c1
+    _invariant(Y, "rational leak: Delta = b'**2")
+    e, c1 = split_p(Y, p)
+    k1 = e - k
+    _invariant(k1 >= 1, "next complete quotient must have negative valuation")
+    # for k < 0, r = 0 and LaurentInt stores the digit as (0, 0)
+    return LaurentInt(p, r, k), _quad(p, alpha.Delta, b1, c1, k1, alpha.branch)
 
 
 def _unit_digit(p: int, r: int, k: int) -> LaurentInt:
@@ -499,7 +484,7 @@ class Expansion:
     has negative valuation, so its k_n = -v_p(alpha_n) is the exponent of
     the digit a_n; ks and k_at(i) read it from there. No complete quotient
     is stored: when the source alpha is a QuadIrr, walk() and state_at(i)
-    replay them from alpha with the step chain expand ran.
+    replay them from alpha by _chain, the stepping chain expand ran.
     """
 
     p: int
@@ -540,8 +525,11 @@ class Expansion:
         """Yields the complete quotients 0, 1, ..., n - 1 behind the n
         recorded digits, one at a time, replayed from alpha; nothing when
         the source was a rational."""
-        if isinstance(self.alpha, QuadIrr):
-            yield from islice(_walk(self.alpha, self.flavor), len(self.quotients))
+        alpha = self.alpha
+        if isinstance(alpha, QuadIrr):
+            p, Delta, branch = alpha.p, alpha.Delta, alpha.branch
+            for _, (b, c, k) in islice(_chain(alpha, self.flavor), len(self.quotients)):
+                yield _quad(p, Delta, b, c, k, branch)
 
     def state_at(self, i: int) -> "QuadIrr":
         """Complete quotient i, replayed from alpha in O(i) steps. On a
@@ -577,87 +565,86 @@ class Expansion:
         }
 
 
-def _walk(cur: QuadIrr, flavor: str, prev: QuadIrr | None = None):
-    """Yields cur and the states after it, without end, by the chain expand
-    runs, where prev is the state cur was stepped from (None for state 0):
-    step(cur, flavor, _prev=prev) until prev has k >= 1, then the kernel
-    _advance, with a QuadIrr built only for each state yielded. A replayed
-    state is the one expand saw, triple for triple."""
-    while prev is None or prev.k < 1:
-        yield cur
-        prev, cur = cur, step(cur, flavor, _prev=prev)[1]
-    p, Delta, b, c, k, branch = cur.p, cur.Delta, cur.b, cur.c, cur.k, cur.branch
+def _chain(alpha: QuadIrr, flavor: str):
+    """Yields (a, (b, c, k)) for states 0, 1, 2, ... of alpha, without end:
+    state i's triple and the digit a_(i-1) that led into it (None for state
+    0). While the previous state had k < 0, which covers state 0 and state
+    1 after a start with k0 < 0, the next state comes from step; from then
+    on from the kernel _advance on plain ints, with each digit r/p**k built
+    without LaurentInt's checks (the kernel checks that r is a p-unit).
+    The first kernel step lifts delta when the state before it had k = 0;
+    after one with k >= 1, delta mod p**(k+1) is b itself (see _residue)."""
+    a, cur, prev = None, alpha, None
+    while prev is None or prev.k < 0:
+        yield a, (cur.b, cur.c, cur.k)
+        prev, (a, cur) = cur, step(cur, flavor)
+    p, b, c, k = cur.p, cur.b, cur.c, cur.k
+    root = b if prev.k else hensel_digits(p, cur.Delta, cur.branch, k + 1)
     pk, Z = p**k, p**prev.k * prev.c
     while True:
-        yield cur
-        _, b, c, k, pk, Z = _advance(p, b, c, k, pk, Z, b, flavor)
-        cur = _quad(p, Delta, b, c, k, branch)
+        yield a, (b, c, k)
+        r, b, c, k1, pk, Z = _advance(p, b, c, k, pk, Z, root, flavor)
+        a, k, root = _unit_digit(p, r, k), k1, b
+
+
+def _replay(alpha: QuadIrr, flavor: str, held: tuple, last: int):
+    """Yields the triples of states 0 .. last: those of states 0 and 1 from
+    held, the rest replayed from alpha by _chain."""
+    yield from held[: last + 1]
+    if last >= 2:
+        for _, key in islice(_chain(alpha, flavor), 2, last + 1):
+            yield key
 
 
 def expand(alpha: QuadIrr, flavor: str = BROWKIN, max_steps: int = DEFAULT_MAX_STEPS) -> Expansion:
     """Run the algorithm with cycle detection on the exact state triple.
 
     Returns a periodic expansion with minimal preperiod and period, or an
-    open one if no state repeats within max_steps. States 0 and 1 go
-    through step, the only steps that can divide by c or lift delta; from
-    the first state stepped from one with k >= 1 (state 2 at the latest)
-    the loop runs the kernel _advance on the plain ints (b, c, k, p**k,
-    p**k_prev * c_prev), builds no QuadIrr and builds each digit without
-    LaurentInt's checks (the kernel checks that r is a p-unit). Held are
-    alpha, the states stepped by step and the current triple; seen maps
-    the fingerprint hash((b, c, k)) of each state to the last index that
-    had it.
+    open one if no state repeats within max_steps; state max_steps is
+    stepped to but never compared. The digits and triples come from
+    _chain. Held are alpha, the triples of states 0 and 1 and the current
+    one; seen maps the fingerprint hash((b, c, k)) of each state to the
+    last index that had it.
 
-    When state i's fingerprint is in seen, states 0 .. seen[fingerprint]
-    are replayed and state i repeats the first of them whose exact triple
-    equals its own. State 0 is alpha itself, and the replay steps on from
-    the held state 1, since state 0's step is the one that divides by c
-    and lifts delta. A replay without a match is a hash collision, and i
-    then becomes the index kept for that fingerprint.
+    When state i's fingerprint is in seen, state i repeats the first of
+    states 0 .. seen[fingerprint] whose exact triple equals its own. The
+    held triples settle a repeat of state 0 or 1, as in every purely
+    periodic or preperiod-1 expansion (construct's re-expansions among
+    them), without stepping anything; states 2 onwards are replayed from
+    alpha. A search without a match is a hash collision, and i then
+    becomes the index kept for that fingerprint.
 
     Proof that this finds the first exact repeat: equal triples have
     equal fingerprints, so every j < i with state j = state i has a
     fingerprint in seen, and j is at most the last index kept for it,
-    which the replay reaches. By induction no exact repeat went unseen
-    before i, so states 0 .. i - 1 are pairwise distinct, at most one j
-    matches, and state i = state j is the first repeat: j is the minimal
-    preperiod and i - j the minimal period. A collision only costs a
-    replay; PERIODIC is never declared without exact equality.
+    which the search reaches, held or replayed. By induction no exact
+    repeat went unseen before i, so states 0 .. i - 1 are pairwise
+    distinct, at most one j matches, and state i = state j is the first
+    repeat: j is the minimal preperiod and i - j the minimal period. A
+    collision only costs a replay; PERIODIC is never declared without
+    exact equality.
     """
     _check_flavor(flavor)
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     k0 = -alpha.valuation
     p = alpha.p
-    seen: dict[int, int] = {}
-    quots: list[LaurentInt] = []
-    cur, prev = alpha, None
-    b, c, k = alpha.b, alpha.c, alpha.k
-    for i in range(max_steps):
-        key = (b, c, k)
+    steps = _chain(alpha, flavor)
+    (_, key0), (a, key) = next(steps), next(steps)
+    held, seen, quots = (key0, key), {hash(key0): 0}, [a]
+    for i in range(1, max_steps):
         fingerprint = hash(key)
         last = seen.get(fingerprint)
         if last is not None:
-            replay = islice(chain((alpha,), _walk(state1, flavor, alpha)), last + 1)
-            j = next((n for n, st in enumerate(replay) if (st.b, st.c, st.k) == key), None)
+            replay = _replay(alpha, flavor, held, last)
+            j = next((n for n, st in enumerate(replay) if st == key), None)
             if j is not None:
                 pre, per = tuple(quots[:j]), tuple(quots[j:])
                 if pre:
                     _invariant(pre[-1] != per[-1], "state-minimal cycle should be digit-minimal")
                 return Expansion(p, flavor, PERIODIC, pre, per, k0, alpha)
         seen[fingerprint] = i
-        if cur is None:  # stepped from a state with k >= 1: the kernel
-            r, b, c, k1, pk, Z = _advance(p, b, c, k, pk, Z, b, flavor)
-            a = _unit_digit(p, r, k)
-            k = k1
-        else:
-            a, nxt = step(cur, flavor, _prev=prev)
-            if prev is None:
-                state1 = nxt
-            prev, cur = cur, nxt
-            b, c, k = nxt.b, nxt.c, nxt.k
-            if prev.k >= 1:
-                pk, Z, cur = p**k, p**prev.k * prev.c, None
+        a, key = next(steps)
         quots.append(a)
     return Expansion(p, flavor, OPEN, tuple(quots), (), k0, alpha)
 

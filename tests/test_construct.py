@@ -279,14 +279,16 @@ def test_reexpansion_strips_p_only_from_state_size_numbers(monkeypatch):
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no str limit here")
 def test_to_json_needs_no_lifted_str_limit():
     # conftest lifts CPython's 4,300-digit guard; put it back, and the
-    # l = 353 record (a_t's denominator has 15,198 digits) is unchanged
+    # l = 353 record (a_t's denominator has 15,198 digits) and the text of
+    # its re-expanded target are unchanged
     res = construct(is_nice(SEED_353), 0)
-    lifted = res.to_json()
+    lifted, target = res.to_json(), str(res.expansion.alpha)
     try:
         sys.set_int_max_str_digits(4300)
         with pytest.raises(ValueError):
             str(3**res.kt)
         assert res.to_json() == lifted
+        assert str(res.expansion.alpha) == target
     finally:
         sys.set_int_max_str_digits(0)
     assert lifted["a_t"] == f"{2 * res.c_tilde}/{3**res.kt}"

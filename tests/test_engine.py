@@ -100,6 +100,16 @@ def test_period12_example():
     assert exp.text() == "[(" + ", ".join(PERIOD12) + ")*]"
 
 
+def test_max_steps_never_compares_state_max_steps():
+    # state max_steps is stepped to but not compared, so the period-12 value,
+    # whose state 12 repeats state 0, needs 13 steps to close; the m + N + 1
+    # budget of first_reexpansion rests on this
+    short, closed = expand(PERIOD12_STATE, max_steps=12), expand(PERIOD12_STATE, max_steps=13)
+    assert short.status == OPEN and [str(q) for q in short.preperiod] == PERIOD12
+    assert closed.status == PERIODIC and closed.is_purely_periodic
+    assert [str(q) for q in closed.period] == PERIOD12
+
+
 def test_sqrt37_purely_periodic():
     alpha = normalize(3, 37, 1, 6, 0, 1)
     assert alpha == QuadIrr(3, 37, 1, 2, 1, 1)
@@ -207,19 +217,21 @@ def test_step_emits_digit_and_reciprocal_remainder():
             assert nxt.valuation < 0
 
 
-def _step_under_python_O(setup):
-    """Run step(alpha, **step_kw) under python -O after the lines in setup.
+def _step_under_python_O(setup, call="step(alpha)"):
+    """Run call under python -O after the lines in setup.
 
-    step skips QuadIrr's checks on the state it builds; its own invariants
-    must fire under -O, which strips assert statements.
+    step and the kernel _advance skip QuadIrr's checks on the state they
+    build; their own invariants must fire under -O, which strips assert
+    statements.
     """
     code = (
         "import sys\n"
         "from padiccf import QuadIrr, step\n"
-        "step_kw = {}\n"
+        "from padiccf.core import hensel_digits\n"
+        "from padiccf.engine import _advance\n"
         + setup +
         "try:\n"
-        "    step(alpha, **step_kw)\n"
+        f"    {call}\n"
         "    print(sys.flags.optimize, 'accepted')\n"
         "except AssertionError as exc:\n"
         "    print(sys.flags.optimize, type(exc).__name__, exc)\n"
@@ -240,31 +252,32 @@ def test_step_rejects_a_corrupted_state_under_python_O():
 
 
 def test_step_rejects_an_inexact_p_power_division_under_python_O():
-    # a stepped state whose b is no longer delta mod p: adding c keeps
-    # c | Delta - b**2, but p**k no longer divides b - b'; prev has k = 0,
-    # so the root is lifted rather than read from b
+    # the kernel on a stepped state whose b is no longer delta mod p: adding
+    # c keeps c | Delta - b**2, but p**k no longer divides b - b'; prev has
+    # k = 0, so the root is lifted rather than read from b
     setup = (
         "prev = QuadIrr(5, 126, 0, 2, 0, 1)\n"
         "alpha = step(prev)[1]\n"
         "object.__setattr__(alpha, 'b', alpha.b + alpha.c)\n"
-        "step_kw = {'_prev': prev}\n"
+        "root = hensel_digits(5, alpha.Delta, alpha.branch, alpha.k + 1)\n"
     )
-    proc = _step_under_python_O(setup)
+    call = "_advance(5, alpha.b, alpha.c, alpha.k, 5**alpha.k, 5**prev.k * prev.c, root, 'browkin')"
+    proc = _step_under_python_O(setup, call)
     assert proc.stdout.strip() == "1 InvariantError p**k must divide b - b'", proc.stderr
 
 
 def test_step_rejects_a_corrupted_steady_state_under_python_O():
-    # prev has k >= 1, so step reads delta from b and runs the kernel;
-    # moving b by a multiple of c keeps c | Delta - b**2 but makes the digit
-    # numerator 2b/c mod p**(k+1) divisible by p
+    # prev has k >= 1, so the kernel reads delta from b; moving b by a
+    # multiple of c keeps c | Delta - b**2 but makes the digit numerator
+    # 2b/c mod p**(k+1) divisible by p
     setup = (
         "prev = QuadIrr(5, 89, 8, 1, 1, 3)\n"
         "alpha = step(prev)[1]\n"
         "b = next(b for b in range(alpha.b, alpha.b + 5 * alpha.c, alpha.c) if b % 5 == 0)\n"
         "object.__setattr__(alpha, 'b', b)\n"
-        "step_kw = {'_prev': prev}\n"
     )
-    proc = _step_under_python_O(setup)
+    call = "_advance(5, alpha.b, alpha.c, alpha.k, 5**alpha.k, 5**prev.k * prev.c, alpha.b, 'browkin')"
+    proc = _step_under_python_O(setup, call)
     assert proc.stdout.strip() == "1 InvariantError digit numerator must be a p-unit", proc.stderr
 
 
@@ -355,9 +368,8 @@ def test_expansion_states_follow_the_dividing_update(flavor):
 
 
 def test_expand_divides_by_c_only_on_state_0(monkeypatch):
-    # only state 0's (Delta - b**2)/c divides by c; every later step divides
-    # b - b' exactly by p**k, except the step after a state 0 with k0 < 0,
-    # which divides by nothing
+    # state 0's (Delta - b**2)/c divides by c, and so does state 1's after a
+    # state 0 with k0 < 0; every other step divides b - b' exactly by p**k
     divisors = []
 
     def recording_divmod(x, y):
@@ -384,14 +396,16 @@ def test_expand_divides_by_c_only_on_state_0(monkeypatch):
         exp = run()
         st = list(exp.walk())
         assert len(st) in (12, 2000)
-        want = [st[0].c] + [exp.p**cur.k for prev, cur in zip(st, st[1:]) if prev.k >= 0]
+        stepped = st[:2] if st[0].k < 0 else st[:1]
+        want = [cur.c for cur in stepped]
+        want += [exp.p**cur.k for prev, cur in zip(st, st[1:]) if prev.k >= 0]
         assert divisors == want
-    assert st[0].k < 0 and len(divisors) == len(st) - 1  # the probe's state 0
+    assert st[0].k < 0 and len(divisors) == len(st)  # the probe's state 0
 
 
 def test_expand_steps_only_its_first_two_states(monkeypatch):
-    # from state 2 on, expand runs the kernel and never calls step; a replay
-    # steps the held state 1 again
+    # step sees alpha, and state 1 only after a state 0 with k0 < 0; every
+    # other state, replays included, goes through the kernel
     calls = []
     real_step = engine_module.step
 
@@ -400,14 +414,19 @@ def test_expand_steps_only_its_first_two_states(monkeypatch):
         return real_step(*args, **kwargs)
 
     monkeypatch.setattr(engine_module, "step", counting_step)
-    digits = 0
+    digits, seen_state1 = 0, False
     for alpha in (SQRT89_STATE, PERIOD12_STATE, QuadIrr(7, 386, 0, -386, -1, 6),
-                  QuadIrr(5, 126, 0, 2, 0, 1)):
+                  QuadIrr(5, 126, 0, 2, 0, 1)) + tuple(RUBAN_PERIODIC):
         for flavor in (BROWKIN, RUBAN):
             calls.clear()
-            digits += len(expand(alpha, flavor, max_steps=300).quotients)
-            assert calls[0] is alpha and len({id(st) for st in calls}) <= 2
-    assert digits > 1000
+            exp = expand(alpha, flavor, max_steps=300)
+            digits += len(exp.quotients)
+            stepped = list(calls)
+            state1 = exp.state_at(1) if alpha.k < 0 else None
+            assert stepped[0] is alpha
+            assert all(st is alpha or st == state1 for st in stepped), (alpha, flavor)
+            seen_state1 |= state1 in stepped
+    assert digits > 1000 and seen_state1
 
 
 def _corpus_values(seed, n):
@@ -447,24 +466,28 @@ def test_emitted_digits_pass_full_validation():
     assert checked > 10_000
 
 
-def _assert_kernel_chain_is_the_dividing_route(exp):
-    """step(state) with no _prev divides by c and lifts delta; on every
-    state walk() yields it must give the recorded digit and the next
-    state walk() yields (state_at wraps past a periodic end)."""
-    states = list(exp.walk())
-    n = len(states)
-    nexts = states[1:] + ([exp.state_at(n)] if exp.status == PERIODIC else [])
-    for i, st in enumerate(states):
-        a, nxt = step(st, exp.flavor)
+def _assert_kernel_chain_is_the_dividing_route(exp, extra=1):
+    """Steps alpha by hand with step(state), which divides by c and lifts
+    delta: its digits must be the recorded ones and its first n states the
+    n that walk() yields. On a periodic expansion it goes extra states
+    further, and state_at must wrap onto them. Returns the states checked."""
+    walked = list(exp.walk())
+    n = len(walked)
+    total = n + extra if exp.status == PERIODIC else n
+    chain = [exp.alpha]
+    for i in range(total):  # digit i leads to state i + 1
+        a, nxt = step(chain[i], exp.flavor)
         assert a == exp.quotient_at(i), (exp.alpha, i)
-        if i < len(nexts):
-            assert (nxt.b, nxt.c, nxt.k) == (nexts[i].b, nexts[i].c, nexts[i].k), (exp.alpha, i)
-    return n
+        chain.append(nxt)
+    assert walked == chain[:n], exp.alpha
+    for i in range(n, total):
+        assert exp.state_at(i) == chain[i], (exp.alpha, i)
+    return chain[:total]
 
 
 @pytest.mark.parametrize("flavor", [BROWKIN, RUBAN])
 def test_kernel_chain_agrees_with_the_dividing_route(flavor):
-    checked = sum(_assert_kernel_chain_is_the_dividing_route(expand(alpha, flavor, max_steps=60))
+    checked = sum(len(_assert_kernel_chain_is_the_dividing_route(expand(alpha, flavor, max_steps=60)))
                   for alpha in _corpus_values(1919, 90))
     assert checked > 3000
 
@@ -752,17 +775,6 @@ RUBAN_PERIODIC = [QuadIrr(5, 136, 15, 1, 1, 1), QuadIrr(7, 1628, 0, -407, -2, 5)
                   QuadIrr(3, 835, 5, 10, 2, 2), QuadIrr(7, 379, 6, 1, 1, 6)]
 
 
-def _hand_chain(alpha, flavor, n):
-    """States 0..n - 1 and digits 0..n - 2 of alpha by step(..., _prev=...)."""
-    states, digits, prev = [alpha], [], None
-    while len(states) < n:
-        a, nxt = step(states[-1], flavor, _prev=prev)
-        prev = states[-1]
-        states.append(nxt)
-        digits.append(a)
-    return states, digits
-
-
 def test_collisions_never_make_a_period(monkeypatch):
     # with every fingerprint equal, each state is checked by replaying all
     # states before it; only an exact triple repeat may end the expansion,
@@ -844,7 +856,7 @@ def test_walked_states_cost_what_a_validated_state_does():
 @pytest.mark.parametrize("flavor", [BROWKIN, RUBAN])
 def test_replayed_states_are_the_hand_stepped_chain(flavor):
     # walk() yields the states behind the digits, state_at(i) wraps into the
-    # cycle, and both are the chain step(..., _prev=...) builds by hand
+    # cycle, and both are the chain the dividing step(state) builds by hand
     rng = random.Random(1717)
     values = [PERIOD12_STATE, SQRT89_STATE, QuadIrr(5, -434, 0, -434, 1, 1),
               QuadIrr(7, 386, 0, -386, -1, 6)]
@@ -855,12 +867,9 @@ def test_replayed_states_are_the_hand_stepped_chain(flavor):
     for alpha in values:
         exp = expand(alpha, flavor, max_steps=30)
         n = len(exp.quotients)
-        extra = 2 * len(exp.period) + 1 if exp.status == PERIODIC else 0
-        chain, digits = _hand_chain(alpha, flavor, n + extra)
-        assert list(exp.walk()) == chain[:n]
-        assert digits[: n - 1] == list(exp.quotients[: n - 1])
-        for i in range(n + extra):
-            assert exp.state_at(i) == chain[i], (alpha, flavor, i)
+        chain = _assert_kernel_chain_is_the_dividing_route(exp, extra=2 * len(exp.period) + 1)
+        for i, st in enumerate(chain):
+            assert exp.state_at(i) == st, (alpha, flavor, i)
         if exp.status == PERIODIC:
             wrapped += 1
         else:

@@ -1,6 +1,7 @@
 """Checks on the library source itself."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import padiccf
@@ -34,12 +35,18 @@ def _loaded_names(path):
     return names
 
 
+def _exported_names():
+    """The names padiccf/__init__.py imports from its modules."""
+    init = PACKAGE / "__init__.py"
+    tree = ast.parse(init.read_text(encoding="utf-8"), filename=str(init))
+    return [alias.asname or alias.name for node in tree.body
+            if isinstance(node, ast.ImportFrom) for alias in node.names]
+
+
 def test_every_package_export_has_a_caller():
     # an export that only the tests call is dead weight in the library
     init = PACKAGE / "__init__.py"
-    tree = ast.parse(init.read_text(encoding="utf-8"), filename=str(init))
-    exported = [alias.asname or alias.name for node in tree.body
-                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    exported = _exported_names()
     used = set()
     for path in SOURCES + PERFBENCH:
         if path != init:
@@ -76,4 +83,40 @@ def test_library_writes_no_instance_dict():
                 mutated = isinstance(parent, ast.Attribute) and parent.attr in _DICT_WRITES
                 if stored or item_stored or mutated:
                     found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_step_kernel_has_one_call_site():
+    # expand, walk(), state_at and the replay share one stepping chain,
+    # engine._chain; a second caller of the kernel would be a second chain
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        defs = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name == "_advance":
+                owners = [d for d in defs if d.lineno <= node.lineno <= d.end_lineno]
+                inner = min(owners, key=lambda d: d.end_lineno - d.lineno, default=None)
+                found.append(f"{path.name}:{getattr(inner, 'name', '<module>')}")
+    assert found == ["engine.py:_chain"]
+
+
+def test_no_export_takes_a_private_parameter():
+    # a private parameter on a public function selects a second route that
+    # its documentation and its callers do not see
+    found, checked = [], 0
+    for name in _exported_names():
+        obj = getattr(padiccf, name)
+        if not (inspect.isfunction(obj) or inspect.isclass(obj)):
+            continue
+        try:
+            params = inspect.signature(obj).parameters
+        except (TypeError, ValueError):  # a builtin base such as Exception
+            continue
+        checked += 1
+        found += [f"{name}({param})" for param in params if param.startswith("_")]
+    assert checked >= 30
     assert found == []
