@@ -27,10 +27,10 @@ from .engine import (
     Expansion,
     QuadIrr,
     _is_square,
-    _reproduces,
     _val_linear,
     convergents,
     expand,
+    first_reexpansion,
 )
 
 
@@ -50,9 +50,12 @@ def _conjugate_valuation(alpha: QuadIrr) -> int:
     return _val_linear(-alpha.b, 1, alpha.Delta, alpha.branch, alpha.p) - alpha.k
 
 
-def _first_regular_index(alpha: QuadIrr) -> int:
-    """Index of the first regular complete quotient of alpha's expansion:
-    0 if alpha is regular, else 1 if alpha.k >= 1, else 2.
+def is_regular(alpha: QuadIrr, max_steps: int = 200) -> RegularityReport:
+    """Exact regularity data of alpha.
+
+    first_regular_index is the index of the first regular complete quotient
+    in the centered expansion: 0 if alpha is regular, else 1 if
+    alpha.k >= 1, else 2. It is None only when it is not below max_steps.
 
     Here k is the state's exponent, not -v_p(alpha). Take a state with
     k >= 0 and its digit a. Then v(alpha - a) >= 1, and alpha - a =
@@ -65,22 +68,11 @@ def _first_regular_index(alpha: QuadIrr) -> int:
     1/alpha, so v(alpha_1^c) = -v(alpha^c) < 0 and alpha_1 is not regular.
     Nothing here depends on the digit window, so it holds in both flavors.
     """
-    if alpha.valuation < 0 < _conjugate_valuation(alpha):
-        return 0
-    return 1 if alpha.k >= 1 else 2
-
-
-def is_regular(alpha: QuadIrr, max_steps: int = 200) -> RegularityReport:
-    """Exact regularity data of alpha.
-
-    first_regular_index is the index of the first regular complete quotient
-    in the centered expansion, which is always 0, 1 or 2 (see
-    _first_regular_index); it is None only when it is not below max_steps.
-    """
     va = alpha.valuation
     vc = _conjugate_valuation(alpha)
-    idx = _first_regular_index(alpha)
-    return RegularityReport(va, vc, va < 0 < vc, idx if idx < max_steps else None)
+    regular = va < 0 < vc
+    idx = 0 if regular else 1 if alpha.k >= 1 else 2
+    return RegularityReport(va, vc, regular, idx if idx < max_steps else None)
 
 
 @dataclass(frozen=True)
@@ -99,26 +91,23 @@ def galois_check(alpha: QuadIrr, expansion: Expansion) -> GaloisVerdict:
 
     Checks both halves: empty preperiod iff alpha is regular, and the
     preperiod length equals the index of the first regular complete
-    quotient. That index is the closed form of _first_regular_index, a
-    function of alpha alone, so no state is stepped or read again.
+    quotient. Both come from is_regular's report, a closed form in alpha
+    alone, so no state is stepped or read again.
     """
     if expansion.status != PERIODIC:
         raise ValueError("galois_check needs a periodic expansion")
     pre = len(expansion.preperiod)
-    first = _first_regular_index(alpha)
-    va, vc = alpha.valuation, _conjugate_valuation(alpha)
-    regular = va < 0 < vc
-    ok = ((pre == 0) == regular) and first == pre
-    return GaloisVerdict(ok, regular, pre, first, va, vc)
+    rep = is_regular(alpha)
+    ok = ((pre == 0) == rep.regular) and rep.first_regular_index == pre
+    return GaloisVerdict(ok, rep.regular, pre, rep.first_regular_index, rep.v_alpha, rep.v_conj)
 
 
 def reversed_period_identity(expansion: Expansion) -> Expansion:
     """For purely periodic centered expansions: the digit-reversal laws.
 
     Verifies that -1/alpha^c expands exactly to [(reversed period)*] and
-    alpha^c exactly to [0, (negated reversed period)*], each by a state
-    repeat where the claim says (the one re-expansion test of
-    first_reexpansion), and the palindrome criterion: the period reads the
+    alpha^c exactly to [0, (negated reversed period)*], each by
+    first_reexpansion, and the palindrome criterion: the period reads the
     same both ways iff the norm of alpha is exactly -1. Returns the
     expansion of -1/alpha^c.
     """
@@ -130,20 +119,15 @@ def reversed_period_identity(expansion: Expansion) -> Expansion:
     if not isinstance(alpha, QuadIrr):
         raise ValueError("expansion must come from a QuadIrr")
     per = expansion.period
-    N = len(per)
     rev = tuple(reversed(per))
-    target = alpha.conjugate().inverse().negated()
-    got = expand(target, BROWKIN, max_steps=N + 1)
-    _invariant(_reproduces(got, (), rev), "-1/alpha^c period is the reversal")
+    got = first_reexpansion((alpha.conjugate().inverse().negated(),), (), rev)
+    _invariant(got, "-1/alpha^c period is the reversal")
     zero = LaurentInt(alpha.p, 0, 0)
-    neg_rev = tuple(-q for q in rev)
-    conj_exp = expand(alpha.conjugate(), BROWKIN, max_steps=N + 2)
-    _invariant(_reproduces(conj_exp, (zero,), neg_rev),
+    _invariant(first_reexpansion((alpha.conjugate(),), (zero,), tuple(-q for q in rev)),
                "alpha^c must expand as [0, (negated reversal)*]")
-    palindromic = per == rev
-    _invariant(palindromic == (alpha.norm == -1),
+    _invariant((per == rev) == (alpha.norm == -1),
                "palindromic period iff norm(alpha) = -1")
-    return got
+    return got[1]
 
 
 # -- trace zero ---------------------------------------------------------------
@@ -182,31 +166,16 @@ def trace_zero_classify(alpha: QuadIrr, max_steps: int = DEFAULT_MAX_STEPS) -> T
     v = alpha.valuation
     klass = "preperiod_1" if v < 0 else "preperiod_2"
     exp = expand(alpha, BROWKIN, max_steps=max_steps)
-    p = alpha.p
-    quarter = Fraction(p, 4)
     matched = a0_small = None
-    if v < 0:
-        if exp.status == PERIODIC:
-            pre, per = exp.preperiod, exp.period
-            matched = (
-                len(pre) == 1
-                and per[-1] == pre[0].doubled()
-                and _palindromic(per[:-1])
-            )
-            a0_small = pre[0].abs_lt(quarter)
-    elif v > 0:
-        if exp.status == PERIODIC:
-            pre, per = exp.preperiod, exp.period
-            matched = (
-                len(pre) == 2
-                and pre[0] == LaurentInt(p, 0, 0)
-                and per[-1] == pre[1].doubled()
-                and _palindromic(per[:-1])
-            )
-            a0_small = pre[1].abs_lt(quarter)
-    else:
-        if exp.status == PERIODIC:
-            matched = len(exp.preperiod) == 2
+    if exp.status == PERIODIC:
+        pre, per = exp.preperiod, exp.period
+        if v == 0:
+            matched = len(pre) == 2
+        else:
+            a0 = pre[0] if v < 0 else pre[1]
+            head = (a0,) if v < 0 else (LaurentInt(alpha.p, 0, 0), a0)
+            matched = pre == head and per[-1] == a0.doubled() and _palindromic(per[:-1])
+            a0_small = a0.abs_lt(Fraction(alpha.p, 4))
     return TraceZeroReport(klass, v, matched, a0_small, exp)
 
 
@@ -257,8 +226,7 @@ class RubanProbe:
     expansion: Expansion
 
 
-def ruban_nonperiodic_probe(m: int, k: int, p: int, N: int = 2000,
-                            branch: int | None = None) -> RubanProbe:
+def ruban_nonperiodic_probe(m: int, k: int, p: int, N: int = 2000) -> RubanProbe:
     """Probe the nonnegative-flavor expansion of p**k * sqrt(m).
 
     For k > 0 the expansion is never periodic: the probe asserts no cycle
@@ -279,9 +247,7 @@ def ruban_nonperiodic_probe(m: int, k: int, p: int, N: int = 2000,
         raise ValueError("need m > 1, prime to p, not a perfect square")
     if legendre(m % p, p) != 1:
         raise ValueError(f"sqrt({m}) not in Q_{p}")
-    if branch is None:
-        branch = sqrt_mod_p(m % p, p)
-    alpha = QuadIrr(p, m, 0, 1, -k, branch)
+    alpha = QuadIrr(p, m, 0, 1, -k, sqrt_mod_p(m % p, p))
     exp = expand(alpha, RUBAN, max_steps=N)
     if k < 0:
         return RubanProbe(p, m, k, exp.status, None, exp)

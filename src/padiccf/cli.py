@@ -20,6 +20,7 @@ import sys
 import time
 from fractions import Fraction
 from functools import partial
+from itertools import islice
 from multiprocessing import Pool
 
 import click
@@ -52,11 +53,14 @@ MAX_DIGITS_CEILING = 10**6  # one construct at a million digits takes minutes
 # expand holds four states, so memory is linear in the step count; states grow
 # by ~0.7 bits a step and a step is linear in the state, so time is quadratic
 MAX_STEPS_CEILING = 50_000
+# a parallel search hands out blocks of at most this many candidates, so a
+# huge space still reports hits, honours --limit and saves its cursor as it goes
+SEARCH_BLOCK_CAP = 10_000
 
 
-def _fail(message: str, code: int = 1):
+def _fail(message: str):
     click.echo(f"error: {message}", err=True)
-    sys.exit(code)
+    sys.exit(1)
 
 
 def _need_odd_prime(p: int):
@@ -71,6 +75,12 @@ def _need_jobs(jobs: int):
     cap = 4 * (os.cpu_count() or 1)
     if not 1 <= jobs <= cap:
         _fail(f"--jobs must lie in 1..{cap}, got {jobs}")
+
+
+def _need_dlog_budget(budget):
+    """--dlog-budget must be >= 1 when given, checked before any scan."""
+    if budget is not None and budget < 1:
+        _fail(f"--dlog-budget must be >= 1, got {budget}")
 
 
 def _append_record(out_file, command: str, inputs: dict, outputs, elapsed: float):
@@ -105,11 +115,11 @@ def _io_options(fn):
     return fn
 
 
-def _shorten(n: int, keep: int = 12) -> str:
+def _shorten(n: int) -> str:
     s = str(n)
-    if len(s) <= 2 * keep + 8:
+    if len(s) <= 32:
         return s
-    return f"{s[:keep]}...{s[-keep:]} ({len(s)} digits)"
+    return f"{s[:12]}...{s[-12:]} ({len(s)} digits)"
 
 
 @click.group(context_settings={"help_option_names": ["-h", "--help"]})
@@ -272,6 +282,7 @@ def cmd_construct(p, cf_text, cf_file, h_spec, dlog_budget, max_digits, jobs, as
     start = time.perf_counter()
     _need_odd_prime(p)
     _need_jobs(jobs)
+    _need_dlog_budget(dlog_budget)
     if not 1 <= max_digits <= MAX_DIGITS_CEILING:  # before --h is read
         _fail(f"--max-digits must lie in 1..{MAX_DIGITS_CEILING}, got {max_digits}")
     if (cf_text is None) == (cf_file is None):
@@ -331,11 +342,9 @@ def cmd_construct(p, cf_text, cf_file, h_spec, dlog_budget, max_digits, jobs, as
 @click.option("--cases", type=int, default=DEFAULT_CASES, show_default=True,
               help="randomized cases per suite")
 @click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True)
-@click.option("--horizon", type=int, default=10_000, show_default=True,
-              help="expansion step cap for the long pinned examples")
 @click.option("--list", "list_only", is_flag=True, help="list check names and exit")
 @_io_options
-def cmd_verify_paper(only, beta_n, cases, seed, horizon, list_only, as_json, out_file):
+def cmd_verify_paper(only, beta_n, cases, seed, list_only, as_json, out_file):
     """Run the pinned-value and randomized verification suites."""
     start = time.perf_counter()
     if list_only:
@@ -343,7 +352,7 @@ def cmd_verify_paper(only, beta_n, cases, seed, horizon, list_only, as_json, out
             click.echo(name)
         return
     try:
-        results = run_checks(only=only, beta_n=beta_n, cases=cases, seed=seed, horizon=horizon)
+        results = run_checks(only=only, beta_n=beta_n, cases=cases, seed=seed)
     except ValueError as exc:
         _fail(str(exc))
     n_ok = sum(r.ok for r in results)
@@ -360,7 +369,7 @@ def cmd_verify_paper(only, beta_n, cases, seed, horizon, list_only, as_json, out
             mark = "PASS" if r.ok else "FAIL"
             click.echo(f"{mark}  {r.name:<{width}}  {r.elapsed:7.2f}s  {r.detail}")
         click.echo(f"{n_ok}/{len(results)} checks passed")
-    inputs = {"only": only, "n": beta_n, "cases": cases, "seed": seed, "horizon": horizon}
+    inputs = {"only": only, "n": beta_n, "cases": cases, "seed": seed}
     _append_record(out_file, "verify-paper", inputs, outputs, time.perf_counter() - start)
     if n_ok != len(results):
         sys.exit(1)
@@ -417,6 +426,20 @@ def _search_worker(args):
     return [(idx, cert.to_json()) for idx, cert in hits]
 
 
+def _block_results(workers, space: tuple, start: int, total: int, jobs: int):
+    """Yields (hi, hits) for the blocks [lo, hi) of [start, total), in order.
+
+    The blocks split the range 4 * jobs ways, capped at SEARCH_BLOCK_CAP
+    candidates each, and are made lazily. Pool.imap drains whatever it is
+    given into its task queue, so each call gets at most 4 * jobs blocks.
+    """
+    block = min(max(1, -(-(total - start) // (jobs * 4))), SEARCH_BLOCK_CAP)
+    bounds = ((lo, min(lo + block, total)) for lo in range(start, total, block))
+    while window := list(islice(bounds, 4 * jobs)):
+        hits = workers.imap(_search_worker, [space + bound for bound in window])
+        yield from zip((hi for _, hi in window), hits)
+
+
 @main.command("search")
 @click.option("--p", "p", type=int, required=True, help="odd prime")
 @click.option("--t", "t", type=int, required=True, help="digit-list length")
@@ -441,6 +464,7 @@ def cmd_search(p, t, pool_kind, num_bound, exp_bound, limit, dlog_budget,
     start = time.perf_counter()
     _need_odd_prime(p)
     _need_jobs(jobs)
+    _need_dlog_budget(dlog_budget)
     try:
         total = search_space_size(p, t, pool_kind, num_bound, exp_bound)
     except ValueError as exc:
@@ -492,12 +516,9 @@ def cmd_search(p, t, pool_kind, num_bound, exp_bound, limit, dlog_budget,
 
     try:
         if jobs > 1:
-            block = max(1, -(-(total - start_index) // (jobs * 4)))
-            blocks = [(lo, min(lo + block, total)) for lo in range(start_index, total, block)]
-            args = [(p, t, pool_kind, num_bound, exp_bound, dlog_budget, lo, hi)
-                    for lo, hi in blocks]
+            space = (p, t, pool_kind, num_bound, exp_bound, dlog_budget)
             with Pool(jobs) as workers:
-                for (_, hi), hits in zip(blocks, workers.imap(_search_worker, args)):
+                for hi, hits in _block_results(workers, space, start_index, total, jobs):
                     if any(emit(idx, cert_json) for idx, cert_json in hits):
                         break
                     last_scanned = hi

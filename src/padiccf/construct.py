@@ -123,11 +123,14 @@ def is_nice(cf, dlog_budget: int | None = None) -> NiceCertificate:
     non-members by its order pre-test. The common fast exits (modulus 1,
     q = 1) avoid factoring entirely, so niceness of the beta seeds stays
     cheap even when the convergents are huge. A discrete-log budget
-    overflow makes cond_c None: indeterminate rather than failed.
+    overflow makes cond_c None: indeterminate rather than failed; a budget
+    below 1 is a ValueError.
     """
     cf = tuple(cf)
     if not cf:
         raise ValueError("empty digit list")
+    if dlog_budget is not None and dlog_budget < 1:
+        raise ValueError(f"dlog_budget must be >= 1, got {dlog_budget}")
     p = cf[0].p
     if any(a.p != p for a in cf):
         raise ValueError("digits must share one prime")
@@ -193,12 +196,9 @@ class ConstructionResult:
     p: int
     t: int
     k0: int
-    h: int
     omega: int
-    omega0: int
     order_s: int
     q: int
-    q1: int
     b: int
     kt: int
     c_tilde: int
@@ -209,7 +209,6 @@ class ConstructionResult:
     expansion: Expansion | None
     branch: int | None
     eq12_ok: bool
-    reexpand_ok: bool
     verified: bool
 
     def to_json(self) -> dict:
@@ -330,12 +329,9 @@ def construct(cert: NiceCertificate, h: int = 0,
     targets = (_quad(p, m, 0, m, k0, br) for br in (r, p - r))
     hit = first_reexpansion(targets, preperiod, period, BROWKIN)
     branch_used, actual = (hit[0].branch, hit[1]) if hit else (None, None)
-    reexpand_ok = hit is not None
-    verified = eq12_ok and reexpand_ok
     return ConstructionResult(
-        p, t, k0, h, omega, cert.omega0, s, cert.q, q1, b_int, kt, ctil,
-        a_t, m, preperiod, period, actual, branch_used,
-        eq12_ok, reexpand_ok, verified,
+        p, t, k0, omega, s, cert.q, b_int, kt, ctil, a_t, m, preperiod, period,
+        actual, branch_used, eq12_ok, eq12_ok and hit is not None,
     )
 
 
@@ -370,28 +366,13 @@ def _stilde(n: int, X: int) -> int:
     return acc
 
 
-@dataclass(frozen=True)
-class BetaPolyValues:
-    n: int
-    k: int
-    p: int
-    S: Fraction
-    U: Fraction
-    V: Fraction
-    W: Fraction
-    Stilde: int
-    Utilde: int
-    Vtilde: int
-    ok: bool
-
-
-def beta_polynomials(n: int, k: int, p: int) -> BetaPolyValues:
-    """Closed-form convergent values of beta_n^k, checked against the table.
+def beta_polynomials(n: int, k: int, p: int) -> bool:
+    """Whether the closed-form convergent values of beta_n^k match the table.
 
     U, V, S, W evaluate the displayed polynomials at X = p**k and must equal
     A_{2^n-1}, B_{2^n-2}, A_{2^n-2}, B_{2^n-1} respectively; the last tilde
-    denominator collapses to Btilde_{2^n-1} = 1. ok reports whether all of
-    that holds; callers check it.
+    denominator collapses to Btilde_{2^n-1} = 1. The result reports whether
+    all of that holds; callers check it.
     """
     _check_odd_prime(p)
     if n < 1 or k < 1:
@@ -399,21 +380,15 @@ def beta_polynomials(n: int, k: int, p: int) -> BetaPolyValues:
     X = p**k
     Ut = 1 + sum(X ** (2**j) for j in range(1, n + 1))
     Vt = X ** (2 * (2 ** (n - 1) - 1)) - sum(X ** (2 * (2**j - 1)) for j in range(0, n - 1))
-    St = _stilde(n, X)
     L = 2**n
-    U = Fraction(Ut, X**L)
-    V = Fraction(Vt, X ** (L - 2))
-    S = Fraction(St, X ** (L - 1))
-    W = Fraction(1, X ** (L - 1))
     tab = convergents(beta(n, k, p))
-    ok = (
-        U == tab.A_(L - 1)
-        and V == tab.B_(L - 2)
-        and S == tab.A_(L - 2)
-        and W == tab.B_(L - 1)
+    return (
+        Fraction(Ut, X**L) == tab.A_(L - 1)
+        and Fraction(Vt, X ** (L - 2)) == tab.B_(L - 2)
+        and Fraction(_stilde(n, X), X ** (L - 1)) == tab.A_(L - 2)
+        and Fraction(1, X ** (L - 1)) == tab.B_(L - 1)
         and tab.Btilde_(L - 1) == 1
     )
-    return BetaPolyValues(n, k, p, S, U, V, W, St, Ut, Vt, ok)
 
 
 @dataclass(frozen=True)
@@ -473,11 +448,8 @@ class FamilyReport:
     p: int
     t: int
     alpha: QuadIrr
-    claimed_preperiod: tuple | None
-    claimed_period: tuple | None
     expansion: Expansion
     branch: int
-    matched_sign: str | None
     literal_check: str
     matrix_check: bool
     char_poly_check: bool | None
@@ -537,18 +509,15 @@ def family_section6(variant: int, p: int, t: int) -> FamilyReport:
         if matched is None:
             alpha = QuadIrr(p, Delta, 0, 2, k, r)
             exp = expand(alpha, BROWKIN, max_steps=len(pre) + 2 * len(per) + 2)
-            return FamilyReport(variant, p, t, alpha, pre, per, exp, r, None,
-                                "failed", False, None, False,
+            return FamilyReport(variant, p, t, alpha, exp, r, "failed", False, None, False,
                                 "neither branch reproduces the claimed digits")
         alpha, exp = matched
         br = alpha.branch
-        sign = "+" if br == r else "-"
         literal = "ok"
     else:
         br = r
         alpha = QuadIrr(p, Delta, 0, 2, k, br)
         exp = expand(alpha, BROWKIN, max_steps=400)
-        sign = None
         literal = "indeterminate"
         lead = Fraction(p ** (t - 1) + 1, 2 * p ** (t - 2))
         note = (
@@ -570,8 +539,8 @@ def family_section6(variant: int, p: int, t: int) -> FamilyReport:
     verified = exp.status == PERIODIC and matrix_ok and (
         literal == "ok" or variant == 3
     ) and (char_ok is not False)
-    return FamilyReport(variant, p, t, alpha, pre, per, exp, br, sign,
-                        literal, matrix_ok, char_ok, verified, note)
+    return FamilyReport(variant, p, t, alpha, exp, br, literal, matrix_ok, char_ok,
+                        verified, note)
 
 
 # -- search --------------------------------------------------------------------

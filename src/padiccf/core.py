@@ -568,10 +568,12 @@ def discrete_log(base: int, target: int, m: int, budget=None):
     budget caps the baby-step table of the largest prime subgroup (default
     DEFAULT_DLOG_TABLE_CAP), checked before any table is built; a blown
     budget raises DlogBudgetExceeded, which callers must treat as
-    "unknown", not as "no".
+    "unknown", not as "no". A budget below 1 is a ValueError.
     """
     if m < 2:
         raise ValueError("modulus must be >= 2")
+    if budget is not None and budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
     base %= m
     target %= m
     if gcd(base, m) != 1:
@@ -657,14 +659,6 @@ class LaurentInt:
         object.__setattr__(self, "e", e)
 
     @classmethod
-    def from_value(cls, x, p: int) -> "LaurentInt":
-        x = Fraction(x)
-        e, den = split_p(x.denominator, p)
-        if den != 1:
-            raise ValueError(f"{x} has a denominator prime to {p}")
-        return cls(p, x.numerator, e)
-
-    @classmethod
     def parse(cls, text: str, p: int) -> "LaurentInt":
         """Parse "ntilde/p**e written out", e.g. "-5208/3125" or "4"."""
         text = text.strip().replace(" ", "")
@@ -704,11 +698,3 @@ class LaurentInt:
         """Exact test |value| < bound."""
         bound = Fraction(bound)
         return abs(self.tilde) * bound.denominator < bound.numerator * self.p**self.e
-
-    def in_browkin_range(self) -> bool:
-        """|value| < p/2 as real numbers, the centered digit window."""
-        return 2 * abs(self.tilde) < self.p ** (self.e + 1)
-
-    def in_ruban_range(self) -> bool:
-        """0 <= value < p, the nonnegative digit window."""
-        return 0 <= self.tilde < self.p ** (self.e + 1)

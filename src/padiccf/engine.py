@@ -153,10 +153,6 @@ class QuadIrr:
             Fraction(self.p) ** (2 * self.k) * self.c * self.c
         )
 
-    @property
-    def trace_zero(self) -> bool:
-        return self.b == 0
-
     # -- companions --------------------------------------------------------
 
     def conjugate(self) -> "QuadIrr":
@@ -482,7 +478,7 @@ class Expansion:
 
     k0 is -v_p(alpha_0) (0 for alpha_0 = 0). Every later complete quotient
     has negative valuation, so its k_n = -v_p(alpha_n) is the exponent of
-    the digit a_n; ks and k_at(i) read it from there. No complete quotient
+    the digit a_n; ks reads it from there. No complete quotient
     is stored: when the source alpha is a QuadIrr, walk() and state_at(i)
     replay them from alpha by _chain, the stepping chain expand ran.
     """
@@ -515,11 +511,6 @@ class Expansion:
         if per == 0:
             raise IndexError(f"index {i} beyond a {self.status} expansion")
         return self.period[(i - pre) % per]
-
-    def k_at(self, i: int) -> int:
-        # k_n is the exponent of a_n for n >= 1; on a purely periodic
-        # expansion state N is state 0, so the wrap-around agrees with k0
-        return self.k0 if i == 0 else self.quotient_at(i).e
 
     def walk(self):
         """Yields the complete quotients 0, 1, ..., n - 1 behind the n
@@ -757,23 +748,6 @@ def eval_finite(quotients) -> Fraction:
 # -- periodic reconstruction ------------------------------------------------
 
 
-def _reproduces(exp: Expansion, preperiod, period) -> bool:
-    """Whether exp is exactly the stream [preperiod, (period)*].
-
-    expand stops at the first repeated state, so exp's preperiod m' and
-    period N' are minimal, and state m equals state m + N iff m' <= m and
-    N' divides N. From there both streams repeat every N digits, so the
-    first m + N digits decide the rest.
-    """
-    m, N = len(preperiod), len(period)
-    return (
-        exp.status == PERIODIC
-        and len(exp.preperiod) <= m
-        and N % len(exp.period) == 0
-        and all(exp.quotient_at(i) == a for i, a in enumerate(preperiod + period))
-    )
-
-
 def first_reexpansion(candidates, preperiod, period, flavor: str = BROWKIN):
     """The first candidate whose expansion is exactly [preperiod, (period)*].
 
@@ -782,15 +756,20 @@ def first_reexpansion(candidates, preperiod, period, flavor: str = BROWKIN):
     dropped before it is expanded. A true match with preperiod m and period
     N repeats a state by step m + N, so each survivor is expanded for
     m + N + 1 steps and accepted only when it repeats a state where the
-    claim says (see _reproduces). Returns (alpha, expansion), or None when
-    no candidate matches.
+    claim says: expand stops at the first repeated state, so its preperiod
+    m' and period N' are minimal, and state m equals state m + N iff
+    m' <= m and N' divides N. From there both streams repeat every N
+    digits, so the first m + N digits decide the rest. Returns
+    (alpha, expansion), or None when no candidate matches.
     """
-    first = (preperiod + period)[0]
+    claim = preperiod + period
+    m, N = len(preperiod), len(period)
     for alpha in candidates:
-        if LaurentInt(alpha.p, _residue(alpha, flavor), alpha.k) != first:
+        if LaurentInt(alpha.p, _residue(alpha, flavor), alpha.k) != claim[0]:
             continue
-        exp = expand(alpha, flavor, max_steps=len(preperiod) + len(period) + 1)
-        if _reproduces(exp, preperiod, period):
+        exp = expand(alpha, flavor, max_steps=m + N + 1)
+        if (exp.status == PERIODIC and len(exp.preperiod) <= m and N % len(exp.period) == 0
+                and all(exp.quotient_at(i) == a for i, a in enumerate(claim))):
             return alpha, exp
     return None
 
@@ -851,7 +830,6 @@ def periodic_limit(preperiod, period, p: int, flavor: str = BROWKIN) -> QuadIrr:
 @dataclass(frozen=True)
 class ValuationAudit:
     ok: bool
-    n_checked: int
     failures: tuple
 
 
@@ -868,7 +846,7 @@ def valuation_audit(expansion: Expansion) -> ValuationAudit:
     alpha = expansion.alpha
     if not isinstance(alpha, QuadIrr):
         raise ValueError("audit needs an expansion produced from a QuadIrr")
-    p, k0 = expansion.p, expansion.k_at(0)
+    p, k0 = expansion.p, expansion.k0
     depth = len(expansion.preperiod) + 2 * len(expansion.period)
     table = convergents([expansion.quotient_at(i) for i in range(depth)])
     failures = []
@@ -891,7 +869,7 @@ def valuation_audit(expansion: Expansion) -> ValuationAudit:
             failures.append(f"v(Q_{n}-alpha)={got} != 2K_{n}+k_{n+1}={want}")
         if got < 2 * n + 1:
             failures.append(f"v(Q_{n}-alpha)={got} < {2 * n + 1}")
-    return ValuationAudit(not failures, depth, tuple(failures))
+    return ValuationAudit(not failures, tuple(failures))
 
 
 # -- parsing helpers (shared with the CLI) -----------------------------------

@@ -43,6 +43,7 @@ from .corpus import (
 )
 from .engine import (
     BROWKIN,
+    DEFAULT_MAX_STEPS,
     FINITE,
     OPEN,
     PERIODIC,
@@ -129,11 +130,11 @@ def _quad37(ctx):
 
 @_register("expand.quad89.prefix14")
 def _quad89(ctx):
-    exp = expand(QuadIrr(5, 89, 8, 1, 1, 3), BROWKIN, max_steps=ctx["horizon"])
+    exp = expand(QuadIrr(5, 89, 8, 1, 1, 3), BROWKIN)
     _require(exp.status == OPEN)
     got = tuple(str(exp.quotient_at(i)) for i in range(14))
     _require(got == _PREFIX14, got)
-    return f"open at horizon {ctx['horizon']}, 14-digit prefix exact"
+    return f"open at horizon {DEFAULT_MAX_STEPS}, 14-digit prefix exact"
 
 
 # -- randomized structural suites ----------------------------------------------
@@ -346,7 +347,7 @@ def _beta_poly(ctx):
     for p in (3, 5, 7):
         for k in (1, 2, 3):
             for n in range(1, 7):
-                _require(beta_polynomials(n, k, p).ok)
+                _require(beta_polynomials(n, k, p))
     return "polynomial convergent values, n <= 6, k <= 3"
 
 
@@ -534,10 +535,9 @@ def select_checks(only: str | None = None):
 
 
 def run_checks(only: str | None = None, beta_n: int = 3,
-               cases: int = DEFAULT_CASES, seed: int = DEFAULT_SEED,
-               horizon: int = 10000):
+               cases: int = DEFAULT_CASES, seed: int = DEFAULT_SEED):
     """Run the selected checks and return a list of CheckResult."""
-    ctx = {"beta_n": beta_n, "cases": cases, "seed": seed, "horizon": horizon}
+    ctx = {"beta_n": beta_n, "cases": cases, "seed": seed}
     results = []
     for name, fn in select_checks(only):
         start = time.perf_counter()

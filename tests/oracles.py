@@ -86,6 +86,13 @@ def dlog_brute(base, target, m):
     return None
 
 
+def in_digit_window(a, centered: bool) -> bool:
+    """Whether the digit a lies in its window, read off its exact value:
+    |a| < p/2 for the centered flavor, 0 <= a < p for the nonnegative one."""
+    x = a.value
+    return abs(x) < Fraction(a.p, 2) if centered else 0 <= x < a.p
+
+
 def eval_cf_brute(values):
     """Back substitution; values are Fractions (or ints)."""
     acc = Fraction(values[-1])

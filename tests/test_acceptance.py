@@ -164,7 +164,7 @@ def _doubling_family_identities():
                 assert eval_finite(digs) == want, (p, k, n)
                 assert convergents(digs).Btilde_(2**n - 1) == 1, (p, k, n)
                 assert is_nice(digs).nice, (p, k, n)
-                assert beta_polynomials(n, k, p).ok
+                assert beta_polynomials(n, k, p), (p, k, n)
                 if n >= 2:
                     verdict = cala_identities(digs, beta(n - 1, 2 * k, p))
                     assert verdict.ok, (p, k, n, verdict.detail)

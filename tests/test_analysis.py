@@ -343,7 +343,7 @@ def test_ruban_state_witness_matches_the_closed_form(p):
 @pytest.mark.parametrize("h", [1, 2, 3])
 def test_ruban_sqrt_family_is_periodic(h):
     m = 1 + 5 ** (2 * h)
-    probe = ruban_nonperiodic_probe(m, -h, 5, N=60, branch=1)
+    probe = ruban_nonperiodic_probe(m, -h, 5, N=60)
     assert probe.status == PERIODIC
     exp = expand(QuadIrr(5, m, 0, 1, h, 1), RUBAN, max_steps=30)
     assert exp.text() == f"[1/{5**h}, (2/{5**h})*]"

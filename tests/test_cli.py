@@ -462,6 +462,50 @@ def test_search_parallel_matches_serial():
     assert parallel.stdout == serial.stdout
 
 
+def test_parallel_search_hands_out_bounded_blocks(tmp_path, monkeypatch):
+    # 28**12 candidates: the blocks stay under the cap, each imap call gets
+    # at most 4 * jobs of them, and --limit 1 stops after the block that
+    # holds the first hit, with the cursor just past it
+    windows, blocks = [], []
+
+    class FakePool:
+        def __init__(self, processes):
+            self.processes = processes
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, iterable):
+            tasks = list(iterable)
+            windows.append(len(tasks))
+            return map(fn, tasks)
+
+    def worker(args):
+        lo, hi = args[-2:]
+        blocks.append((lo, hi))
+        return [(lo + 7, {"cf": [], "q": 1, "omega0": 0})] if len(blocks) == 11 else []
+
+    monkeypatch.setattr(cli, "Pool", FakePool)
+    monkeypatch.setattr(cli, "_search_worker", worker)
+    out = tmp_path / "hits.jsonl"
+    res = run("search", "--p", "5", "--t", "12", "--pool", "all", "--jobs", "2",
+              "--limit", "1", "--json", "--out", str(out))
+    assert res.exit_code == 0
+    assert max(hi - lo for lo, hi in blocks) <= 10_000
+    assert cli.SEARCH_BLOCK_CAP == 10_000
+    assert windows == [8, 8]
+    assert len(blocks) == 11
+    assert blocks[0][0] == 0
+    assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+    hit = blocks[-1][0] + 7
+    assert [json.loads(line)["index"] for line in res.stdout.splitlines()] == [hit]
+    cursor = json.loads((tmp_path / "hits.jsonl.cursor").read_text(encoding="utf-8"))
+    assert cursor["next_index"] == hit + 1 and not cursor["exhausted"]
+
+
 def test_search_rejects_huge_spaces_before_building_the_pool(monkeypatch):
     # the pool and the space are counted arithmetically, so neither the
     # pool nor len(pool) ** t is ever built for a refused spec
@@ -522,6 +566,21 @@ def test_search_limit_below_one_exits_1_before_scanning(monkeypatch):
         assert res.exit_code == 1
         assert res.stdout == ""
         assert f"--limit must be >= 1, got {limit}" in res.stderr
+
+
+def test_dlog_budget_below_one_exits_1_before_any_certificate(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a certificate was computed")
+
+    monkeypatch.setattr(cli, "is_nice", refuse)
+    monkeypatch.setattr(cli, "nice_search", refuse)
+    for budget in ("0", "-3"):
+        for cmd in (("construct", "--p", "5", "--cf", "6/5"),
+                    ("search", "--p", "5", "--t", "1", "--num-bound", "10")):
+            res = run(*cmd, "--dlog-budget", budget)
+            assert res.exit_code == 1, cmd
+            assert res.stdout == ""
+            assert f"--dlog-budget must be >= 1, got {budget}" in res.stderr
 
 
 def test_cli_never_imports_sympy():

@@ -91,6 +91,12 @@ def test_indeterminate_dlog_budget_blocks_construction():
         construct(cert, 0)
 
 
+def test_is_nice_rejects_a_dlog_budget_below_one():
+    for budget in (0, -3):
+        with pytest.raises(ValueError, match=f"dlog_budget must be >= 1, got {budget}"):
+            is_nice(SEED_6_5, budget)
+
+
 def _slice_candidates():
     """The p = 5, t = 3 search slice: --pool all, numerators <= 8, exponents <= 2."""
     return list(product(construct_module._digit_pool(5, "all", 8, 2), repeat=3))
@@ -176,7 +182,7 @@ def test_t1_first_member_shape():
     assert [str(a) for a in res.period] == ["-5208/3125", "12/5"]
     alpha = periodic_limit(res.preperiod, res.period, 5)
     # alpha = 1/(5 sqrt(-434)): squaring kills the root
-    assert alpha.trace_zero
+    assert alpha.b == 0
     assert 25 * 434 * (-alpha.norm) + 1 == 0
 
 
@@ -380,7 +386,7 @@ def test_beta_polynomial_identities():
     for p in (3, 5, 7):
         for k in (1, 2, 3):
             for n in range(1, 7):
-                assert beta_polynomials(n, k, p).ok
+                assert beta_polynomials(n, k, p)
 
 
 def test_beta_interleave_identities():

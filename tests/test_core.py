@@ -36,6 +36,7 @@ from oracles import (
     dlog_brute,
     factorint_brute,
     hensel_brute,
+    in_digit_window,
     isprime_brute,
     order_brute,
     sqrt_mod_brute,
@@ -397,6 +398,14 @@ def test_discrete_log_budget_caps_the_largest_prime_subgroup():
     assert discrete_log(2, target, m, budget=409) == 777777
 
 
+def test_discrete_log_rejects_a_budget_below_one():
+    # a nonsense budget is an error, not an "unknown" from a blown table
+    for budget in (0, -1):
+        for base, target, m in ((2, 4, 1000003**2), (3, 110, 353**2)):
+            with pytest.raises(ValueError, match=f"budget must be >= 1, got {budget}"):
+                discrete_log(base, target, m, budget=budget)
+
+
 def test_prime_log_scan_and_bsgs_agree_with_brute():
     # primes on both sides of the scan cut-over, each inside a prime field
     # whose unit group it divides
@@ -505,17 +514,11 @@ def test_laurent_int_parse_and_format():
 
 
 def test_laurent_int_ranges():
-    a = LaurentInt.from_value(Fraction(-9, 5), 5)
-    assert a.in_browkin_range()
-    assert not a.in_ruban_range()
-    b = LaurentInt.from_value(Fraction(16, 5), 5)
-    assert b.in_ruban_range()
-    assert not b.in_browkin_range()
+    a = LaurentInt(5, -9, 1)
+    assert in_digit_window(a, centered=True)
+    assert not in_digit_window(a, centered=False)
+    b = LaurentInt(5, 16, 1)
+    assert in_digit_window(b, centered=False)
+    assert not in_digit_window(b, centered=True)
     assert a.abs_lt(Fraction(5, 2))
-    assert not a.abs_lt(Fraction(9, 5))
-
-
-def test_laurent_int_from_value_requires_p_power_denominator():
-    with pytest.raises(ValueError):
-        LaurentInt.from_value(Fraction(1, 10), 5)
-    assert (-LaurentInt.from_value(Fraction(2, 5), 5)).value == Fraction(-2, 5)
+    assert not a.abs_lt(Fraction(9, 5))  # the bound is strict

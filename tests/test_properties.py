@@ -30,7 +30,7 @@ from padiccf.engine import (
     periodic_limit,
 )
 
-from oracles import convergents_brute
+from oracles import convergents_brute, in_digit_window
 
 seeds = st.integers(min_value=0, max_value=2**48)
 primes = st.sampled_from((3, 5, 7, 11))
@@ -59,7 +59,7 @@ def test_every_digit_sits_in_its_window(seed, p, flavor):
     stream = digits_of(exp)
     assert stream
     for i, a in enumerate(stream):
-        assert a.in_browkin_range() if flavor == BROWKIN else a.in_ruban_range()
+        assert in_digit_window(a, flavor == BROWKIN)
         if i >= 1:
             # everything past the head is a genuine denominator digit
             assert a.e >= 1

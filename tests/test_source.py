@@ -120,3 +120,88 @@ def test_no_export_takes_a_private_parameter():
         found += [f"{name}({param})" for param in params if param.startswith("_")]
     assert checked >= 30
     assert found == []
+
+
+def _trees(paths):
+    return [(path, ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+            for path in paths]
+
+
+def _declared_surface(trees):
+    """(class name, member) for every dataclass field, public method and
+    property of a library class, and {function name: [(positional
+    parameters as a call passes them, optional parameters)]} for every
+    library function with a default."""
+    members, functions, methods = [], {}, set()
+    for _, tree in trees:
+        for node in ast.walk(tree):  # breadth first: a class before its methods
+            if isinstance(node, ast.ClassDef):
+                fields = any(getattr(getattr(d, "func", d), "id", None) == "dataclass"
+                             for d in node.decorator_list)
+                for item in node.body:
+                    if fields and isinstance(item, ast.AnnAssign):
+                        members.append((node.name, item.target.id))
+                    elif isinstance(item, ast.FunctionDef):
+                        methods.add(item)
+                        if not item.name.startswith("_"):
+                            members.append((node.name, item.name))
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("__"):
+                continue
+            args = node.args
+            positional = [a.arg for a in args.posonlyargs + args.args]
+            optional = positional[len(positional) - len(args.defaults):]
+            optional += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            if optional:
+                # a method's call site does not pass self or cls
+                functions.setdefault(node.name, []).append(
+                    (positional[node in methods:], optional))
+    return members, functions
+
+
+def _import_aliases(tree):
+    """{local name: imported name} for every `import x as y` in a file."""
+    return {alias.asname: alias.name.rsplit(".", 1)[-1] for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names if alias.asname}
+
+
+def test_every_member_and_optional_parameter_has_a_reader():
+    # a field, method or knob that only the tests touch is dead weight in the
+    # library. A member counts as read by any attribute, name or keyword load
+    # in the library or the benchmark, or by a string constant in the
+    # benchmark (which reads some fields through getattr). That is blind to a
+    # field that shares its name with a local variable: ConstructionResult
+    # once carried h, omega0, q1 and reexpand_ok, which nothing read, and
+    # construct's locals of those names hid them from this scan.
+    library, bench = _trees(SOURCES), _trees(PERFBENCH)
+    members, functions = _declared_surface(library)
+    readers, passed = set(), set()
+    for path, tree in library + bench:
+        aliases = _import_aliases(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                readers.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                readers.add(node.attr)
+            elif isinstance(node, ast.keyword) and node.arg:
+                readers.add(node.arg)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) and path in PERFBENCH:
+                readers.add(node.value)
+            if not isinstance(node, ast.Call):
+                continue
+            # an optional parameter counts as read when a call passes it,
+            # by keyword or by position; **kwargs or *args pass them all
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            name = aliases.get(name, name)
+            for positional, optional in functions.get(name, ()):
+                spread = any(isinstance(a, ast.Starred) for a in node.args)
+                given = set(positional if spread else positional[:len(node.args)])
+                given |= {k.arg for k in node.keywords}
+                if any(k.arg is None for k in node.keywords):
+                    given |= set(optional)
+                passed |= {(name, param) for param in optional if param in given}
+    unread = [f"{cls}.{member}" for cls, member in members if member not in readers]
+    unpassed = [f"{fn}({param})" for fn, defs in functions.items()
+                for _, optional in defs for param in optional if (fn, param) not in passed]
+    assert len(members) >= 100 and len(functions) >= 12
+    assert unread + unpassed == []
