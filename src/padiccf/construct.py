@@ -208,7 +208,6 @@ class ConstructionResult:
     period: tuple
     expansion: Expansion | None
     branch: int | None
-    eq12_ok: bool
     verified: bool
 
     def to_json(self) -> dict:
@@ -247,7 +246,7 @@ def construct(cert: NiceCertificate, h: int = 0,
     preperiod and period say, with matching digits up to there. The two
     branches start with opposite digits, so only one is expanded.
     expansion and branch are that re-expansion, or None when neither
-    branch reproduces the digits; eq12_ok False also leaves verified False.
+    branch reproduces the digits. A broken eq. (12) leaves verified False.
 
     Cost: each coset member visited builds one power p**omega; the other
     two big powers it needs are exact quotients of that one by small powers
@@ -331,7 +330,7 @@ def construct(cert: NiceCertificate, h: int = 0,
     branch_used, actual = (hit[0].branch, hit[1]) if hit else (None, None)
     return ConstructionResult(
         p, t, k0, omega, s, cert.q, b_int, kt, ctil, a_t, m, preperiod, period,
-        actual, branch_used, eq12_ok, eq12_ok and hit is not None,
+        actual, branch_used, eq12_ok and hit is not None,
     )
 
 
@@ -444,7 +443,6 @@ def cala_identities(cf, bullet) -> CalaVerdict:
 
 @dataclass(frozen=True)
 class FamilyReport:
-    variant: int
     p: int
     t: int
     alpha: QuadIrr
@@ -454,7 +452,6 @@ class FamilyReport:
     matrix_check: bool
     char_poly_check: bool | None
     verified: bool
-    note: str | None
 
 
 def family_section6(variant: int, p: int, t: int) -> FamilyReport:
@@ -464,9 +461,12 @@ def family_section6(variant: int, p: int, t: int) -> FamilyReport:
     [(p**2-1)/(2p)], period [-2/p, -1/p**(t-1), 2/p, -1/p]. Variant 2
     (p >= 5, t >= 3): sqrt(p**t + 1)/2 with a length-6 period. Variant 3
     (p >= 5, t >= 3): sqrt(p**t + 1)/(2 p**(t-2)); its printed leading
-    digit (p**(t-1)+1)/(2 p**(t-2)) falls outside the digit set, so the
-    literal digit claim is recorded as indeterminate and the value is
-    verified through the period-matrix fixed point instead.
+    digit (p**(t-1)+1)/(2 p**(t-2)) = p/2 + 1/(2 p**(t-2)) falls outside
+    the centered window |y| < p/2, so no digit stream can emit it, the
+    literal digit claim is recorded as "indeterminate" and the value is
+    verified through the period-matrix fixed point instead. For variants
+    1 and 2 literal_check is "ok" when a branch re-expands to the claimed
+    digits and "failed" when neither does.
     """
     _check_odd_prime(p)
     if variant == 1:
@@ -502,15 +502,13 @@ def family_section6(variant: int, p: int, t: int) -> FamilyReport:
         raise ValueError("variant must be 1, 2 or 3")
     r = sqrt_mod_p(Delta % p, p)
     _invariant(r, "Delta = 1 mod p, so its unit square root exists")
-    note = None
     if variant in (1, 2):
         cands = (QuadIrr(p, Delta, 0, 2, k, br) for br in (r, p - r))
         matched = first_reexpansion(cands, pre, per, BROWKIN)
         if matched is None:
             alpha = QuadIrr(p, Delta, 0, 2, k, r)
             exp = expand(alpha, BROWKIN, max_steps=len(pre) + 2 * len(per) + 2)
-            return FamilyReport(variant, p, t, alpha, exp, r, "failed", False, None, False,
-                                "neither branch reproduces the claimed digits")
+            return FamilyReport(p, t, alpha, exp, r, "failed", False, None, False)
         alpha, exp = matched
         br = alpha.branch
         literal = "ok"
@@ -519,12 +517,6 @@ def family_section6(variant: int, p: int, t: int) -> FamilyReport:
         alpha = QuadIrr(p, Delta, 0, 2, k, br)
         exp = expand(alpha, BROWKIN, max_steps=400)
         literal = "indeterminate"
-        lead = Fraction(p ** (t - 1) + 1, 2 * p ** (t - 2))
-        note = (
-            f"claimed leading digit {lead} = p/2 + 1/(2*p**{t - 2}) exceeds "
-            "the centered window |y| < p/2, so no digit stream can emit it "
-            "verbatim; matching by value instead"
-        )
     matrix_ok = False
     char_ok = None
     if exp.status == PERIODIC:
@@ -539,8 +531,7 @@ def family_section6(variant: int, p: int, t: int) -> FamilyReport:
     verified = exp.status == PERIODIC and matrix_ok and (
         literal == "ok" or variant == 3
     ) and (char_ok is not False)
-    return FamilyReport(variant, p, t, alpha, exp, br, literal, matrix_ok, char_ok,
-                        verified, note)
+    return FamilyReport(p, t, alpha, exp, br, literal, matrix_ok, char_ok, verified)
 
 
 # -- search --------------------------------------------------------------------

@@ -270,10 +270,12 @@ def hensel_digits(p: int, Delta: int, branch: int, N: int) -> int:
     """The root of Delta mod p**N (N < 1 counts as 1) that is branch mod p,
     for p an odd prime, Delta prime to p and branch a root mod p in [1, p-1].
 
-    Newton's x -> (x + Delta/x)/2 doubles the precision each round. Nothing
+    Newton's x -> (x + Delta/x)/2 doubles the precision each round. Delta
+    is reduced mod p**N first, so a huge Delta costs one division. Nothing
     is cached: the engine lifts only the first states of an expansion.
     """
     _check_odd_prime(p)
+    Delta %= p ** max(N, 1)
     if Delta % p == 0:
         raise ValueError("Delta must be prime to p")
     if not 1 <= branch < p:
@@ -284,7 +286,8 @@ def hensel_digits(p: int, Delta: int, branch: int, N: int) -> int:
     while n < N:
         n = min(2 * n, N)
         mod = p**n
-        x = (x + Delta * pow(x, -1, mod)) * pow(2, -1, mod) % mod
+        # (mod + 1)//2 is the inverse of 2 mod the odd p**n
+        x = (x + Delta * pow(x, -1, mod)) * ((mod + 1) // 2) % mod
     return x
 
 

@@ -8,41 +8,39 @@ Ruban flavor) and produces the next state by the closed-form update
 
     b' = a~ * c - b,      p**(k + k') * c * c' = Delta - b'**2,
 
-which keeps every quantity an integer. The update needs no squaring and no
-big division: with r = a~ and X = (Delta - b**2)/c,
+which keeps every quantity an integer. The update needs no squaring: with
+r = a~ and X = (Delta - b**2)/c,
 
-    p**(k + k') * c' = (Delta - b'**2)/c = X + r * (b - b'),
+    W = (Delta - b'**2)/c = X + r * (b - b') = p**(k + k') * c',
 
 because Delta - b'**2 = (Delta - b**2) + r*c*(b - b') when b + b' = r*c, and
 the next state's X is p**(k + k') * c. On a state stepped from one with
-k_prev >= 0, X = p**(k_prev + k) * c_prev and the digit numerator r is a
-p-unit (the state has k >= 1 and valuation exactly -k), so
+k_prev >= 0, X = p**k * Z with Z = p**k_prev * c_prev, and the digit
+numerator r is a p-unit (the state has k >= 1 and valuation exactly -k).
 
-    r * (b - b') = p**k * (p**k' * c' - p**k_prev * c_prev)
-
-puts p**k in b - b', and the step computes
-
-    p**k' * c' = p**k_prev * c_prev + r * (b - b')/p**k
-
-after one exact division by p**k. Its divisor is small when k is small, and
-its quotient is small when k is near the state size, as for the middle digit
-of a construction's re-expansion (k ~ omega); split_p then strips only k'.
-Apart from split_p's strip of a huge k', every operation is small-by-big,
-linear in the state size or a division with a small quotient. That strip
-is linear too when c' is small, as it is at a middle digit: past 8,192
-bits core.split_p_power finds a huge k' next to a c' of under 64 bits from
-the top (core._strip_top), and it hands back the p**k' it built.
+With p**J the largest power of p in one CPython digit (J = 18, 12 and 10
+for p = 3, 5 and 7), a step whose digit exponent k is below J makes one big
+division: the digit comes from residues of delta and c below p**(k+1), and
+one divmod of W by p**J gives k' and c'. A step with k >= J, as after the
+middle digit of a construction's re-expansion (k ~ omega), would make
+p**k * Z a product the size of the state, so it divides b - b' exactly by
+p**k first, a division with a small quotient; _advance has both routes and
+the proof that reading the digit off delta is sound. Past 8,192 bits
+core.split_p_power strips a huge k' next to a c' of under 64 bits from the
+top (core._strip_top) and hands back the p**k' it built, so every step
+stays linear in the state size.
 
 That update is one private kernel, _advance, on plain ints: it carries
-p**k and Z = p**k_prev * c_prev from step to step, so no power of p is
-built twice, and it builds no QuadIrr. State 0 has no predecessor, and a
-state stepped from one with k_prev < 0 (state 1 after a start with k0 < 0)
-need not have valuation -k, so those go through step, which finds X by one
+p**k, Z and c's residue from step to step, so no power of p is built
+twice, and it builds no QuadIrr. State 0 has no predecessor, and a state
+stepped from one with k_prev < 0 (state 1 after a start with k0 < 0) need
+not have valuation -k, so those go through step, which finds X by one
 exact division by c. One generator, _chain, runs step while the previous
 state had k < 0 and the kernel from then on; expand, walk(), state_at and
 the replay all consume it, so a replayed state is the one expand saw. The
-kernel checks that r is a p-unit, which lets _chain build each digit
-r/p**k without LaurentInt's validation.
+chain yields each digit as its numerator and exponent, and expand alone
+builds the digits, without LaurentInt's validation: the kernel checks that
+r is a p-unit.
 
 Periodicity is detected by the first repeat of the exact triple (b, c, k);
 for a fixed (Delta, branch) that triple determines the value (c is prime to
@@ -376,40 +374,83 @@ def _residue(alpha: QuadIrr, flavor: str):
 # -- the stepper -----------------------------------------------------------
 
 
-def _advance(p: int, b: int, c: int, k: int, pk: int, Z: int, root: int, flavor: str):
-    """The step kernel on plain ints, for a state (b + delta)/(pk * c),
-    pk = p**k, stepped from one with k_prev >= 0: Z = p**k_prev * c_prev,
-    and root is delta mod p**(k+1), which is b itself when k_prev >= 1
-    (see _residue). Returns (r, b', c', k', p**k', p**k * c): the digit
-    numerator and the next state with its own pk and Z.
+@lru_cache(maxsize=None)
+def _digit_powers(p: int) -> tuple:
+    """(1, p, ..., p**J) with J >= 1 the largest exponent for which p**J
+    fits in one CPython digit (below 2**30): J = 18, 12 and 10 for p = 3, 5
+    and 7, and J = 1 for every prime above 2**15."""
+    pows = [1, p]
+    while pows[-1] * p < 1 << 30:
+        pows.append(pows[-1] * p)
+    return tuple(pows)
 
-    The state has k >= 1 and valuation exactly -k, so r is a p-unit and the
-    digit r/p**k needs no p stripped; r (b - b') = p**k (p**k' c' - Z)
-    puts p**k in b - b', and p**k' c' = Z + r (b - b')/p**k. k' is almost
-    always 1 or 2, so two divisions by p come before split_p_power, which
-    strips the huge k' of a construction's middle digit and returns the
-    p**k' it built for that, the next state's pk.
+
+def _advance(p, b, c, k, pk, Z, cres, root, two_delta, pows, flavor):
+    """The step kernel on plain ints, for a state (b + delta)/(pk * c),
+    pk = p**k, stepped from one with k_prev >= 0: Z = p**k_prev * c_prev;
+    pows = (1, p, ..., p**J) (_digit_powers; exact for any J >= 1). root
+    is delta mod p**(k+1) on a first state after k_prev = 0, else None,
+    for b = delta mod p**(k+1) (see _residue); two_delta is 2 delta mod
+    some p**n, n > k, when k < J; cres is c mod some p**n, n > k, or
+    None. Returns (r, b', c', k', p**k', p**k * c, cres').
+
+    The state has valuation exactly -k, so r is a p-unit, and W = p**k Z
+    + r (b - b') = p**(k + k') c'. For k < J (the residue route), r is
+    two_delta/c (or (b + root)/c) mod p**(k+1) and W is formed as written;
+    for k >= J (the dividing route), r is the window residue of (b + b)/c
+    (or (b + root)/c) and W/p**k = Z + r (b - b')/p**k after one exact
+    division. One divmod by p**J =
+    (q, rho) then finishes: for rho != 0, v = v_p(rho) < J gives k',
+    c' = q p**(J-v) + rho/p**v and c' mod p**(J-v), carried when
+    J - v > k'; for rho = 0, split_p_power strips q and returns the
+    p**k' it built.
+
+    Proof that v_p(W) >= k + 1 checks the reading of delta for k < J:
+    after a first state k_prev >= 1, so p**(k+1) divides p**k Z, and mod
+    p**(k+1) r c = 2 delta makes b - b' = 2 b - r c = 2 (b - delta) and
+    W = 2 r (b - delta), with r and 2 units: v_p(W) >= k + 1 iff b =
+    delta mod p**(k+1). two_delta was read off an earlier b that was
+    delta to that precision by the same proof; on that state, and on a
+    first state, the check is only k' >= 1.
     """
-    r = _window_residue(b + root, c, pk, p, flavor)
-    b1 = r * c - b
-    q, rem = divmod(b - b1, pk)
-    if rem:
-        raise InvariantError("p**k must divide b - b'")
+    pJ = pows[-1]
+    if pk < pJ:  # k < J: the residue route
+        pn = pows[k + 1]
+        num = two_delta if root is None else b + root
+        r = num % pn * pow(c if cres is None else cres, -1, pn) % pn
+        if flavor == BROWKIN:
+            if 2 * r > pn:
+                r -= pn
+            if not -pn < 2 * r < pn:
+                raise InvariantError("centered residue must lie inside the window")
+        b1 = r * c - b
+        W, base = pk * Z + r * (b - b1), k
+    else:
+        r = _window_residue(b + (b if root is None else root), c, pk, p, flavor)
+        b1 = r * c - b
+        q, rem = divmod(b - b1, pk)
+        if rem:
+            raise InvariantError("p**k must divide b - b'")
+        W, base, pn = Z + r * q, 0, p
     if r % p == 0:
         raise InvariantError("digit numerator must be a p-unit")
-    Y = Z + r * q  # p**k1 * c1
-    if Y == 0:
+    # pn = p**(base + 1): v = v_p(W) must exceed base, so k' = v - base >= 1
+    q, rho = divmod(W, pJ)
+    if rho:
+        if rho % pn:
+            raise InvariantError("next complete quotient must have negative valuation")
+        u, v = rho // pn, base + 1
+        while not u % p:
+            u //= p
+            v += 1
+        k1, pw = v - base, pows[-1 - v]
+        pk1 = pows[k1]
+        return r, b1, q * pw + u, k1, pk1, pk * c, u if pw > pk1 else None
+    if not q:
         raise InvariantError("rational leak: Delta = b'**2")
-    if Y % p:
-        raise InvariantError("next complete quotient must have negative valuation")
-    c1 = Y // p
-    if c1 % p:
-        return r, b1, c1, 1, p, pk * c
-    c1 //= p
-    if c1 % p:
-        return r, b1, c1, 2, p * p, pk * c
-    e, c1, pe = split_p_power(c1, p)
-    return r, b1, c1, e + 2, pe * p * p, pk * c
+    e, c1, pe = split_p_power(q, p)
+    J = len(pows) - 1
+    return r, b1, c1, J + e - base, pe * pows[J - base], pk * c, None
 
 
 def step(alpha: QuadIrr, flavor: str = BROWKIN):
@@ -441,10 +482,10 @@ def step(alpha: QuadIrr, flavor: str = BROWKIN):
 
 
 def _unit_digit(p: int, r: int, k: int) -> LaurentInt:
-    """The digit r/p**k for a p-unit r and k >= 1, which LaurentInt's
-    strip would leave as it is, so the strip is skipped. The fields are set
-    one by one: filling the instance __dict__ in one update would double
-    the digit's memory."""
+    """The digit r/p**k for a pair that LaurentInt's strip would leave as
+    it is (a p-unit r, or (0, 0)), so the strip is skipped. The fields are
+    set one by one: filling the instance __dict__ in one update would
+    double the digit's memory."""
     a = _new(LaurentInt)
     _setattr(a, "p", p)
     _setattr(a, "tilde", r)
@@ -523,15 +564,16 @@ class Expansion:
                 yield _quad(p, Delta, b, c, k, branch)
 
     def state_at(self, i: int) -> "QuadIrr":
-        """Complete quotient i, replayed from alpha in O(i) steps. On a
-        periodic expansion an index past the cycle wraps into it. IndexError
-        for a negative index, an index past an open expansion's digits, or a
-        rational source."""
+        """Complete quotient i, replayed from alpha in O(i) steps that build
+        no state but the one returned. On a periodic expansion an index
+        past the cycle wraps into it. IndexError for a negative index, an
+        index past an open expansion's digits, or a rational source."""
         pre, per = len(self.preperiod), len(self.period)
         n = i if i < pre or per == 0 else pre + (i - pre) % per
-        if n >= 0:
-            for st in islice(self.walk(), n, None):
-                return st
+        alpha = self.alpha
+        if 0 <= n < len(self.quotients) and isinstance(alpha, QuadIrr):
+            _, (b, c, k) = next(islice(_chain(alpha, self.flavor), n, None))
+            return _quad(alpha.p, alpha.Delta, b, c, k, alpha.branch)
         raise IndexError(f"no complete quotient {i} on this {self.status} expansion")
 
     def text(self) -> str:
@@ -557,25 +599,38 @@ class Expansion:
 
 
 def _chain(alpha: QuadIrr, flavor: str):
-    """Yields (a, (b, c, k)) for states 0, 1, 2, ... of alpha, without end:
-    state i's triple and the digit a_(i-1) that led into it (None for state
-    0). While the previous state had k < 0, which covers state 0 and state
-    1 after a start with k0 < 0, the next state comes from step; from then
-    on from the kernel _advance on plain ints, with each digit r/p**k built
-    without LaurentInt's checks (the kernel checks that r is a p-unit).
-    The first kernel step lifts delta when the state before it had k = 0;
-    after one with k >= 1, delta mod p**(k+1) is b itself (see _residue)."""
-    a, cur, prev = None, alpha, None
+    """Yields ((r, e), (b, c, k)) for states 0, 1, 2, ... of alpha, without
+    end: state i's triple and the digit a_(i-1) = r/p**e that led into it,
+    as LaurentInt stores it (None for state 0); expand alone builds the
+    digits. While the previous state had k < 0, which covers state 0
+    and state 1 after a start with k0 < 0, the next state comes from step;
+    from then on from the kernel _advance on plain ints, which checks that
+    r is a p-unit. Its digits with k < J read delta off a residue of an
+    earlier b: a state stepped from one with k_prev >= 1 has b = delta mod
+    p**(k_prev + k) (see _residue), so 2 b mod p**min(J, k_prev + k) serves
+    every later digit up to that exponent, and it is read again from the
+    current b only when a digit needs more. The first kernel state reads
+    its digit off b + delta, with delta lifted mod p**(k+1), when the
+    state before it had k = 0."""
+    digit, cur, prev = None, alpha, None
     while prev is None or prev.k < 0:
-        yield a, (cur.b, cur.c, cur.k)
+        yield digit, (cur.b, cur.c, cur.k)
         prev, (a, cur) = cur, step(cur, flavor)
+        digit = a.tilde, a.e
     p, b, c, k = cur.p, cur.b, cur.c, cur.k
-    root = b if prev.k else hensel_digits(p, cur.Delta, cur.branch, k + 1)
-    pk, Z = p**k, p**prev.k * prev.c
+    pows = _digit_powers(p)
+    J = len(pows) - 1
+    root = None if prev.k else hensel_digits(p, cur.Delta, cur.branch, k + 1)
+    n = min(J, prev.k + k if prev.k else k + 1)  # two_delta = 2 delta mod p**n
+    two_delta = 2 * (b if root is None else root) % pows[n]
+    pk, Z, cres = p**k, p**prev.k * prev.c, None
     while True:
-        yield a, (b, c, k)
-        r, b, c, k1, pk, Z = _advance(p, b, c, k, pk, Z, root, flavor)
-        a, k, root = _unit_digit(p, r, k), k1, b
+        yield digit, (b, c, k)
+        r, b, c, k1, pk, Z, cres = _advance(p, b, c, k, pk, Z, cres, root, two_delta, pows, flavor)
+        if n <= k1 < J:
+            n = min(J, k + k1)
+            two_delta = 2 * b % pows[n]
+        digit, k, root = (r, k), k1, None
 
 
 def _replay(alpha: QuadIrr, flavor: str, held: tuple, last: int):
@@ -593,7 +648,8 @@ def expand(alpha: QuadIrr, flavor: str = BROWKIN, max_steps: int = DEFAULT_MAX_S
     Returns a periodic expansion with minimal preperiod and period, or an
     open one if no state repeats within max_steps; state max_steps is
     stepped to but never compared. The digits and triples come from
-    _chain. Held are alpha, the triples of states 0 and 1 and the current
+    _chain; each distinct digit is built once, and equal digits share that
+    immutable LaurentInt. Held are alpha, the triples of states 0 and 1 and the current
     one; seen maps the fingerprint hash((b, c, k)) of each state to the
     last index that had it.
 
@@ -620,8 +676,9 @@ def expand(alpha: QuadIrr, flavor: str = BROWKIN, max_steps: int = DEFAULT_MAX_S
         raise ValueError("max_steps must be >= 1")
     k0 = -alpha.valuation
     p = alpha.p
-    steps = _chain(alpha, flavor)
-    (_, key0), (a, key) = next(steps), next(steps)
+    steps, made = _chain(alpha, flavor), {}
+    (_, key0), (d, key) = next(steps), next(steps)
+    made[d] = a = _unit_digit(p, *d)
     held, seen, quots = (key0, key), {hash(key0): 0}, [a]
     for i in range(1, max_steps):
         fingerprint = hash(key)
@@ -635,7 +692,10 @@ def expand(alpha: QuadIrr, flavor: str = BROWKIN, max_steps: int = DEFAULT_MAX_S
                     _invariant(pre[-1] != per[-1], "state-minimal cycle should be digit-minimal")
                 return Expansion(p, flavor, PERIODIC, pre, per, k0, alpha)
         seen[fingerprint] = i
-        a, key = next(steps)
+        d, key = next(steps)
+        a = made.get(d)
+        if a is None:
+            a = made[d] = _unit_digit(p, *d)
         quots.append(a)
     return Expansion(p, flavor, OPEN, tuple(quots), (), k0, alpha)
 

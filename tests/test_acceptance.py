@@ -219,7 +219,7 @@ def _closed_form_families():
             if variant >= 2 and (p < 5 or t < 3):
                 continue  # outside the family's domain
             rep = family_section6(variant, p, t)
-            assert rep.verified, (variant, p, t, rep.note)
+            assert rep.verified, (variant, p, t, rep.literal_check)
             if variant == 3:
                 assert rep.literal_check == "indeterminate", (p, t)
             ran += 1

@@ -231,8 +231,8 @@ def test_construction_is_the_limit_of_its_digits(seed, h):
     # eq. (12) on a second table must agree with the one on the cert's rows
     cert = is_nice(seed)
     res = construct(cert, h)
-    assert res.verified
-    assert res.eq12_ok == eq12_by_table(res, cert)
+    assert res.verified and res.expansion is not None
+    assert eq12_by_table(res, cert)
     target = QuadIrr(res.p, res.m, 0, res.m, res.k0, res.branch)
     assert periodic_limit(res.preperiod, res.period, res.p).value_equals(target)
     exp = res.expansion
@@ -255,10 +255,11 @@ def test_reexpansion_states_follow_the_dividing_update(seed):
 
 
 def test_reexpansion_strips_p_only_from_state_size_numbers(monkeypatch):
-    # step divides b - b' by p**k before it strips p, so no strip in the
-    # l = 353 re-expansion sees a product twice the size of m, as the one
-    # that would strip p**31,853 at once would; and the kernel's strip of
-    # k' = k_t ~ omega hands the next step p**k' as the power it built
+    # the kernel divides b - b' by p**k before it strips p when k is past
+    # the one-digit power p**J, so no strip in the l = 353 re-expansion sees
+    # a product twice the size of m, as the one that would strip p**31,853
+    # at once would; and the kernel's strip of k' = k_t ~ omega hands the
+    # next step p**k' as the power it built
     sizes, steps, advance = [], [], engine_module._advance
 
     def spying(split):
@@ -277,9 +278,10 @@ def test_reexpansion_strips_p_only_from_state_size_numbers(monkeypatch):
     res = construct(is_nice(SEED_353), 0)
     assert res.verified and res.m.bit_length() == 50489
     assert sizes and max(sizes) <= res.m.bit_length() + 64
-    assert max(k1 for _, _, _, k1, _, _ in steps) == res.kt == 31852
-    for _, _, _, k1, pk1, _ in steps:
+    assert max(k1 for _, _, _, k1, _, _, _ in steps) == res.kt == 31852
+    for _, _, c1, k1, pk1, _, cres in steps:
         assert pk1 == 3**k1
+        assert cres is None or (cres - c1) % 3 ** (k1 + 1) == 0
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no str limit here")
@@ -323,14 +325,14 @@ def test_construct_expands_once_and_builds_no_table(monkeypatch, text, p):
 def test_construct_reports_a_broken_eq12_as_unverified():
     cert = is_nice(SEED_6_5)
     res = construct(dataclasses.replace(cert, Btilde_prev=cert.Btilde_prev + 1), 0)
-    assert not res.eq12_ok
+    # the re-expansion still succeeds, so eq. (12) alone leaves it unverified
     assert not res.verified
+    assert res.expansion is not None
 
 
 def test_construct_is_unverified_when_no_branch_reexpands(monkeypatch):
     monkeypatch.setattr(construct_module, "first_reexpansion", lambda *args: None)
     res = construct(is_nice(SEED_6_5), 0)
-    assert res.eq12_ok
     assert not res.verified
     assert res.expansion is None and res.branch is None
 
@@ -439,7 +441,6 @@ def test_family_variant3_matches_by_value_only(p, t):
     assert rep.verified
     assert rep.literal_check == "indeterminate"
     assert rep.matrix_check
-    assert "centered window" in rep.note
 
 
 def test_family_builds_one_convergent_table(monkeypatch):

@@ -51,6 +51,7 @@ from oracles import (
     eval_cf_brute,
     hensel_brute,
     in_digit_window,
+    newton_sqrt_mod,
     rational_expand_brute,
     step_brute,
     surd_expand_brute,
@@ -226,7 +227,7 @@ def _step_under_python_O(setup, call="step(alpha)"):
         "import sys\n"
         "from padiccf import QuadIrr, step\n"
         "from padiccf.core import hensel_digits\n"
-        "from padiccf.engine import _advance\n"
+        "from padiccf.engine import _advance, _digit_powers\n"
         + setup +
         "try:\n"
         f"    {call}\n"
@@ -249,34 +250,59 @@ def test_step_rejects_a_corrupted_state_under_python_O():
     assert proc.stdout.strip() == "1 InvariantError c | Delta - b'**2 must propagate", proc.stderr
 
 
+# the kernel's per-chain arguments for p = 5: the powers 5**0 .. 5**J (J = 12),
+# and 2 delta mod 5**J lifted from the state; passing only (1, 5) makes J = 1,
+# which sends every state with k >= 1 down the dividing route
+KERNEL_ARGS = (
+    "pows = _digit_powers(5)\n"
+    "two_delta = 2 * hensel_digits(5, alpha.Delta, alpha.branch, 12) % 5**12\n"
+)
+
+
+def _kernel_call(root, pows):
+    return ("_advance(5, alpha.b, alpha.c, alpha.k, 5**alpha.k, 5**prev.k * prev.c, "
+            f"None, {root}, two_delta, {pows}, 'browkin')")
+
+
 def test_step_rejects_an_inexact_p_power_division_under_python_O():
-    # the kernel on a stepped state whose b is no longer delta mod p: adding
-    # c keeps c | Delta - b**2, but p**k no longer divides b - b'; prev has
-    # k = 0, so the root is lifted rather than read from b
+    # the dividing route on a stepped state whose b is no longer delta mod
+    # p: adding c keeps c | Delta - b**2, but p**k no longer divides b - b';
+    # prev has k = 0, so the root is lifted rather than read from b
     setup = (
         "prev = QuadIrr(5, 126, 0, 2, 0, 1)\n"
         "alpha = step(prev)[1]\n"
         "object.__setattr__(alpha, 'b', alpha.b + alpha.c)\n"
         "root = hensel_digits(5, alpha.Delta, alpha.branch, alpha.k + 1)\n"
-    )
-    call = "_advance(5, alpha.b, alpha.c, alpha.k, 5**alpha.k, 5**prev.k * prev.c, root, 'browkin')"
-    proc = _step_under_python_O(setup, call)
+    ) + KERNEL_ARGS
+    proc = _step_under_python_O(setup, _kernel_call("root", "(1, 5)"))
     assert proc.stdout.strip() == "1 InvariantError p**k must divide b - b'", proc.stderr
 
 
-def test_step_rejects_a_corrupted_steady_state_under_python_O():
-    # prev has k >= 1, so the kernel reads delta from b; moving b by a
-    # multiple of c keeps c | Delta - b**2 but makes the digit numerator
-    # 2b/c mod p**(k+1) divisible by p
-    setup = (
+def _corrupted_steady_state():
+    # prev has k >= 1, so b stands for delta mod p**(k+1); moving b by a
+    # multiple of c keeps c | Delta - b**2 but puts b off delta mod p
+    return (
         "prev = QuadIrr(5, 89, 8, 1, 1, 3)\n"
         "alpha = step(prev)[1]\n"
         "b = next(b for b in range(alpha.b, alpha.b + 5 * alpha.c, alpha.c) if b % 5 == 0)\n"
         "object.__setattr__(alpha, 'b', b)\n"
-    )
-    call = "_advance(5, alpha.b, alpha.c, alpha.k, 5**alpha.k, 5**prev.k * prev.c, alpha.b, 'browkin')"
-    proc = _step_under_python_O(setup, call)
+    ) + KERNEL_ARGS
+
+
+def test_step_rejects_a_corrupted_steady_state_under_python_O():
+    # the dividing route reads the digit numerator off 2b/c, which the
+    # corruption makes divisible by p
+    proc = _step_under_python_O(_corrupted_steady_state(), _kernel_call("None", "(1, 5)"))
     assert proc.stdout.strip() == "1 InvariantError digit numerator must be a p-unit", proc.stderr
+
+
+def test_residue_route_rejects_b_off_delta_under_python_O():
+    # the residue route reads the digit numerator off 2 delta/c, a p-unit
+    # whatever b is; its check v_p(W) >= k + 1 fails exactly when b !=
+    # delta mod p**(k+1), so the corrupted state cannot pass
+    proc = _step_under_python_O(_corrupted_steady_state(), _kernel_call("None", "pows"))
+    want = "1 InvariantError next complete quotient must have negative valuation"
+    assert proc.stdout.strip() == want, proc.stderr
 
 
 def test_stepped_states_carry_the_root_in_b():
@@ -367,7 +393,8 @@ def test_expansion_states_follow_the_dividing_update(flavor):
 
 def test_expand_divides_by_c_only_on_state_0(monkeypatch):
     # state 0's (Delta - b**2)/c divides by c, and so does state 1's after a
-    # state 0 with k0 < 0; every other step divides b - b' exactly by p**k
+    # state 0 with k0 < 0; every kernel step with k < J makes one divmod,
+    # by p**J, and one with k >= J divides b - b' by p**k first
     divisors = []
 
     def recording_divmod(x, y):
@@ -389,6 +416,8 @@ def test_expand_divides_by_c_only_on_state_0(monkeypatch):
         lambda: recording_expand(PERIOD12_STATE),
         lambda: analysis_module.ruban_nonperiodic_probe(6, 1, 5).expansion,
     ]
+    pJ = engine_module._digit_powers(5)[-1]
+    assert pJ == 5**12
     for run in runs:
         divisors.clear()
         exp = run()
@@ -396,8 +425,11 @@ def test_expand_divides_by_c_only_on_state_0(monkeypatch):
         assert len(st) in (12, 2000)
         stepped = st[:2] if st[0].k < 0 else st[:1]
         want = [cur.c for cur in stepped]
-        want += [exp.p**cur.k for prev, cur in zip(st, st[1:]) if prev.k >= 0]
+        for prev, cur in zip(st, st[1:]):
+            if prev.k >= 0:
+                want += [pJ] if cur.k < 12 else [exp.p**cur.k, pJ]
         assert divisors == want
+        assert divisors[len(stepped):].count(pJ) == len(st) - len(stepped)
     assert st[0].k < 0 and len(divisors) == len(st)  # the probe's state 0
 
 
@@ -496,6 +528,59 @@ def test_kernel_chain_agrees_with_the_dividing_route_at_k_near_omega():
     for exp in exps:
         assert exp.status == PERIODIC
         _assert_kernel_chain_is_the_dividing_route(exp)
+
+
+def _near_digit(p, Delta, branch, k0, K):
+    """(b + delta)/p**k0 whose remainder after the digit 1/p**k0 has
+    valuation at least K, so state 1 has k >= K."""
+    b = (1 - newton_sqrt_mod(Delta, branch, p, k0 + K)) % p ** (k0 + K)
+    return QuadIrr(p, Delta, b, 1, k0, branch)
+
+
+def _kernel_routes(p, b, c, k, pk, Z, cres, root, two_delta, pows, flavor, out):
+    """The routes one kernel step took, named as in _advance's docstring;
+    a residue too short is one the next step cannot read its digit off."""
+    J, k1, cres1 = len(pows) - 1, out[3], out[6]
+    if k >= J:
+        return {"k >= J, first state" if root is not None else "k >= J"} | ({"J = 1"} if J == 1 else set())
+    if k + k1 < J and cres1 is None:
+        return {"residue too short"}
+    return {"residue"}
+
+
+def test_kernel_routes_agree_with_the_dividing_step_and_the_oracle(monkeypatch):
+    # every route of the kernel, on states chosen to reach it, must give the
+    # states of the dividing step(state) and the digits of the rational-pair
+    # oracle: states with k >= J = 12 and 18 (p = 5 after a k = 0 state, and
+    # p = 3 after a k >= 1 one), residues too short for the next digit
+    # (p = 211, J = 3), and a prime above 2**15, where J = 1 and every
+    # kernel step divides
+    seen, real = set(), engine_module._advance
+
+    def spy(*args):
+        out = real(*args)
+        seen.update(_kernel_routes(*args, out))
+        return out
+
+    monkeypatch.setattr(engine_module, "_advance", spy)
+    rng = random.Random(2121)
+    values = [_near_digit(5, 89, 3, 0, 14), _near_digit(5, -434, 1, 0, 13),
+              _near_digit(3, 37, 1, 1, 20), _near_digit(3, -80, 2, 2, 19)]
+    for p in (211, 32771):
+        values += [draw(rng, p) for draw in (random_quad, random_trace_zero) for _ in range(6)]
+    ks = {alpha.k for alpha in values}
+    assert min(ks) < 0 and 0 in ks and max(ks) >= 2
+    assert engine_module._digit_powers(32771) == (1, 32771)
+    for alpha in values:
+        u, v = _pair(alpha)
+        for flavor in (BROWKIN, RUBAN):
+            exp = expand(alpha, flavor, max_steps=12)
+            _assert_kernel_chain_is_the_dividing_route(exp)
+            want = surd_expand_brute(u, v, alpha.Delta, alpha.branch, alpha.p, flavor, 8)
+            assert [exp.quotient_at(i).value for i in range(8)] == want, (alpha, flavor)
+    assert {"residue", "residue too short", "k >= J", "k >= J, first state", "J = 1"} <= seen
+    firsts = [expand(alpha, max_steps=2).ks[1] for alpha in values[:4]]
+    assert all(k1 >= K for k1, K in zip(firsts, (14, 13, 20, 19))), firsts
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 40, 5000])
