@@ -31,6 +31,7 @@ from .engine import (
     convergents,
     expand,
     first_reexpansion,
+    step,
 )
 
 
@@ -230,10 +231,10 @@ def ruban_nonperiodic_probe(m: int, k: int, p: int, N: int = 2000) -> RubanProbe
     """Probe the nonnegative-flavor expansion of p**k * sqrt(m).
 
     For k > 0 the expansion is never periodic: the probe asserts no cycle
-    within N steps and checks the underlying witness exactly on the stored
-    third complete quotient alpha_2 = (b + sqrt(m))/(p**k2 c): both of its
-    real embeddings are negative iff b**2 > m and b*c < 0, two integer
-    comparisons. Digits are nonnegative, so every later state keeps both
+    within N steps and checks the underlying witness exactly on the third
+    complete quotient alpha_2 = (b + sqrt(m))/(p**k2 c), two steps from
+    alpha: both of its real embeddings are negative iff b**2 > m and
+    b*c < 0, two integer comparisons. Digits are nonnegative, so every later state keeps both
     embeddings negative, and no purely periodic tail can. Negative k is
     accepted for the periodic sqrt(1 + p**(2h))/p**h family; there the
     observed status is simply reported.
@@ -254,6 +255,6 @@ def ruban_nonperiodic_probe(m: int, k: int, p: int, N: int = 2000) -> RubanProbe
     _invariant(exp.status == OPEN,
                f"p^{k} sqrt({m}) produced a cycle in the nonnegative flavor; "
                "the real-embedding sign obstruction rules that out")
-    alpha2 = exp.state_at(2)
+    alpha2 = step(step(alpha, RUBAN)[1], RUBAN)[1]
     witness = alpha2.b * alpha2.b > m and alpha2.b * alpha2.c < 0
     return RubanProbe(p, m, k, "nonperiodic", witness, exp)

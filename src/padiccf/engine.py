@@ -34,13 +34,18 @@ That update is one private kernel, _advance, on plain ints: it carries
 p**k, Z and c's residue from step to step, so no power of p is built
 twice, and it builds no QuadIrr. State 0 has no predecessor, and a state
 stepped from one with k_prev < 0 (state 1 after a start with k0 < 0) need
-not have valuation -k, so those go through step, which finds X by one
-exact division by c. One generator, _chain, runs step while the previous
-state had k < 0 and the kernel from then on; expand, walk(), state_at and
-the replay all consume it, so a replayed state is the one expand saw. The
-chain yields each digit as its numerator and exponent, and expand alone
-builds the digits, without LaurentInt's validation: the kernel checks that
-r is a p-unit.
+not have valuation -k, so those go through _dividing_step, which finds X
+by one exact division by c; step is that same step on a QuadIrr. One
+generator, _chain, runs _dividing_step while the previous state had k < 0
+and the kernel from then on, on ints throughout; expand, walk(), state_at
+and the replay all consume it, so a replayed state is the one expand saw.
+The chain yields each digit as its numerator and exponent, and expand
+alone builds the digits, without LaurentInt's validation: the kernel
+checks that r is a p-unit.
+
+expand_rational runs on plain ints too, with the kernel's window digit
+(_window_residue) and one exact divmod per step; its docstring proves
+that its state stays in lowest terms without a gcd.
 
 Periodicity is detected by the first repeat of the exact triple (b, c, k);
 for a fixed (Delta, branch) that triple determines the value (c is prime to
@@ -58,7 +63,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
+from itertools import chain, islice
 from math import gcd, isqrt, lcm, prod
 
 from .core import (
@@ -351,24 +356,41 @@ def _window_residue(num: int, den: int, pk: int, p: int, flavor: str) -> int:
     return r
 
 
-def _residue(alpha: QuadIrr, flavor: str):
-    """The digit numerator r = p**k * a of alpha; 0 when k < 0.
+def _dividing_step(p, Delta, branch, b, c, k, flavor):
+    """One step of any valid state (b + delta)/(p**k * c) on plain ints:
+    returns ((r, e), (b', c', k')), the digit r/p**e as LaurentInt stores
+    it and the next state's triple.
 
-    r is the window residue of (b + delta)/c, so delta is needed only mod
-    p**(k+1), and this lifts it. A state stepped from one with k >= 1 needs
-    no lift, because its b is delta mod p**(k+1). Proof: for a state with
-    k >= 0, digit r/p**k and b' = r c - b, v(alpha - a) >= 1 gives b' =
-    delta mod p, so delta + b' is a unit (the next state has valuation
-    exactly -k') and Delta - b'**2 = (delta - b')(delta + b') = p**(k + k')
-    c c' gives b' = delta mod p**(k + k'), which covers the next digit's
-    p**(k' + 1) when k >= 1.
+    The digit numerator is the window residue of (b + delta)/c, so delta
+    is needed only mod p**(k+1), and this lifts it; for k < 0 the window is
+    empty (v_p(alpha) = v_p(b + delta) - k >= 1) and the digit is (0, 0).
+    X = (Delta - b**2)/c comes from one exact division by c. A state
+    stepped from one with k >= 1 needs no lift, which is why the kernel
+    _advance takes over there: its b is delta mod p**(k+1). Proof: for a
+    state with k >= 0, digit r/p**k and b' = r c - b, v(alpha - a) >= 1
+    gives b' = delta mod p, so delta + b' is a unit (the next state has
+    valuation exactly -k') and Delta - b'**2 = (delta - b')(delta + b') =
+    p**(k + k') c c' gives b' = delta mod p**(k + k'), which covers the
+    next digit's p**(k' + 1) when k >= 1.
     """
-    p, k = alpha.p, alpha.k
-    if k < 0:
-        # v_p(alpha) = v_p(b + delta) - k >= 1, the digit window is empty
-        return 0
-    root = hensel_digits(p, alpha.Delta, alpha.branch, k + 1)
-    return _window_residue(alpha.b + root, alpha.c, p**k, p, flavor)
+    r = 0
+    if k >= 0:
+        root = hensel_digits(p, Delta, branch, k + 1)
+        r = _window_residue(b + root, c, p**k, p, flavor)
+    b1 = r * c - b
+    # Delta - b'**2 = Delta - b**2 mod c, so this is the check that c
+    # divides the next state's Delta - b'**2
+    X, rem = divmod(Delta - b * b, c)
+    _invariant(rem == 0, "c | Delta - b'**2 must propagate")
+    Y = X + r * (b - b1)  # (Delta - b1**2)/c = p**(k + k1) * c1
+    _invariant(Y, "rational leak: Delta = b'**2")
+    e, c1 = split_p(Y, p)
+    k1 = e - k
+    _invariant(k1 >= 1, "next complete quotient must have negative valuation")
+    # state 0 may have valuation above -k, so r may carry p factors; the
+    # window keeps |r| < p**(k+1), so at most k of them, and r = 0 is (0, 0)
+    s, r = split_p(r, p) if r else (k, 0)
+    return (r, k - s), (b1, c1, k1)
 
 
 # -- the stepper -----------------------------------------------------------
@@ -390,7 +412,7 @@ def _advance(p, b, c, k, pk, Z, cres, root, two_delta, pows, flavor):
     pk = p**k, stepped from one with k_prev >= 0: Z = p**k_prev * c_prev;
     pows = (1, p, ..., p**J) (_digit_powers; exact for any J >= 1). root
     is delta mod p**(k+1) on a first state after k_prev = 0, else None,
-    for b = delta mod p**(k+1) (see _residue); two_delta is 2 delta mod
+    for b = delta mod p**(k+1) (see _dividing_step); two_delta is 2 delta mod
     some p**n, n > k, when k < J; cres is c mod some p**n, n > k, or
     None. Returns (r, b', c', k', p**k', p**k * c, cres').
 
@@ -456,29 +478,14 @@ def _advance(p, b, c, k, pk, Z, cres, root, two_delta, pows, flavor):
 def step(alpha: QuadIrr, flavor: str = BROWKIN):
     """One algorithm step: returns (digit, next complete quotient).
 
-    The update is exact integer arithmetic: with r = p**k * a the window
-    residue and b' = r c - b, Delta - b'**2 = p**(k + k') c c' defines k'
-    and c'. It needs no squaring of b': X = (Delta - b**2)/c, found by one
-    exact division, gives p**(k + k') c' = X + r (b - b'), since
-    Delta - b'**2 = (Delta - b**2) + r c (b - b') when b + b' = r c. step is
-    exact on any valid state; expand runs it only where the kernel _advance
-    cannot start (see _chain).
+    Exact on any valid state: it is _dividing_step, the step expand's
+    chain runs where the kernel _advance cannot start (see _chain), with
+    its result wrapped as a digit and a state.
     """
     _check_flavor(flavor)
-    p, b, c, k = alpha.p, alpha.b, alpha.c, alpha.k
-    r = _residue(alpha, flavor)
-    b1 = r * c - b
-    # Delta - b'**2 = Delta - b**2 mod c, so this is the check that c
-    # divides the next state's Delta - b'**2
-    X, rem = divmod(alpha.Delta - b * b, c)
-    _invariant(rem == 0, "c | Delta - b'**2 must propagate")
-    Y = X + r * (b - b1)  # (Delta - b1**2)/c = p**(k + k1) * c1
-    _invariant(Y, "rational leak: Delta = b'**2")
-    e, c1 = split_p(Y, p)
-    k1 = e - k
-    _invariant(k1 >= 1, "next complete quotient must have negative valuation")
-    # for k < 0, r = 0 and LaurentInt stores the digit as (0, 0)
-    return LaurentInt(p, r, k), _quad(p, alpha.Delta, b1, c1, k1, alpha.branch)
+    p, Delta, branch = alpha.p, alpha.Delta, alpha.branch
+    digit, (b1, c1, k1) = _dividing_step(p, Delta, branch, alpha.b, alpha.c, alpha.k, flavor)
+    return _unit_digit(p, *digit), _quad(p, Delta, b1, c1, k1, branch)
 
 
 def _unit_digit(p: int, r: int, k: int) -> LaurentInt:
@@ -603,27 +610,30 @@ def _chain(alpha: QuadIrr, flavor: str):
     end: state i's triple and the digit a_(i-1) = r/p**e that led into it,
     as LaurentInt stores it (None for state 0); expand alone builds the
     digits. While the previous state had k < 0, which covers state 0
-    and state 1 after a start with k0 < 0, the next state comes from step;
-    from then on from the kernel _advance on plain ints, which checks that
-    r is a p-unit. Its digits with k < J read delta off a residue of an
-    earlier b: a state stepped from one with k_prev >= 1 has b = delta mod
-    p**(k_prev + k) (see _residue), so 2 b mod p**min(J, k_prev + k) serves
-    every later digit up to that exponent, and it is read again from the
-    current b only when a digit needs more. The first kernel state reads
-    its digit off b + delta, with delta lifted mod p**(k+1), when the
-    state before it had k = 0."""
-    digit, cur, prev = None, alpha, None
-    while prev is None or prev.k < 0:
-        yield digit, (cur.b, cur.c, cur.k)
-        prev, (a, cur) = cur, step(cur, flavor)
-        digit = a.tilde, a.e
-    p, b, c, k = cur.p, cur.b, cur.c, cur.k
+    and state 1 after a start with k0 < 0, the next state comes from
+    _dividing_step, the step behind step(), on ints; from then on from the
+    kernel _advance on plain ints, which checks that r is a p-unit. Its
+    digits with k < J read delta off a residue of an earlier b: a state
+    stepped from one with k_prev >= 1 has b = delta mod p**(k_prev + k)
+    (see _dividing_step), so 2 b mod p**min(J, k_prev + k) serves every
+    later digit up to that exponent, and it is read again from the current
+    b only when a digit needs more. The first kernel state reads its digit
+    off b + delta, with delta lifted mod p**(k+1), when the state before it
+    had k = 0."""
+    p, Delta, branch = alpha.p, alpha.Delta, alpha.branch
+    digit, (b, c, k) = None, (alpha.b, alpha.c, alpha.k)
+    while True:
+        yield digit, (b, c, k)
+        kp, cp = k, c
+        digit, (b, c, k) = _dividing_step(p, Delta, branch, b, c, k, flavor)
+        if kp >= 0:
+            break
     pows = _digit_powers(p)
     J = len(pows) - 1
-    root = None if prev.k else hensel_digits(p, cur.Delta, cur.branch, k + 1)
-    n = min(J, prev.k + k if prev.k else k + 1)  # two_delta = 2 delta mod p**n
+    root = None if kp else hensel_digits(p, Delta, branch, k + 1)
+    n = min(J, kp + k if kp else k + 1)  # two_delta = 2 delta mod p**n
     two_delta = 2 * (b if root is None else root) % pows[n]
-    pk, Z, cres = p**k, p**prev.k * prev.c, None
+    pk, Z, cres = p**k, p**kp * cp, None
     while True:
         yield digit, (b, c, k)
         r, b, c, k1, pk, Z, cres = _advance(p, b, c, k, pk, Z, cres, root, two_delta, pows, flavor)
@@ -674,9 +684,15 @@ def expand(alpha: QuadIrr, flavor: str = BROWKIN, max_steps: int = DEFAULT_MAX_S
     _check_flavor(flavor)
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
+    return _expand(alpha, flavor, max_steps, _chain(alpha, flavor))
+
+
+def _expand(alpha: QuadIrr, flavor: str, max_steps: int, steps) -> Expansion:
+    """expand on the chain steps of alpha, which may already have yielded
+    states 0 and 1 to a caller that pushed them back (first_reexpansion)."""
     k0 = -alpha.valuation
     p = alpha.p
-    steps, made = _chain(alpha, flavor), {}
+    made = {}
     (_, key0), (d, key) = next(steps), next(steps)
     made[d] = a = _unit_digit(p, *d)
     held, seen, quots = (key0, key), {hash(key0): 0}, [a]
@@ -701,35 +717,56 @@ def expand(alpha: QuadIrr, flavor: str = BROWKIN, max_steps: int = DEFAULT_MAX_S
 
 
 def expand_rational(x, p: int, flavor: str = BROWKIN, max_steps: int = DEFAULT_MAX_STEPS) -> Expansion:
-    """Expansion of a rational; the centered flavor always terminates, the
-    nonnegative flavor terminates or cycles."""
+    """Expansion of a rational: FINITE when a remainder vanishes, PERIODIC
+    when a complete quotient repeats (only the Ruban flavor can cycle), and
+    OPEN when neither happens within max_steps digits. The centered flavor
+    always terminates, so it is OPEN only on a budget too short for it.
+
+    A complete quotient x_n = u/(p**k * d) is held as plain ints, read
+    once from Fraction(x) in lowest terms: u, a p-free d > 0 and k >= 0.
+    Its digit is a_n = r/p**k with r = _window_residue(u, d, p**k), the
+    window digit of the quadratic kernel, so r d = u mod p**(k+1), and one
+    exact divmod(u - r d, p**(k+1)) = (q, 0) gives x_n - a_n = p q/d; a
+    nonzero remainder means a wrong digit and raises InvariantError. q = 0
+    ends the expansion. Otherwise x_(n+1) = d/(p q): with (e, w) =
+    split_p(q), it is (d, k' = e + 1, w), the signs moved so that w > 0.
+
+    Proof that x_(n+1) is again in lowest terms, so that no gcd ever runs:
+    d divides the denominator p**k d and gcd(u, p**k d) = 1, so gcd(d, w)
+    divides gcd(d, u - r d) = gcd(d, u) = 1, and p does not divide d. So
+    (u, k, d) is the canonical form of the quotient's value, and the Ruban
+    cycle key compares values exactly. The digits are what LaurentInt
+    stores, so each distinct (r, k) is built once by _unit_digit: for
+    k >= 1, p divides the denominator and not u, so r is a p-unit; for
+    k = 0 the window holds r = 0 (the digit (0, 0)) or a unit below p in
+    absolute value.
+    """
     _check_flavor(flavor)
     _check_odd_prime(p)
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     x = Fraction(x)
-    k0 = 0 if x == 0 else -vp(x, p)
-    seen: dict[Fraction, int] = {}
-    quots: list[LaurentInt] = []
-    cur = x
+    u, (k, d) = x.numerator, split_p(x.denominator, p)
+    k0 = k if k or not u else -split_p(u, p)[0]
+    seen, made, quots = {}, {}, []
     for i in range(max_steps):
         if flavor == RUBAN:
-            j = seen.get(cur)
-            if j is not None:
+            j = seen.setdefault((u, k, d), i)
+            if j != i:
                 return Expansion(p, flavor, PERIODIC, tuple(quots[:j]), tuple(quots[j:]), k0, x)
-            seen[cur] = i
-        k, den = split_p(cur.denominator, p)
-        a = LaurentInt(p, _window_residue(cur.numerator, den, p**k, p, flavor), k)
+        pk = p**k
+        r = _window_residue(u, d, pk, p, flavor)
+        a = made.get((r, k))
+        if a is None:
+            a = made[r, k] = _unit_digit(p, r, k)
         quots.append(a)
-        rem = cur - a.value
-        if rem == 0:
+        q, rem = divmod(u - r * d, pk * p)
+        if rem:
+            raise InvariantError("the digit must leave a remainder of positive valuation")
+        if not q:
             return Expansion(p, flavor, FINITE, tuple(quots), (), k0, x)
-        cur = 1 / rem
-    if flavor == BROWKIN:
-        raise RuntimeError(
-            f"centered expansion of {x} did not terminate in {max_steps} steps; "
-            "this contradicts finiteness on rationals and signals a bug"
-        )
+        e, w = split_p(q, p)
+        u, k, d = (d, e + 1, w) if w > 0 else (-d, e + 1, -w)
     return Expansion(p, flavor, OPEN, tuple(quots), (), k0, x)
 
 
@@ -813,21 +850,26 @@ def first_reexpansion(candidates, preperiod, period, flavor: str = BROWKIN):
 
     Candidates (typically the two square-root branches of one value) are
     tried in order, lazily. One whose first digit differs from the claim is
-    dropped before it is expanded. A true match with preperiod m and period
-    N repeats a state by step m + N, so each survivor is expanded for
-    m + N + 1 steps and accepted only when it repeats a state where the
-    claim says: expand stops at the first repeated state, so its preperiod
-    m' and period N' are minimal, and state m equals state m + N iff
-    m' <= m and N' divides N. From there both streams repeat every N
-    digits, so the first m + N digits decide the rest. Returns
-    (alpha, expansion), or None when no candidate matches.
+    dropped before it is expanded; a survivor's expansion goes on from the
+    chain step that gave that digit, so no state is stepped twice. A true
+    match with preperiod m and period N repeats a state by step m + N, so
+    each survivor is expanded for m + N + 1 steps and accepted only when it
+    repeats a state where the claim says: expand stops at the first
+    repeated state, so its preperiod m' and period N' are minimal, and
+    state m equals state m + N iff m' <= m and N' divides N. From there
+    both streams repeat every N digits, so the first m + N digits decide
+    the rest. Returns (alpha, expansion), or None when no candidate
+    matches.
     """
+    _check_flavor(flavor)
     claim = preperiod + period
     m, N = len(preperiod), len(period)
     for alpha in candidates:
-        if LaurentInt(alpha.p, _residue(alpha, flavor), alpha.k) != claim[0]:
+        steps = _chain(alpha, flavor)
+        head = next(steps), next(steps)
+        if _unit_digit(alpha.p, *head[1][0]) != claim[0]:
             continue
-        exp = expand(alpha, flavor, max_steps=m + N + 1)
+        exp = _expand(alpha, flavor, m + N + 1, chain(head, steps))
         if (exp.status == PERIODIC and len(exp.preperiod) <= m and N % len(exp.period) == 0
                 and all(exp.quotient_at(i) == a for i, a in enumerate(claim))):
             return alpha, exp

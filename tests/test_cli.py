@@ -61,6 +61,32 @@ def test_expand_ruban_rational_matches_golden():
     assert res.stdout == golden("expand_ruban_minus_one.txt")
 
 
+def test_expand_rationals_match_golden():
+    # a centered expansion in text and JSON, and a Ruban cycle in JSON
+    cases = [
+        (("--p", "5", "--rational", "1234567/89"), "expand_rational_1234567_89.txt"),
+        (("--p", "5", "--rational", "1234567/89", "--json"), "expand_rational_1234567_89.json"),
+        (("--p", "7", "--rational", "-1234/45", "--flavor", "ruban", "--json"),
+         "expand_ruban_rational_periodic.json"),
+    ]
+    for args, name in cases:
+        res = run("expand", *args)
+        assert res.exit_code == 0
+        assert res.stdout == golden(name), name
+
+
+def test_expand_rational_on_a_short_budget_reports_open():
+    # the expansion needs 12 digits; cut at 2 it is open, not an error
+    res = run("expand", "--p", "5", "--rational", "1234567/89", "--max-steps", "2")
+    assert res.exit_code == 2
+    assert res.stdout.splitlines() == [
+        "p = 5  flavor = browkin",
+        "value  1234567/89",
+        "status open (no repeat within 2 digits)",
+        "[-2, 11/5, ...]",
+    ]
+
+
 def test_expand_finite_rational_json():
     res = run("expand", "--p", "3", "--rational", "10/3", "--json")
     assert res.exit_code == 0

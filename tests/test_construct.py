@@ -18,7 +18,6 @@ from padiccf import (
     construct,
     convergents,
     eval_finite,
-    expand,
     family_section6,
     is_nice,
     nice_search,
@@ -306,16 +305,16 @@ def test_to_json_needs_no_lifted_str_limit():
 def test_construct_expands_once_and_builds_no_table(monkeypatch, text, p):
     # mirrored seeds: the first branch tried starts with the wrong digit
     cert = is_nice(parse_quotient_list(text, p))
-    calls = []
+    calls, real_expand = [], engine_module._expand
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return expand(*args, **kwargs)
+        return real_expand(*args, **kwargs)
 
     def no_table(*args, **kwargs):
         raise AssertionError("construct must not build a convergent table")
 
-    monkeypatch.setattr(engine_module, "expand", counting)
+    monkeypatch.setattr(engine_module, "_expand", counting)
     monkeypatch.setattr(construct_module, "convergents", no_table)
     res = construct(cert, 0)
     assert res.verified

@@ -35,6 +35,7 @@ from padiccf.corpus import (
 )
 from padiccf.engine import (
     BROWKIN,
+    DEFAULT_MAX_STEPS,
     FINITE,
     OPEN,
     PERIODIC,
@@ -189,6 +190,19 @@ def test_rational_expansions_match_oracle():
         exp = expand_rational(x, p)
         assert exp.status == FINITE
         assert [q.value for q in exp.preperiod] == digs
+    # both flavors on the corpus of edge cases, large primes and values
+    statuses, steps = set(), 0
+    for x, p in _rational_corpus(2323):
+        for flavor in (BROWKIN, RUBAN):
+            exp = expand_rational(x, p, flavor)
+            n = len(exp.preperiod) + 2 * len(exp.period)
+            digs, terminated = rational_expand_brute(x, p, flavor, n)
+            assert terminated == (exp.status == FINITE), (x, p, flavor)
+            assert [exp.quotient_at(i).value for i in range(n)] == digs, (x, p, flavor)
+            statuses.add((flavor, exp.status))
+            steps += n
+    assert statuses == {(BROWKIN, FINITE), (RUBAN, FINITE), (RUBAN, PERIODIC)}
+    assert steps > 20_000
 
 
 def test_valuation_matches_oracle():
@@ -220,8 +234,8 @@ def _step_under_python_O(setup, call="step(alpha)"):
     """Run call under python -O after the lines in setup.
 
     step and the kernel _advance skip QuadIrr's checks on the state they
-    build; their own invariants must fire under -O, which strips assert
-    statements.
+    build, and expand_rational skips LaurentInt's on its digits; their own
+    invariants must fire under -O, which strips assert statements.
     """
     code = (
         "import sys\n"
@@ -336,9 +350,10 @@ def test_stepped_states_carry_the_root_in_b():
 
 
 def test_expand_lifts_delta_at_most_twice(monkeypatch):
-    # only state 0, and state 1 when k_0 <= 0, need a Hensel lift
+    # only state 0, and state 1 when k_0 <= 0, need a Hensel lift; every
+    # expansion, first_reexpansion's included, runs engine._expand
     lifts, per_expansion = [0], []
-    real_lift, real_expand = engine_module.hensel_digits, engine_module.expand
+    real_lift, real_expand = engine_module.hensel_digits, engine_module._expand
 
     def counting_lift(*args):
         lifts[0] += 1
@@ -351,8 +366,7 @@ def test_expand_lifts_delta_at_most_twice(monkeypatch):
         return exp
 
     monkeypatch.setattr(engine_module, "hensel_digits", counting_lift)
-    for module in (engine_module, analysis_module, construct_module):
-        monkeypatch.setattr(module, "expand", counting_expand)
+    monkeypatch.setattr(engine_module, "_expand", counting_expand)
     opened = engine_module.expand(SQRT89_STATE, max_steps=2000)
     assert opened.status == OPEN and len(opened.preperiod) == 2000
     assert engine_module.expand(PERIOD12_STATE).status == PERIODIC
@@ -361,6 +375,25 @@ def test_expand_lifts_delta_at_most_twice(monkeypatch):
     assert construct_module.construct(cert, 0).verified
     assert len(per_expansion) >= 4
     assert max(per_expansion) <= 2, per_expansion
+
+
+def test_first_reexpansion_lifts_each_candidate_once(monkeypatch):
+    # the candidate that passes the first-digit test goes on from the chain
+    # step that gave that digit; every candidate starts with k >= 1, so its
+    # state 0 is the only one lifted, once
+    cert = construct_module.is_nice(SEED_P16)
+    lifts, real_lift = [], engine_module.hensel_digits
+
+    def spy(*args):
+        lifts.append(args)
+        return real_lift(*args)
+
+    monkeypatch.setattr(engine_module, "hensel_digits", spy)
+    res = construct_module.construct(cert, 12)
+    assert res.verified and res.k0 >= 1
+    tested = {args[:3] for args in lifts}  # (p, Delta, branch): one per candidate
+    assert 1 <= len(tested) <= 2 and (5, res.m, res.branch) in tested
+    assert len(lifts) == len(tested), lifts
 
 
 @pytest.mark.parametrize("flavor", [BROWKIN, RUBAN])
@@ -434,16 +467,17 @@ def test_expand_divides_by_c_only_on_state_0(monkeypatch):
 
 
 def test_expand_steps_only_its_first_two_states(monkeypatch):
-    # step sees alpha, and state 1 only after a state 0 with k0 < 0; every
-    # other state, replays included, goes through the kernel
+    # the dividing step sees alpha, and state 1 only after a state 0 with
+    # k0 < 0; every other state, replays included, goes through the kernel.
+    # It takes the state as ints, so the spy rebuilds it to compare
     calls = []
-    real_step = engine_module.step
+    real_step = engine_module._dividing_step
 
-    def counting_step(*args, **kwargs):
-        calls.append(args[0])
-        return real_step(*args, **kwargs)
+    def counting_step(p, Delta, branch, b, c, k, flavor):
+        calls.append(QuadIrr(p, Delta, b, c, k, branch))
+        return real_step(p, Delta, branch, b, c, k, flavor)
 
-    monkeypatch.setattr(engine_module, "step", counting_step)
+    monkeypatch.setattr(engine_module, "_dividing_step", counting_step)
     digits, seen_state1 = 0, False
     for alpha in (SQRT89_STATE, PERIOD12_STATE, QuadIrr(7, 386, 0, -386, -1, 6),
                   QuadIrr(5, 126, 0, 2, 0, 1)) + tuple(RUBAN_PERIODIC):
@@ -453,8 +487,8 @@ def test_expand_steps_only_its_first_two_states(monkeypatch):
             digits += len(exp.quotients)
             stepped = list(calls)
             state1 = exp.state_at(1) if alpha.k < 0 else None
-            assert stepped[0] is alpha
-            assert all(st is alpha or st == state1 for st in stepped), (alpha, flavor)
+            assert stepped[0] == alpha
+            assert all(st == alpha or st == state1 for st in stepped), (alpha, flavor)
             seen_state1 |= state1 in stepped
     assert digits > 1000 and seen_state1
 
@@ -731,7 +765,7 @@ def test_reexpansion_needs_a_state_repeat_where_the_claim_says(monkeypatch, stat
     else:
         fake = Expansion(3, BROWKIN, PERIODIC, (), (x,) * 4 + (LaurentInt(3, -1, 1),), 1, alpha)
     assert [fake.quotient_at(i) for i in range(4)] == [x] * 4
-    monkeypatch.setattr(engine_module, "expand", lambda *args, **kwargs: fake)
+    monkeypatch.setattr(engine_module, "_expand", lambda *args, **kwargs: fake)
     assert first_reexpansion([alpha], (), (x,)) is None
 
 
@@ -784,6 +818,102 @@ def test_rational_ks_are_the_valuations_of_the_complete_quotients():
 def test_expand_rational_rejects_a_zero_step_budget():
     with pytest.raises(ValueError, match="max_steps"):
         expand_rational(Fraction(10, 3), 3, max_steps=0)
+
+
+# -- rationals on plain ints ----------------------------------------------------
+
+
+def _rational_corpus(seed):
+    """(x, p) over p in {3, 5, 7, 11, 1000003}: 0, integers, p dividing the
+    numerator or the denominator, both signs, seeded draws and two
+    ~1,000-digit rationals per prime."""
+    rng = random.Random(seed)
+    cases = []
+    for p in (3, 5, 7, 11, 1000003):
+        xs = [Fraction(0), Fraction(1), Fraction(-1), Fraction(p), Fraction(-(p**3)),
+              Fraction(7 * p**2, 2), Fraction(1, p), Fraction(-5, 2 * p**4)]
+        xs += [random_rational(rng) * Fraction(p) ** rng.randint(-3, 3) for _ in range(24)]
+        xs += [Fraction(rng.getrandbits(3322) * sign, rng.getrandbits(3322) | 1) for sign in (1, -1)]
+        cases += [(x, p) for x in xs]
+    return cases
+
+
+def _fraction_reference(x, p, flavor, max_steps):
+    """expand_rational as it ran on Fraction arithmetic: the digit of a
+    complete quotient is its numerator over its p-free denominator mod
+    p**(k+1), and the next quotient is 1/(x - a); a Ruban quotient seen
+    before closes the cycle, and a spent budget leaves the expansion open."""
+    x = Fraction(x)
+    k0 = 0 if x == 0 else -vp_brute(x, p)
+    seen, quots, cur = {}, [], x
+    for i in range(max_steps):
+        if flavor == RUBAN:
+            if cur in seen:
+                j = seen[cur]
+                return Expansion(p, flavor, PERIODIC, tuple(quots[:j]), tuple(quots[j:]), k0, x)
+            seen[cur] = i
+        k = max(0, -vp_brute(cur, p)) if cur else 0
+        pn = p ** (k + 1)
+        r = cur.numerator * pow(cur.denominator // p**k, -1, pn) % pn
+        if flavor == BROWKIN and 2 * r > pn:
+            r -= pn
+        a = LaurentInt(p, r, k)
+        quots.append(a)
+        if cur == a.value:
+            return Expansion(p, flavor, FINITE, tuple(quots), (), k0, x)
+        cur = 1 / (cur - a.value)
+    return Expansion(p, flavor, OPEN, tuple(quots), (), k0, x)
+
+
+def test_rational_expansions_equal_the_fraction_reference(monkeypatch):
+    # the state is a pair of plain ints read once from Fraction(x), so the
+    # expansions come out with Fraction arithmetic refused
+    cases = [(x, p, flavor, (1, 2, 5, DEFAULT_MAX_STEPS)[i % 4])
+             for i, (x, p) in enumerate(_rational_corpus(2424)) for flavor in (BROWKIN, RUBAN)]
+    want = [_fraction_reference(*case) for case in cases]
+
+    def refuse(*args):
+        raise AssertionError("expand_rational did Fraction arithmetic")
+
+    with monkeypatch.context() as patched:
+        for name in ("__sub__", "__truediv__", "__rtruediv__"):
+            patched.setattr(Fraction, name, refuse)
+        got = [expand_rational(x, p, flavor, max_steps=n) for x, p, flavor, n in cases]
+    for case, exp, ref in zip(cases, got, want):
+        assert exp.to_json() == ref.to_json(), case
+        assert exp.text() == ref.text()
+        assert exp == ref
+    statuses = {(case[2], exp.status) for case, exp in zip(cases, got)}
+    assert statuses == {(f, s) for f in (BROWKIN, RUBAN) for s in (FINITE, OPEN)} | {(RUBAN, PERIODIC)}
+    assert sum(len(exp.quotients) for exp in got) > 5_000
+
+
+def test_browkin_rational_on_a_short_budget_is_open():
+    # a centered expansion always terminates, but not within any budget:
+    # cut short, it reports the digits it has, as an open expansion
+    x = Fraction(1234567, 89)
+    full = expand_rational(x, 5)
+    assert full.status == FINITE and len(full.preperiod) == 12
+    for n in (1, 2, 11):
+        short = expand_rational(x, 5, max_steps=n)
+        assert short.status == OPEN and short.period == ()
+        assert short.preperiod == full.preperiod[:n]
+        assert short.text() == "[" + ", ".join(str(q) for q in full.preperiod[:n]) + ", ...]"
+    assert expand_rational(x, 5, max_steps=12) == full
+
+
+def test_rational_digit_off_by_one_raises_under_python_O():
+    # the first digit of 1234567/89 over 5 has k = 0; a digit numerator off
+    # by one leaves a remainder u - r d that p does not divide
+    setup = (
+        "from fractions import Fraction\n"
+        "import padiccf.engine as engine\n"
+        "real = engine._window_residue\n"
+        "engine._window_residue = lambda *args: real(*args) + 1\n"
+    )
+    proc = _step_under_python_O(setup, "engine.expand_rational(Fraction(1234567, 89), 5)")
+    want = "1 InvariantError the digit must leave a remainder of positive valuation"
+    assert proc.stdout.strip() == want, proc.stderr
 
 
 # -- normalization ----------------------------------------------------------------
