@@ -166,7 +166,10 @@ def cmd_expand(p, quad_spec, rational_spec, flavor, max_steps, as_json, out_file
             exp = expand(alpha, flavor, max_steps=max_steps)
             subject = {"quad": alpha.to_json(), "value": str(alpha)}
         else:
-            x = Fraction(rational_spec.replace(" ", ""))
+            try:
+                x = Fraction(rational_spec.replace(" ", ""))
+            except ZeroDivisionError:
+                raise ValueError(f"--rational {rational_spec}: the denominator is zero") from None
             exp = expand_rational(x, p, flavor, max_steps=max_steps)
             subject = {"rational": str(x)}
     except (ValueError, ZeroDivisionError) as exc:

@@ -27,6 +27,7 @@ from math import gcd
 from .core import (
     DlogBudgetExceeded,
     LaurentInt,
+    _HELD_POWER,
     _check_odd_prime,
     _invariant,
     discrete_log,
@@ -252,9 +253,13 @@ def construct(cert: NiceCertificate, h: int = 0,
     two big powers it needs are exact quotients of that one by small powers
     of p, and its remaining arithmetic divides by the seed's small rows.
     The target 1/(p**k0 sqrt(m)) is built without QuadIrr's checks, which
-    this function has proved, so isqrt(m) runs at most once per member. The
-    re-expansion's middle digit has k_t ~ omega, and its strip is linear in
-    the size of m (engine._advance, core.split_p).
+    this function has proved, so the square test of m (a residue sieve,
+    then isqrt) runs at most once per member. The re-expansion's middle
+    digit has k_t ~ omega; its strip is linear in the size of m
+    (engine._advance, core.split_p_power) and takes its p**e from the
+    returned member's p**omega by one exact division by a small power of
+    p (core._HELD_POWER, set for this call only), so a call builds one
+    big power in all.
     """
     if cert.cond_c is None:
         raise ValueError("niceness is indeterminate (discrete-log budget): cannot construct")
@@ -326,7 +331,12 @@ def construct(cert: NiceCertificate, h: int = 0,
     # QuadIrr's checks hold: m is prime to p and not a square (the loop
     # checked both), c = m divides Delta - b**2 = m, r**2 = m mod p
     targets = (_quad(p, m, 0, m, k0, br) for br in (r, p - r))
-    hit = first_reexpansion(targets, preperiod, period, BROWKIN)
+    # the re-expansion's strip of k_t ~ omega takes its power from pw
+    token = _HELD_POWER.set((p, omega, pw))
+    try:
+        hit = first_reexpansion(targets, preperiod, period, BROWKIN)
+    finally:
+        _HELD_POWER.reset(token)
     branch_used, actual = (hit[0].branch, hit[1]) if hit else (None, None)
     return ConstructionResult(
         p, t, k0, omega, s, cert.q, b_int, kt, ctil, a_t, m, preperiod, period,

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import sys
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -62,9 +63,10 @@ def split_p(n: int, p: int):
     Divides by p, p**2, p**4, ... while the division is exact, then walks
     back down the same powers, so e factors cost O(log e) big divisions
     instead of e of them. Those divisions cost O(bits(n) * bits(p**e)),
-    quadratic when p**e is most of n, so on an n of _TOP_BITS bits or more
-    _split_big tries _strip_top once p**63 divides n, which finds a huge e
-    next to a u of under 64 bits in time linear in the size of n.
+    quadratic when p**e is most of n, so an n of _TOP_BITS bits or more
+    goes to _split_big, which settles e below J with one remainder by the
+    one-digit power p**J and one division, and a huge e next to a u of
+    under 64 bits in time linear in the size of n.
     """
     if n % p:  # the common case, kept to one cheap test
         return 0, n
@@ -79,8 +81,9 @@ def split_p_power(n: int, p: int):
     """(e, u, p**e) with (e, u) = split_p(n, p), for n != 0 and p >= 2
     (unchecked).
 
-    _strip_top builds p**e to prove its answer, and that power comes back
-    here, so a caller that needs it does not build it a second time.
+    _split_big holds p**e when it is a one-digit power, and _strip_top
+    builds it to prove its answer; that power comes back here, so a caller
+    that needs it does not build it a second time.
     """
     if n.bit_length() < _TOP_BITS:
         e, u = _split_p(n, p)
@@ -98,45 +101,55 @@ def _split_p(n: int, p: int):
     return (2 * e + 1, u) if r else (2 * e + 2, q)
 
 
+@lru_cache(maxsize=None)
+def _digit_powers(p: int) -> tuple:
+    """(1, p, ..., p**J) with J >= 1 the largest exponent for which p**J
+    fits in one CPython digit (below 2**30): J = 18, 12 and 10 for p = 3, 5
+    and 7, and J = 1 for every prime above 2**15. A remainder or an exact
+    quotient by one of them is one pass over the digits of the dividend."""
+    pows = [1, p]
+    while pows[-1] * p < 1 << 30:
+        pows.append(pows[-1] * p)
+    return tuple(pows)
+
+
 # split_p hands numbers of at least this many bits to _split_big: the top
 # strip beats the doubling from ~2k bits (p = 3, 5, 7, with a 7-bit u), and
 # a miss adds a fixed ~20 us that the doubling of a bigger number hides
 _TOP_BITS = 8192
-_TOP_LEVEL = 6  # _split_big tries the top strip once p**(2**6 - 1) divides n
 _TOP_U_BITS = 64  # the cofactor bound |u| < 2**64 that the top strip covers
 _TOP_K = 16384  # the bit length of p**_TOP_K gives log2(p) to about 1/_TOP_K
 
 
 def _split_big(n: int, p: int):
-    """(e, u, p**e or None) with (e, u) = split_p(n, p), for p dividing n.
+    """(e, u, p**e or None) with (e, u) = split_p(n, p), for n != 0.
 
-    The doubling of _split_p, written out: it climbs through p**(2**j) for
-    j < _TOP_LEVEL while they divide, and when all do, e >= 63 and
-    _strip_top gets the quotient. On a hit that is the answer, with its
-    power. Otherwise _split_p goes on climbing from p**64, and the walk
-    back down through the bases climbed finishes e; no power comes back.
+    One remainder rho = n mod p**J (_digit_powers) decides the route. For
+    rho != 0, e = v_p(rho) < J, read off the small rho, and one exact
+    division by the one-digit p**e gives u (none for e = 0). For rho = 0,
+    _strip_top gets n; only when it misses (a cofactor of 64 bits or more
+    next to p**J) does the doubling _split_p run, on n/p**J, and no power
+    comes back. A miss
+    is rare where big numbers come from (the kernel strips here only when
+    p**J divides), and its scan costs 9-20 us; a guard such as p**63 | n
+    would cost more, 24-160 us between 9,000 and 50,000 bits for p > 2**15.
     """
-    bases, pp, e = [], p, 0
-    while len(bases) < _TOP_LEVEL:
-        q, r = divmod(n, pp)
-        if r:
-            break
-        n = q
-        bases.append(pp)
-        pp *= pp
-    else:
-        hit = _strip_top(n, p)
-        if hit:
-            f, u, pf = hit
-            return f + 2**_TOP_LEVEL - 1, u, pf * p ** (2**_TOP_LEVEL - 1)
-        f, n = _split_p(n, pp)
-        e = f << _TOP_LEVEL
-    e += 2 ** len(bases) - 1  # the input is p**e * n, and p**(2**len(bases)) does not divide n
-    for j in reversed(range(len(bases))):
-        q, r = divmod(n, bases[j])
-        if not r:
-            n, e = q, e + 2**j
-    return e, n, None
+    pows = _digit_powers(p)
+    rho = n % pows[-1]
+    if rho:
+        e = 0
+        while not rho % p:
+            rho //= p
+            e += 1
+        if e:
+            n, r = divmod(n, pows[e])
+            _invariant(not r, "p**v_p(n mod p**J) must divide n")
+        return e, n, pows[e]
+    hit = _strip_top(n, p)
+    if hit:
+        return hit
+    e, u = _split_p(n // pows[-1], p)
+    return e + len(pows) - 1, u, None
 
 
 @lru_cache(maxsize=None)
@@ -144,6 +157,26 @@ def _top_constants(p: int):
     """The bit length of p**_TOP_K and the inverse of p mod 2**(S + 64),
     S = _TOP_U_BITS, built once per odd p."""
     return (p**_TOP_K).bit_length(), pow(p, -1, 1 << (_TOP_U_BITS + 64))
+
+
+# (p, w, p**w) while construct re-expands the m it built from p**w; set and
+# reset around that one call, so nothing outlives it
+_HELD_POWER = ContextVar("_HELD_POWER", default=None)
+# the held p**w stands in for p**e when e <= w <= e + _HELD_SPAN: at
+# w = 31,861 (p = 3) p**(w - 23) took ~0.5 ms to build, and p**w divided
+# by p**23 ~0.04 ms, by p**200 ~0.07 ms
+_HELD_SPAN = 256
+
+
+def _power(p: int, e: int) -> int:
+    """p**e: the exact quotient of a held p**w by p**(w - e) when
+    _HELD_POWER covers e, a division linear in the size of p**e; else built."""
+    held = _HELD_POWER.get()
+    if held is not None and held[0] == p and 0 <= held[1] - e <= _HELD_SPAN:
+        pe, r = divmod(held[2], p ** (held[1] - e))
+        _invariant(not r, "a held power of p must be divisible by the smaller ones")
+        return pe
+    return p**e
 
 
 def _strip_top(n: int, p: int):
@@ -162,7 +195,8 @@ def _strip_top(n: int, p: int):
     proves n == p**e * x with p not dividing x, which fixes e and u, so the
     answer is exact whatever the scan order; a false small residue (chance
     about 2**-63 per e) costs one power. A miss costs the scan alone, a
-    few dozen steps on W-bit numbers; a hit adds one power of p and one
+    few dozen steps on W-bit numbers; a hit adds one power of p (_power,
+    which derives it from construct's p**omega when that is held) and one
     product with u, both subquadratic.
     """
     if not p & 1:
@@ -176,7 +210,7 @@ def _strip_top(n: int, p: int):
     for e in range(hi, lo - 1, -1):
         if x < small or x >= neg:  # x centred lies in [-2**S, 2**S)
             u = x if x < small else x - (1 << W)
-            if u % p and (pe := p**e) * u == n:
+            if u % p and (pe := _power(p, e)) * u == n:
                 return e, u, pe
         x = x * p & mask
     return None

@@ -26,9 +26,10 @@ middle digit of a construction's re-expansion (k ~ omega), would make
 p**k * Z a product the size of the state, so it divides b - b' exactly by
 p**k first, a division with a small quotient; _advance has both routes and
 the proof that reading the digit off delta is sound. Past 8,192 bits
-core.split_p_power strips a huge k' next to a c' of under 64 bits from the
-top (core._strip_top) and hands back the p**k' it built, so every step
-stays linear in the state size.
+core.split_p_power finds a k' below J from one remainder by p**J and
+strips a huge k' next to a c' of under 64 bits from the top
+(core._strip_top); either way it hands back the p**k' it used, so every
+step stays linear in the state size.
 
 That update is one private kernel, _advance, on plain ints: it carries
 p**k, Z and c's residue from step to step, so no power of p is built
@@ -71,6 +72,7 @@ from .core import (
     InvariantError,
     LaurentInt,
     _check_odd_prime,
+    _digit_powers,
     _invariant,
     hensel_digits,
     mod_inverse,
@@ -102,9 +104,27 @@ def _check_flavor(flavor: str) -> str:
     return flavor
 
 
+# k**2 mod 64, 63, 65 and 11 over all k, as bit masks: a square's residue
+# is a set bit of each (Cohen, A Course in Computational Algebraic Number
+# Theory, Alg. 1.7.3); 45045 = 63 * 65 * 11
+_SQUARES = tuple(sum(1 << r for r in {k * k % q for k in range(q)}) for q in (64, 63, 65, 11))
+
+
 def _is_square(n: int) -> bool:
+    """Whether n is the square of an integer.
+
+    From 2**64 up, residues mod 64 and 45045 rule out all but ~0.8% of
+    non-squares before isqrt, whose cost grows with n: 0.3 us against
+    4 us at 1,024 bits and 1.1 us against 84 us at 11,000 bits. Below
+    2**64 the sieve would cost about what isqrt does.
+    """
     if n < 0:
         return False
+    if n.bit_length() > 64:
+        q64, q63, q65, q11 = _SQUARES
+        r = n % 45045
+        if not (q64 >> (n & 63) & q63 >> r % 63 & q65 >> r % 65 & q11 >> r % 11 & 1):
+            return False
     r = isqrt(n)
     return r * r == n
 
@@ -394,17 +414,6 @@ def _dividing_step(p, Delta, branch, b, c, k, flavor):
 
 
 # -- the stepper -----------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _digit_powers(p: int) -> tuple:
-    """(1, p, ..., p**J) with J >= 1 the largest exponent for which p**J
-    fits in one CPython digit (below 2**30): J = 18, 12 and 10 for p = 3, 5
-    and 7, and J = 1 for every prime above 2**15."""
-    pows = [1, p]
-    while pows[-1] * p < 1 << 30:
-        pows.append(pows[-1] * p)
-    return tuple(pows)
 
 
 def _advance(p, b, c, k, pk, Z, cres, root, two_delta, pows, flavor):

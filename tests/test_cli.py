@@ -123,6 +123,13 @@ def test_expand_rejects_malformed_quad():
     assert nonresidue.stderr.startswith("error:")
 
 
+def test_expand_rejects_a_zero_denominator():
+    for spec in ("1/0", "0/0", "-3 / 0"):
+        res = run("expand", "--p", "5", "--rational", spec)
+        assert res.exit_code == 1 and res.stdout == ""
+        assert res.stderr == f"error: --rational {spec}: the denominator is zero\n"
+
+
 def test_expand_rejects_max_steps_outside_its_bounds(monkeypatch):
     # checked before any state is built or stepped
     def refuse(*args, **kwargs):

@@ -253,6 +253,61 @@ def test_reexpansion_states_follow_the_dividing_update(seed):
                                                     exp.quotient_at(i).tilde, p)
 
 
+class _CountingPrime(int):
+    """An int p whose powers of 50,000 bits or more are logged as built."""
+
+    def __new__(cls, p, built):
+        self = super().__new__(cls, p)
+        self.built = built
+        return self
+
+    def __pow__(self, e, mod=None):
+        out = int.__pow__(int(self), e, mod)
+        if mod is None and out.bit_length() >= 50000:
+            self.built.append(e)
+        return out
+
+
+def test_construct_builds_one_big_power_per_call():
+    # the re-expansion's strip of k_t takes its p**e from construct's
+    # p**omega by one division by a small power of p, and nothing is kept
+    # between calls: two constructs with equal omega build two powers
+    cert = is_nice(SEED_353)
+    built = []
+    counting = dataclasses.replace(cert, p=_CountingPrime(3, built))
+    first = construct(counting, 0)
+    assert built == [31861]
+    second = construct(counting, 0)
+    assert built == [31861, 31861]
+    assert first.verified and first.m.bit_length() == 50489
+    # (to_json formats a_t's denominator p**k_t, a third big power)
+    assert first.to_json() == second.to_json() == construct(cert, 0).to_json()
+
+
+def test_construct_holds_its_power_for_the_reexpansion_only(monkeypatch):
+    held_power = construct_module._HELD_POWER
+    seen, real = [], construct_module.first_reexpansion
+
+    def spy(*args):
+        seen.append(held_power.get())
+        return real(*args)
+
+    monkeypatch.setattr(construct_module, "first_reexpansion", spy)
+    res = construct(is_nice(SEED_353), 0)
+    assert seen == [(3, 31861, 3**31861)] and res.verified
+    assert held_power.get() is None
+
+    def broken(*args):
+        seen.append(held_power.get())
+        raise ZeroDivisionError("re-expansion failed")
+
+    monkeypatch.setattr(construct_module, "first_reexpansion", broken)
+    with pytest.raises(ZeroDivisionError):
+        construct(is_nice(SEED_T2), 0)
+    assert seen[-1] is not None and seen[-1][0] == 3
+    assert held_power.get() is None
+
+
 def test_reexpansion_strips_p_only_from_state_size_numbers(monkeypatch):
     # the kernel divides b - b' by p**k before it strips p when k is past
     # the one-digit power p**J, so no strip in the l = 353 re-expansion sees

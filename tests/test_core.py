@@ -81,11 +81,24 @@ def test_split_p_matches_the_naive_loop():
             u = rng.randrange(p**40) * p + rng.randrange(1, p)  # p does not divide u
             for n in (p**e * u, -(p**e) * u, p**e):
                 assert split_p(n, p) == _strip_one_at_a_time(n, p) == (e, n // p**e), (p, e)
-        # past 8,192 bits split_p runs _split_big: its climb stops below
-        # p**63 or hands the quotient to the top strip, which misses here
-        for e in (1, 62, 63, 64, 127, 128):
-            n = -(p**e) * _unit(rng, p, 9000)
-            assert split_p(n, p) == _strip_one_at_a_time(n, p) == (e, n // p**e), (p, e)
+    # past 8,192 bits split_p runs _split_big: one remainder by p**J reads
+    # an e below J, and from J on the top strip gets n, which misses on a
+    # cofactor of 64 bits or more and falls back to the doubling
+    # (a cofactor below 2**64 needs p**e of 8,128 bits or more: e_top)
+    for p in (3, 5, 7, 211, 353, 32771):
+        J = len(core._digit_powers(p)) - 1
+        e_top = 8200 * 16384 // (p**16384).bit_length() + 1
+        for e in sorted({1, J - 1, J, J + 1, 62, 63, 64, 127, 128, e_top}):
+            pe = p**e
+            for bits in (1, 63, 64, 65, 9000):
+                u = _unit(rng, p, bits)
+                if (pe * u).bit_length() < 8192:
+                    u *= _unit(rng, p, 8192)
+                for n in (pe * u, -pe * u):
+                    assert split_p(n, p) == (e, n // pe), (p, e, bits)
+                    assert split_p_power(n, p) == (e, n // pe, pe), (p, e, bits)
+        n = -(p**63) * _unit(rng, p, 9000)
+        assert split_p(n, p) == _strip_one_at_a_time(n, p) == (63, n // p**63)
     # the top strip's regime: a huge e next to a cofactor of 1 bit, below p,
     # of ~64 bits (its bound) or half the size of n; past e ~ 5,000 the
     # reference is the (e, u) the input is built from
@@ -105,6 +118,30 @@ def test_split_p_matches_the_naive_loop():
         split_p(0, 5)
     with pytest.raises(ValueError):
         split_p(5, 1)
+
+
+def test_split_p_strips_a_big_n_in_one_pass(monkeypatch):
+    # past 8,192 bits an e below J costs one remainder by p**J and one
+    # exact division by p**e: the doubling's p, p**2, p**4, ... never run,
+    # and the top strip's hit divides by nothing
+    divisors = []
+
+    def recording_divmod(a, b):
+        divisors.append(b)
+        return divmod(a, b)
+
+    monkeypatch.setattr(core, "divmod", recording_divmod, raising=False)
+    rng = random.Random(23)
+    for p in (3, 5, 7, 211):
+        J = len(core._digit_powers(p)) - 1
+        for e in range(1, J):
+            n = p**e * _unit(rng, p, 50000)
+            divisors.clear()
+            assert split_p(-n, p) == (e, -n // p**e)
+            assert divisors == [p**e], (p, e)
+        divisors.clear()
+        assert split_p_power(p**20000 * 2, p)[:2] == (20000, 2)
+        assert divisors == []
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no str limit here")

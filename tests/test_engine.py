@@ -9,6 +9,7 @@ import sys
 import tracemalloc
 import types
 from fractions import Fraction
+from math import isqrt
 from pathlib import Path
 
 import pytest
@@ -41,6 +42,7 @@ from padiccf.engine import (
     PERIODIC,
     RUBAN,
     Expansion,
+    _is_square,
     _window_residue,
     first_reexpansion,
     parse_quotient_list,
@@ -317,6 +319,38 @@ def test_residue_route_rejects_b_off_delta_under_python_O():
     proc = _step_under_python_O(_corrupted_steady_state(), _kernel_call("None", "pows"))
     want = "1 InvariantError next complete quotient must have negative valuation"
     assert proc.stdout.strip() == want, proc.stderr
+
+
+def test_top_strip_rejects_a_corrupt_held_power_under_python_O():
+    # the strip of a huge p-power divides construct's held p**omega by a
+    # small power of p; a held number that is no power of p must not pass
+    setup = (
+        "from padiccf.core import _HELD_POWER, split_p\n"
+        "_HELD_POWER.set((3, 31861, 3**31861 + 1))\n"
+    )
+    proc = _step_under_python_O(setup, "split_p(3**31838 * 7, 3)")
+    want = "1 InvariantError a held power of p must be divisible by the smaller ones"
+    assert proc.stdout.strip() == want, proc.stderr
+
+
+def test_is_square_matches_isqrt():
+    # the residue sieve before isqrt from 2**64 up: every square residue of
+    # 64, 63, 65 and 11 is admitted, and the answers are isqrt's
+    for q, mask in zip((64, 63, 65, 11), engine_module._SQUARES):
+        residues = {k * k % q for k in range(q)}
+        assert {r for r in range(q) if mask >> r & 1} == residues
+    rng = random.Random(23)
+    ks = [0, 1, 2, 3, 2**32 - 1, 2**32, 2**32 + 1, 3**41, 10**30]
+    ks += [rng.getrandbits(rng.randrange(1, 50000)) for _ in range(150)]
+    values = [0, 1, -1, -4, 2**64, 2**64 - 1, 2**64 + 1]
+    values += [k * k + d for k in ks for d in (-1, 0, 1)]
+    values += [rng.getrandbits(rng.randrange(1, 100000)) for _ in range(300)]
+    squares = 0
+    for n in values:
+        want = n >= 0 and isqrt(n) ** 2 == n
+        assert _is_square(n) == want, n
+        squares += want
+    assert squares >= 150
 
 
 def test_stepped_states_carry_the_root_in_b():
