@@ -35,7 +35,6 @@ from .engine import (
     normalize,
     parse_quotient_list,
     periodic_limit,
-    step,
     valuation_audit,
 )
 from .analysis import (

@@ -31,7 +31,6 @@ from .engine import (
     convergents,
     expand,
     first_reexpansion,
-    step,
 )
 
 
@@ -64,9 +63,10 @@ def is_regular(alpha: QuadIrr, max_steps: int = 200) -> RegularityReport:
     As p is odd, b' + delta = 2 delta mod p is a unit, and with
     Delta - b'**2 = p**(k + k') c c' the next quotient has v(alpha') = -k'
     <= -1 and v(alpha'^c) = k. So alpha_{n+1} is regular iff k_n >= 1.
-    Every k_n with n >= 1 is at least 1 (step's invariant), so every
-    alpha_n with n >= 2 is regular. If k < 0 the digit is 0 and alpha_1 =
-    1/alpha, so v(alpha_1^c) = -v(alpha^c) < 0 and alpha_1 is not regular.
+    Every k_n with n >= 1 is at least 1 (engine._dividing_step's
+    invariant k' >= 1), so every alpha_n with n >= 2 is regular. If k < 0
+    the digit is 0 and alpha_1 = 1/alpha, so v(alpha_1^c) = -v(alpha^c) < 0
+    and alpha_1 is not regular.
     Nothing here depends on the digit window, so it holds in both flavors.
     """
     va = alpha.valuation
@@ -255,6 +255,6 @@ def ruban_nonperiodic_probe(m: int, k: int, p: int, N: int = 2000) -> RubanProbe
     _invariant(exp.status == OPEN,
                f"p^{k} sqrt({m}) produced a cycle in the nonnegative flavor; "
                "the real-embedding sign obstruction rules that out")
-    alpha2 = step(step(alpha, RUBAN)[1], RUBAN)[1]
+    alpha2 = exp.state_at(2)
     witness = alpha2.b * alpha2.b > m and alpha2.b * alpha2.c < 0
     return RubanProbe(p, m, k, "nonperiodic", witness, exp)

@@ -213,7 +213,10 @@ class ConstructionResult:
 
     def to_json(self) -> dict:
         """Plain data: the integers stay ints, and a_t and the period are
-        strings of any length (LaurentInt.__str__ uses core.to_decimal)."""
+        strings of any length (LaurentInt.__str__ uses core.to_decimal).
+        a_t is formatted once, for its own key and its slot in the period,
+        so its denominator p**k_t is built once."""
+        a_t = str(self.a_t)
         return {
             "p": self.p,
             "k0": self.k0,
@@ -223,10 +226,10 @@ class ConstructionResult:
             "b": self.b,
             "kt": self.kt,
             "c_tilde": self.c_tilde,
-            "a_t": str(self.a_t),
+            "a_t": a_t,
             "m": self.m,
             "preperiod": [str(a) for a in self.preperiod],
-            "period": [str(a) for a in self.period],
+            "period": [a_t if a is self.a_t else str(a) for a in self.period],
             "verified": self.verified,
             "branch": self.branch,
         }

@@ -15,7 +15,7 @@ r = a~ and X = (Delta - b**2)/c,
 
 because Delta - b'**2 = (Delta - b**2) + r*c*(b - b') when b + b' = r*c, and
 the next state's X is p**(k + k') * c. On a state stepped from one with
-k_prev >= 0, X = p**k * Z with Z = p**k_prev * c_prev, and the digit
+k_prev >= 1, X = p**k * Z with Z = p**k_prev * c_prev, and the digit
 numerator r is a p-unit (the state has k >= 1 and valuation exactly -k).
 
 With p**J the largest power of p in one CPython digit (J = 18, 12 and 10
@@ -34,12 +34,14 @@ step stays linear in the state size.
 That update is one private kernel, _advance, on plain ints: it carries
 p**k, Z and c's residue from step to step, so no power of p is built
 twice, and it builds no QuadIrr. State 0 has no predecessor, and a state
-stepped from one with k_prev < 0 (state 1 after a start with k0 < 0) need
-not have valuation -k, so those go through _dividing_step, which finds X
-by one exact division by c; step is that same step on a QuadIrr. One
-generator, _chain, runs _dividing_step while the previous state had k < 0
-and the kernel from then on, on ints throughout; expand, walk(), state_at
-and the replay all consume it, so a replayed state is the one expand saw.
+stepped from one with k_prev < 1 has b = delta only mod p**(k_prev + k),
+short of the p**(k+1) its digit needs, so those (state 0, and state 1
+after a state 0 with k < 1) go through _dividing_step, which lifts delta
+and finds X by one exact division by c. Every state after state 0 has
+k >= 1, so the kernel takes over by state 2. One generator, _chain, runs _dividing_step
+while the previous state had k < 1 and the kernel from then on, on ints
+throughout; expand, walk(), state_at and the replay all consume it, so a
+replayed state is the one expand saw.
 The chain yields each digit as its numerator and exponent, and expand
 alone builds the digits, without LaurentInt's validation: the kernel
 checks that r is a p-unit.
@@ -416,39 +418,36 @@ def _dividing_step(p, Delta, branch, b, c, k, flavor):
 # -- the stepper -----------------------------------------------------------
 
 
-def _advance(p, b, c, k, pk, Z, cres, root, two_delta, pows, flavor):
+def _advance(p, b, c, k, pk, Z, cres, two_delta, pows, flavor):
     """The step kernel on plain ints, for a state (b + delta)/(pk * c),
-    pk = p**k, stepped from one with k_prev >= 0: Z = p**k_prev * c_prev;
-    pows = (1, p, ..., p**J) (_digit_powers; exact for any J >= 1). root
-    is delta mod p**(k+1) on a first state after k_prev = 0, else None,
-    for b = delta mod p**(k+1) (see _dividing_step); two_delta is 2 delta mod
+    pk = p**k, stepped from one with k_prev >= 1: Z = p**k_prev * c_prev
+    and b = delta mod p**(k+1) (see _dividing_step); pows = (1, p, ...,
+    p**J) (_digit_powers; exact for any J >= 1). two_delta is 2 delta mod
     some p**n, n > k, when k < J; cres is c mod some p**n, n > k, or
     None. Returns (r, b', c', k', p**k', p**k * c, cres').
 
     The state has valuation exactly -k, so r is a p-unit, and W = p**k Z
     + r (b - b') = p**(k + k') c'. For k < J (the residue route), r is
-    two_delta/c (or (b + root)/c) mod p**(k+1) and W is formed as written;
-    for k >= J (the dividing route), r is the window residue of (b + b)/c
-    (or (b + root)/c) and W/p**k = Z + r (b - b')/p**k after one exact
-    division. One divmod by p**J =
+    two_delta/c mod p**(k+1) and W is formed as written; for k >= J (the
+    dividing route), r is the window residue of 2 b/c and W/p**k = Z +
+    r (b - b')/p**k after one exact division. One divmod by p**J =
     (q, rho) then finishes: for rho != 0, v = v_p(rho) < J gives k',
     c' = q p**(J-v) + rho/p**v and c' mod p**(J-v), carried when
     J - v > k'; for rho = 0, split_p_power strips q and returns the
     p**k' it built.
 
     Proof that v_p(W) >= k + 1 checks the reading of delta for k < J:
-    after a first state k_prev >= 1, so p**(k+1) divides p**k Z, and mod
-    p**(k+1) r c = 2 delta makes b - b' = 2 b - r c = 2 (b - delta) and
-    W = 2 r (b - delta), with r and 2 units: v_p(W) >= k + 1 iff b =
-    delta mod p**(k+1). two_delta was read off an earlier b that was
-    delta to that precision by the same proof; on that state, and on a
-    first state, the check is only k' >= 1.
+    k_prev >= 1, so p**(k+1) divides p**k Z, and mod p**(k+1) r c =
+    2 delta makes b - b' = 2 b - r c = 2 (b - delta) and W = 2 r (b -
+    delta), with r and 2 units: v_p(W) >= k + 1 iff b = delta mod
+    p**(k+1). two_delta was read off an earlier b that was delta to that
+    precision by the same proof; on that state itself the check is only
+    k' >= 1.
     """
     pJ = pows[-1]
     if pk < pJ:  # k < J: the residue route
         pn = pows[k + 1]
-        num = two_delta if root is None else b + root
-        r = num % pn * pow(c if cres is None else cres, -1, pn) % pn
+        r = two_delta % pn * pow(c if cres is None else cres, -1, pn) % pn
         if flavor == BROWKIN:
             if 2 * r > pn:
                 r -= pn
@@ -457,7 +456,7 @@ def _advance(p, b, c, k, pk, Z, cres, root, two_delta, pows, flavor):
         b1 = r * c - b
         W, base = pk * Z + r * (b - b1), k
     else:
-        r = _window_residue(b + (b if root is None else root), c, pk, p, flavor)
+        r = _window_residue(2 * b, c, pk, p, flavor)
         b1 = r * c - b
         q, rem = divmod(b - b1, pk)
         if rem:
@@ -482,19 +481,6 @@ def _advance(p, b, c, k, pk, Z, cres, root, two_delta, pows, flavor):
     e, c1, pe = split_p_power(q, p)
     J = len(pows) - 1
     return r, b1, c1, J + e - base, pe * pows[J - base], pk * c, None
-
-
-def step(alpha: QuadIrr, flavor: str = BROWKIN):
-    """One algorithm step: returns (digit, next complete quotient).
-
-    Exact on any valid state: it is _dividing_step, the step expand's
-    chain runs where the kernel _advance cannot start (see _chain), with
-    its result wrapped as a digit and a state.
-    """
-    _check_flavor(flavor)
-    p, Delta, branch = alpha.p, alpha.Delta, alpha.branch
-    digit, (b1, c1, k1) = _dividing_step(p, Delta, branch, alpha.b, alpha.c, alpha.k, flavor)
-    return _unit_digit(p, *digit), _quad(p, Delta, b1, c1, k1, branch)
 
 
 def _unit_digit(p: int, r: int, k: int) -> LaurentInt:
@@ -562,11 +548,14 @@ class Expansion:
         return self.status == PERIODIC and not self.preperiod
 
     def quotient_at(self, i: int) -> LaurentInt:
+        """Digit i; on a periodic expansion an index past the cycle wraps
+        into it. IndexError for a negative index or one past an open or
+        finite expansion's digits."""
         pre, per = len(self.preperiod), len(self.period)
-        if i < pre:
+        if 0 <= i < pre:
             return self.preperiod[i]
-        if per == 0:
-            raise IndexError(f"index {i} beyond a {self.status} expansion")
+        if i < 0 or per == 0:
+            raise IndexError(f"no digit {i} on this {self.status} expansion")
         return self.period[(i - pre) % per]
 
     def walk(self):
@@ -618,38 +607,36 @@ def _chain(alpha: QuadIrr, flavor: str):
     """Yields ((r, e), (b, c, k)) for states 0, 1, 2, ... of alpha, without
     end: state i's triple and the digit a_(i-1) = r/p**e that led into it,
     as LaurentInt stores it (None for state 0); expand alone builds the
-    digits. While the previous state had k < 0, which covers state 0
-    and state 1 after a start with k0 < 0, the next state comes from
-    _dividing_step, the step behind step(), on ints; from then on from the
-    kernel _advance on plain ints, which checks that r is a p-unit. Its
-    digits with k < J read delta off a residue of an earlier b: a state
-    stepped from one with k_prev >= 1 has b = delta mod p**(k_prev + k)
-    (see _dividing_step), so 2 b mod p**min(J, k_prev + k) serves every
-    later digit up to that exponent, and it is read again from the current
-    b only when a digit needs more. The first kernel state reads its digit
-    off b + delta, with delta lifted mod p**(k+1), when the state before it
-    had k = 0."""
+    digits. While the previous state had k < 1, which covers state 0
+    and state 1 after a state 0 with k < 1, the next state comes from
+    _dividing_step on ints; from then on from the kernel _advance on plain
+    ints, which checks that r is a p-unit. Every state after state 0 has
+    k >= 1, so the kernel takes over by state 2. Its digits with k < J
+    read delta off a residue of an earlier b: a state stepped from one
+    with k_prev >= 1 has b = delta mod p**(k_prev + k) (see
+    _dividing_step), so 2 b mod p**min(J, k_prev + k) serves every later
+    digit up to that exponent, and it is read again from the current b
+    only when a digit needs more."""
     p, Delta, branch = alpha.p, alpha.Delta, alpha.branch
     digit, (b, c, k) = None, (alpha.b, alpha.c, alpha.k)
     while True:
         yield digit, (b, c, k)
         kp, cp = k, c
         digit, (b, c, k) = _dividing_step(p, Delta, branch, b, c, k, flavor)
-        if kp >= 0:
+        if kp >= 1:
             break
     pows = _digit_powers(p)
     J = len(pows) - 1
-    root = None if kp else hensel_digits(p, Delta, branch, k + 1)
-    n = min(J, kp + k if kp else k + 1)  # two_delta = 2 delta mod p**n
-    two_delta = 2 * (b if root is None else root) % pows[n]
+    n = min(J, kp + k)  # two_delta = 2 delta mod p**n
+    two_delta = 2 * b % pows[n]
     pk, Z, cres = p**k, p**kp * cp, None
     while True:
         yield digit, (b, c, k)
-        r, b, c, k1, pk, Z, cres = _advance(p, b, c, k, pk, Z, cres, root, two_delta, pows, flavor)
+        r, b, c, k1, pk, Z, cres = _advance(p, b, c, k, pk, Z, cres, two_delta, pows, flavor)
         if n <= k1 < J:
             n = min(J, k + k1)
             two_delta = 2 * b % pows[n]
-        digit, k, root = (r, k), k1, None
+        digit, k = (r, k), k1
 
 
 def _replay(alpha: QuadIrr, flavor: str, held: tuple, last: int):

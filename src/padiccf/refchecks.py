@@ -536,7 +536,13 @@ def select_checks(only: str | None = None):
 
 def run_checks(only: str | None = None, beta_n: int = 3,
                cases: int = DEFAULT_CASES, seed: int = DEFAULT_SEED):
-    """Run the selected checks and return a list of CheckResult."""
+    """Run the selected checks and return a list of CheckResult.
+
+    ValueError before any check runs when cases or beta_n is below 1: a
+    suite of no cases, or of no periods, would pass having checked nothing.
+    """
+    if cases < 1 or beta_n < 1:
+        raise ValueError(f"need --cases >= 1 and --n >= 1, got {cases} and {beta_n}")
     ctx = {"beta_n": beta_n, "cases": cases, "seed": seed}
     results = []
     for name, fn in select_checks(only):

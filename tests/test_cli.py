@@ -338,6 +338,23 @@ def test_verify_paper_unknown_group_exits_1():
     assert "no checks match" in res.stderr
 
 
+def test_verify_paper_rejects_no_cases():
+    # a suite of no cases checks nothing, so it must not read PASS
+    for cases in ("-3", "0"):
+        res = run("verify-paper", "--only", "rational", "--cases", cases)
+        assert res.exit_code == 1
+        assert res.stdout == ""
+        assert f"need --cases >= 1 and --n >= 1, got {cases} and 3" in res.stderr
+
+
+def test_verify_paper_rejects_no_periods():
+    # --n 0 asks for no period 2**n, so nothing would be realized
+    res = run("verify-paper", "--only", "beta.period2n", "--n", "0")
+    assert res.exit_code == 1
+    assert res.stdout == ""
+    assert "need --cases >= 1 and --n >= 1, got 150 and 0" in res.stderr
+
+
 def test_verify_paper_json_record(tmp_path):
     out = tmp_path / "log.jsonl"
     res = run("verify-paper", "--only", "dlog", "--json", "--out", str(out))

@@ -242,7 +242,7 @@ def test_construction_is_the_limit_of_its_digits(seed, h):
 @pytest.mark.parametrize("seed", [SEED_353, SEED_P16], ids=["l353", "p16"])
 def test_reexpansion_states_follow_the_dividing_update(seed):
     # the middle digit's exponent is about omega (31,852 for l = 353), the
-    # state size where step divides b - b' by p**k before it strips p
+    # state size where the kernel divides b - b' by p**k before it strips p
     res = construct(is_nice(seed), 0)
     exp, p = res.expansion, res.p
     states = list(exp.walk())
@@ -280,8 +280,13 @@ def test_construct_builds_one_big_power_per_call():
     second = construct(counting, 0)
     assert built == [31861, 31861]
     assert first.verified and first.m.bit_length() == 50489
-    # (to_json formats a_t's denominator p**k_t, a third big power)
-    assert first.to_json() == second.to_json() == construct(cert, 0).to_json()
+    # to_json formats a_t once, for its own key and its slot in the
+    # period: one power p**k_t per call
+    built.clear()
+    assert first.to_json() == construct(cert, 0).to_json()
+    assert built == [first.kt]
+    assert second.to_json() == first.to_json()
+    assert built == [first.kt] * 3
 
 
 def test_construct_holds_its_power_for_the_reexpansion_only(monkeypatch):

@@ -23,7 +23,6 @@ from padiccf import (
     expand_rational,
     normalize,
     periodic_limit,
-    step,
     valuation_audit,
 )
 from padiccf.core import INF, LaurentInt
@@ -86,6 +85,15 @@ SQRT89_PREFIX = [
 # digit has k ~ omega (7,661 at h = 0, 28,685 at h = 2).
 SEED_353 = (LaurentInt(3, 1, 1), LaurentInt(3, 110, 4))
 SEED_P16 = parse_quotient_list("-2/5, 9/5, 4/5, 6/5, 11/5, 11/5, 7/5, 12/5", 5)
+
+
+def _step(alpha: QuadIrr, flavor: str = BROWKIN):
+    """(digit, next state) of alpha by engine._dividing_step, the step that
+    divides by c and lifts delta on any valid state: the by-hand reference
+    for the chain."""
+    p, Delta, branch = alpha.p, alpha.Delta, alpha.branch
+    (r, e), (b, c, k) = engine_module._dividing_step(p, Delta, branch, alpha.b, alpha.c, alpha.k, flavor)
+    return LaurentInt(p, r, e), QuadIrr(p, Delta, b, c, k, branch)
 
 
 def _pair(alpha: QuadIrr):
@@ -225,25 +233,31 @@ def test_step_emits_digit_and_reciprocal_remainder():
         p = rng.choice([3, 5, 7])
         alpha = random_quad(rng, p)
         for flavor in (BROWKIN, RUBAN):
-            a, nxt = step(alpha, flavor)
+            a, nxt = _step(alpha, flavor)
             assert in_digit_window(a, flavor == BROWKIN)
             # alpha - a = 1/next, so the distance valuation is -v(next)
             assert quad_distance_valuation(alpha, a.value) == -nxt.valuation
             assert nxt.valuation < 0
 
 
-def _step_under_python_O(setup, call="step(alpha)"):
+def _step_under_python_O(setup, call=(
+        "_dividing_step(5, alpha.Delta, alpha.branch, alpha.b, alpha.c, alpha.k, 'browkin')")):
     """Run call under python -O after the lines in setup.
 
-    step and the kernel _advance skip QuadIrr's checks on the state they
-    build, and expand_rational skips LaurentInt's on its digits; their own
-    invariants must fire under -O, which strips assert statements.
+    The dividing step and the kernel _advance skip QuadIrr's checks on the
+    state they build, and expand_rational skips LaurentInt's on its digits;
+    their own invariants must fire under -O, which strips assert
+    statements. stepped(st) is the state after st by the dividing step.
     """
     code = (
         "import sys\n"
-        "from padiccf import QuadIrr, step\n"
+        "import padiccf.engine as engine\n"
+        "from padiccf import QuadIrr\n"
         "from padiccf.core import hensel_digits\n"
-        "from padiccf.engine import _advance, _digit_powers\n"
+        "from padiccf.engine import _advance, _digit_powers, _dividing_step\n"
+        "def stepped(st):\n"
+        "    _, (b, c, k) = _dividing_step(st.p, st.Delta, st.branch, st.b, st.c, st.k, 'browkin')\n"
+        "    return QuadIrr(st.p, st.Delta, b, c, k, st.branch)\n"
         + setup +
         "try:\n"
         f"    {call}\n"
@@ -275,22 +289,23 @@ KERNEL_ARGS = (
 )
 
 
-def _kernel_call(root, pows):
+def _kernel_call(pows):
     return ("_advance(5, alpha.b, alpha.c, alpha.k, 5**alpha.k, 5**prev.k * prev.c, "
-            f"None, {root}, two_delta, {pows}, 'browkin')")
+            f"None, two_delta, {pows}, 'browkin')")
 
 
 def test_step_rejects_an_inexact_p_power_division_under_python_O():
-    # the dividing route on a stepped state whose b is no longer delta mod
-    # p: adding c keeps c | Delta - b**2, but p**k no longer divides b - b';
-    # prev has k = 0, so the root is lifted rather than read from b
+    # the dividing route divides b - b' = 2 b - r c by p**k, exact because
+    # the window digit has r c = 2 b mod p**(k+1); a window digit off by
+    # one leaves a remainder
     setup = (
-        "prev = QuadIrr(5, 126, 0, 2, 0, 1)\n"
-        "alpha = step(prev)[1]\n"
-        "object.__setattr__(alpha, 'b', alpha.b + alpha.c)\n"
-        "root = hensel_digits(5, alpha.Delta, alpha.branch, alpha.k + 1)\n"
-    ) + KERNEL_ARGS
-    proc = _step_under_python_O(setup, _kernel_call("root", "(1, 5)"))
+        "prev = QuadIrr(5, 89, 8, 1, 1, 3)\n"
+        "alpha = stepped(prev)\n"
+    ) + KERNEL_ARGS + (
+        "window = engine._window_residue\n"
+        "engine._window_residue = lambda *args: window(*args) + 1\n"
+    )
+    proc = _step_under_python_O(setup, _kernel_call("(1, 5)"))
     assert proc.stdout.strip() == "1 InvariantError p**k must divide b - b'", proc.stderr
 
 
@@ -299,7 +314,7 @@ def _corrupted_steady_state():
     # multiple of c keeps c | Delta - b**2 but puts b off delta mod p
     return (
         "prev = QuadIrr(5, 89, 8, 1, 1, 3)\n"
-        "alpha = step(prev)[1]\n"
+        "alpha = stepped(prev)\n"
         "b = next(b for b in range(alpha.b, alpha.b + 5 * alpha.c, alpha.c) if b % 5 == 0)\n"
         "object.__setattr__(alpha, 'b', b)\n"
     ) + KERNEL_ARGS
@@ -308,7 +323,7 @@ def _corrupted_steady_state():
 def test_step_rejects_a_corrupted_steady_state_under_python_O():
     # the dividing route reads the digit numerator off 2b/c, which the
     # corruption makes divisible by p
-    proc = _step_under_python_O(_corrupted_steady_state(), _kernel_call("None", "(1, 5)"))
+    proc = _step_under_python_O(_corrupted_steady_state(), _kernel_call("(1, 5)"))
     assert proc.stdout.strip() == "1 InvariantError digit numerator must be a p-unit", proc.stderr
 
 
@@ -316,7 +331,7 @@ def test_residue_route_rejects_b_off_delta_under_python_O():
     # the residue route reads the digit numerator off 2 delta/c, a p-unit
     # whatever b is; its check v_p(W) >= k + 1 fails exactly when b !=
     # delta mod p**(k+1), so the corrupted state cannot pass
-    proc = _step_under_python_O(_corrupted_steady_state(), _kernel_call("None", "pows"))
+    proc = _step_under_python_O(_corrupted_steady_state(), _kernel_call("pows"))
     want = "1 InvariantError next complete quotient must have negative valuation"
     assert proc.stdout.strip() == want, proc.stderr
 
@@ -460,7 +475,7 @@ def test_expansion_states_follow_the_dividing_update(flavor):
 
 def test_expand_divides_by_c_only_on_state_0(monkeypatch):
     # state 0's (Delta - b**2)/c divides by c, and so does state 1's after a
-    # state 0 with k0 < 0; every kernel step with k < J makes one divmod,
+    # state 0 with k < 1; every kernel step with k < J makes one divmod,
     # by p**J, and one with k >= J divides b - b' by p**k first
     divisors = []
 
@@ -490,10 +505,10 @@ def test_expand_divides_by_c_only_on_state_0(monkeypatch):
         exp = run()
         st = list(exp.walk())
         assert len(st) in (12, 2000)
-        stepped = st[:2] if st[0].k < 0 else st[:1]
+        stepped = st[:2] if st[0].k < 1 else st[:1]
         want = [cur.c for cur in stepped]
         for prev, cur in zip(st, st[1:]):
-            if prev.k >= 0:
+            if prev.k >= 1:
                 want += [pJ] if cur.k < 12 else [exp.p**cur.k, pJ]
         assert divisors == want
         assert divisors[len(stepped):].count(pJ) == len(st) - len(stepped)
@@ -502,7 +517,7 @@ def test_expand_divides_by_c_only_on_state_0(monkeypatch):
 
 def test_expand_steps_only_its_first_two_states(monkeypatch):
     # the dividing step sees alpha, and state 1 only after a state 0 with
-    # k0 < 0; every other state, replays included, goes through the kernel.
+    # k < 1; every other state, replays included, goes through the kernel.
     # It takes the state as ints, so the spy rebuilds it to compare
     calls = []
     real_step = engine_module._dividing_step
@@ -520,11 +535,44 @@ def test_expand_steps_only_its_first_two_states(monkeypatch):
             exp = expand(alpha, flavor, max_steps=300)
             digits += len(exp.quotients)
             stepped = list(calls)
-            state1 = exp.state_at(1) if alpha.k < 0 else None
+            state1 = exp.state_at(1) if alpha.k < 1 else None
             assert stepped[0] == alpha
             assert all(st == alpha or st == state1 for st in stepped), (alpha, flavor)
             seen_state1 |= state1 in stepped
     assert digits > 1000 and seen_state1
+
+
+def test_kernel_runs_only_on_states_stepped_from_k_at_least_1(monkeypatch):
+    # the kernel reads b as delta mod p**(k+1), which holds on a state
+    # stepped from one with k >= 1; starts with k0 < 0, k0 = 0 (state 1
+    # with k >= J among them) and k0 >= 1 must hand over right after the
+    # first state with k >= 1, and every later state goes through the kernel
+    calls, real = [], engine_module._advance
+
+    def spy(p, b, c, k, pk, Z, *rest):
+        calls.append((b, c, k, Z))
+        return real(p, b, c, k, pk, Z, *rest)
+
+    monkeypatch.setattr(engine_module, "_advance", spy)
+    rng = random.Random(2525)
+    values = [_near_digit(5, 89, 3, 0, 14), _near_digit(3, -80, 2, 2, 19)]
+    values += [(random_quad, random_trace_zero)[i % 2](rng, (3, 5, 7, 211)[i % 4]) for i in range(40)]
+    starts = set()
+    for alpha in values + RUBAN_PERIODIC:
+        p = alpha.p
+        for flavor in (BROWKIN, RUBAN):
+            calls.clear()
+            exp = expand(alpha, flavor, max_steps=40)
+            got = set(calls)
+            states = list(exp.walk())
+            want = {(st.b, st.c, st.k, p**prev.k * prev.c)
+                    for prev, st in zip(states, states[1:]) if prev.k >= 1}
+            assert got == want, (alpha, flavor)
+            assert all(st.k >= 1 for st in states[1:])
+            J = len(engine_module._digit_powers(p)) - 1
+            starts.add("k0 < 0" if alpha.k < 0 else "k0 >= 1" if alpha.k >= 1
+                       else "k0 = 0, k1 >= J" if states[1].k >= J else "k0 = 0")
+    assert starts == {"k0 < 0", "k0 = 0", "k0 = 0, k1 >= J", "k0 >= 1"}
 
 
 def _corpus_values(seed, n):
@@ -565,8 +613,8 @@ def test_emitted_digits_pass_full_validation():
 
 
 def _assert_kernel_chain_is_the_dividing_route(exp, extra=1):
-    """Steps alpha by hand with step(state), which divides by c and lifts
-    delta: its digits must be the recorded ones and its first n states the
+    """Steps alpha by hand with the dividing step, which divides by c and
+    lifts delta: its digits must be the recorded ones and its first n states the
     n that walk() yields. On a periodic expansion it goes extra states
     further, and state_at must wrap onto them. Returns the states checked."""
     walked = list(exp.walk())
@@ -574,7 +622,7 @@ def _assert_kernel_chain_is_the_dividing_route(exp, extra=1):
     total = n + extra if exp.status == PERIODIC else n
     chain = [exp.alpha]
     for i in range(total):  # digit i leads to state i + 1
-        a, nxt = step(chain[i], exp.flavor)
+        a, nxt = _step(chain[i], exp.flavor)
         assert a == exp.quotient_at(i), (exp.alpha, i)
         chain.append(nxt)
     assert walked == chain[:n], exp.alpha
@@ -605,12 +653,12 @@ def _near_digit(p, Delta, branch, k0, K):
     return QuadIrr(p, Delta, b, 1, k0, branch)
 
 
-def _kernel_routes(p, b, c, k, pk, Z, cres, root, two_delta, pows, flavor, out):
+def _kernel_routes(p, b, c, k, pk, Z, cres, two_delta, pows, flavor, out):
     """The routes one kernel step took, named as in _advance's docstring;
     a residue too short is one the next step cannot read its digit off."""
     J, k1, cres1 = len(pows) - 1, out[3], out[6]
     if k >= J:
-        return {"k >= J, first state" if root is not None else "k >= J"} | ({"J = 1"} if J == 1 else set())
+        return {"k >= J"} | ({"J = 1"} if J == 1 else set())
     if k + k1 < J and cres1 is None:
         return {"residue too short"}
     return {"residue"}
@@ -618,11 +666,11 @@ def _kernel_routes(p, b, c, k, pk, Z, cres, root, two_delta, pows, flavor, out):
 
 def test_kernel_routes_agree_with_the_dividing_step_and_the_oracle(monkeypatch):
     # every route of the kernel, on states chosen to reach it, must give the
-    # states of the dividing step(state) and the digits of the rational-pair
-    # oracle: states with k >= J = 12 and 18 (p = 5 after a k = 0 state, and
-    # p = 3 after a k >= 1 one), residues too short for the next digit
-    # (p = 211, J = 3), and a prime above 2**15, where J = 1 and every
-    # kernel step divides
+    # states of the dividing step and the digits of the rational-pair
+    # oracle: states with k >= J = 18 (p = 3, after a k >= 1 state; the
+    # p = 5 state 1 with k >= J = 12 after a k = 0 one is the dividing
+    # step's), residues too short for the next digit (p = 211, J = 3), and
+    # a prime above 2**15, where J = 1 and every kernel step divides
     seen, real = set(), engine_module._advance
 
     def spy(*args):
@@ -646,7 +694,7 @@ def test_kernel_routes_agree_with_the_dividing_step_and_the_oracle(monkeypatch):
             _assert_kernel_chain_is_the_dividing_route(exp)
             want = surd_expand_brute(u, v, alpha.Delta, alpha.branch, alpha.p, flavor, 8)
             assert [exp.quotient_at(i).value for i in range(8)] == want, (alpha, flavor)
-    assert {"residue", "residue too short", "k >= J", "k >= J, first state", "J = 1"} <= seen
+    assert {"residue", "residue too short", "k >= J", "J = 1"} <= seen
     firsts = [expand(alpha, max_steps=2).ks[1] for alpha in values[:4]]
     assert all(k1 >= K for k1, K in zip(firsts, (14, 13, 20, 19))), firsts
 
@@ -1007,9 +1055,28 @@ def test_state_accessors_are_consistent():
     for i in range(30):
         st = exp.state_at(i)
         assert -st.valuation == (exp.k0 if i == 0 else exp.quotient_at(i).e)
-        a, nxt = step(st, BROWKIN)
+        a, nxt = _step(st)
         assert a == exp.quotient_at(i)
         assert nxt.value_equals(exp.state_at(i + 1))
+
+
+def test_quotient_at_rejects_a_negative_index():
+    # a negative index names no digit; read as a list index it would give
+    # a digit from the end
+    opened = expand(SQRT89_STATE, max_steps=14)
+    periodic = expand(PERIOD12_STATE)
+    finite = expand_rational(Fraction(1234567, 89), 5)
+    assert (opened.status, periodic.status, finite.status) == (OPEN, PERIODIC, FINITE)
+    for exp in (opened, periodic, finite):
+        n = len(exp.quotients)
+        assert exp.quotient_at(n - 1) == exp.quotients[-1]
+        for i in (-1, -2, -n, -n - 1):
+            with pytest.raises(IndexError):
+                exp.quotient_at(i)
+    assert periodic.quotient_at(12) == periodic.quotient_at(0)
+    for exp in (opened, finite):
+        with pytest.raises(IndexError):
+            exp.quotient_at(len(exp.quotients))
 
 
 # -- one state held, the rest replayed ------------------------------------------
@@ -1102,7 +1169,7 @@ def test_walked_states_cost_what_a_validated_state_does():
 @pytest.mark.parametrize("flavor", [BROWKIN, RUBAN])
 def test_replayed_states_are_the_hand_stepped_chain(flavor):
     # walk() yields the states behind the digits, state_at(i) wraps into the
-    # cycle, and both are the chain the dividing step(state) builds by hand
+    # cycle, and both are the chain the dividing step builds by hand
     rng = random.Random(1717)
     values = [PERIOD12_STATE, SQRT89_STATE, QuadIrr(5, -434, 0, -434, 1, 1),
               QuadIrr(7, 386, 0, -386, -1, 6)]

@@ -68,7 +68,7 @@ def test_every_digit_sits_in_its_window(seed, p, flavor):
 @given(seeds, primes, flavors)
 @settings(max_examples=80, deadline=None)
 def test_stepped_states_pass_public_validation(seed, p, flavor):
-    # step builds its states without QuadIrr's checks; the public
+    # the chain builds its states without QuadIrr's checks; the public
     # constructor must accept every state an expansion records
     exp = expand(quad(seed, p), flavor, max_steps=60)
     for state in exp.walk():

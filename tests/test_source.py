@@ -86,10 +86,19 @@ def test_library_writes_no_instance_dict():
     assert found == []
 
 
+# functions with exactly one library caller: expand, walk(),
+# state_at and the replay share one stepping chain, engine._chain, which
+# alone runs the dividing step and the kernel; delta is lifted only where
+# the dividing step needs it. A second caller would be a second chain.
+_SINGLE_CALLERS = {
+    "_advance": "engine.py:_chain",
+    "_dividing_step": "engine.py:_chain",
+    "hensel_digits": "engine.py:_dividing_step",
+}
+
+
 def test_step_kernel_has_one_call_site():
-    # expand, walk(), state_at and the replay share one stepping chain,
-    # engine._chain; a second caller of the kernel would be a second chain
-    found = []
+    found = {name: [] for name in _SINGLE_CALLERS}
     for path in SOURCES:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         defs = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
@@ -97,11 +106,11 @@ def test_step_kernel_has_one_call_site():
             if not isinstance(node, ast.Call):
                 continue
             name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
-            if name == "_advance":
+            if name in found:
                 owners = [d for d in defs if d.lineno <= node.lineno <= d.end_lineno]
                 inner = min(owners, key=lambda d: d.end_lineno - d.lineno, default=None)
-                found.append(f"{path.name}:{getattr(inner, 'name', '<module>')}")
-    assert found == ["engine.py:_chain"]
+                found[name].append(f"{path.name}:{getattr(inner, 'name', '<module>')}")
+    assert found == {name: [caller] for name, caller in _SINGLE_CALLERS.items()}
 
 
 def test_no_export_takes_a_private_parameter():
