@@ -46,6 +46,23 @@ The chain yields each digit as its numerator and exponent, and expand
 alone builds the digits, without LaurentInt's validation: the kernel
 checks that r is a p-unit.
 
+Long expansions step big states in Lehmer blocks (Lehmer's method for
+Euclid's algorithm on large numbers, at the p-adic low end). A digit and
+its k' depend only on the state's residues, so from a kernel state of
+600 bits or more with k < J, _block runs the kernel's residue route on
+b, c and Z mod p**N, N = 12 J (about 336 bits), multiplies the tilde
+digit matrices of its steps, and rebuilds the exact state once, at the
+end, from the block's first state: read as binary quadratic forms, L
+steps with matrix product M and digit exponents summing to E take f to
+(-1)**L (f o M)/p**(2E), every division exact (_block has the proof).
+A block of ~55 steps at p = 5 touches the big numbers about as much as
+10 kernel steps. Blocks run only when expand's budget is 2,000 steps or
+more: a state inside a block is known by residues alone, so such an
+expansion fingerprints every state by residues mod p**J, which costs two
+remainders of the big numbers per exactly stepped state. Construct's
+re-expansions, with huge states and short budgets, keep the exact hash.
+walk(), state_at and the replay step every state exactly.
+
 expand_rational runs on plain ints too, with the kernel's window digit
 (_window_residue) and one exact divmod per step; its docstring proves
 that its state stays in lowest terms without a gcd.
@@ -56,9 +73,10 @@ p, so k and c are recoverable from the denominator), hence the first repeat
 yields the minimal preperiod and period. expand holds a fixed four states
 and a fingerprint of each triple, and a matching fingerprint counts
 only when the state it points back to, replayed from alpha, has the exact
-triple. An Expansion keeps its digits and alpha, and replays any state it
-is asked for, so memory grows with the digit count, not with the total
-size of the states.
+triple of the current state, which a block materializes for it. An
+Expansion keeps its digits and alpha, and replays any state it is asked
+for, so memory grows with the digit count, not with the total size of
+the states.
 """
 
 from __future__ import annotations
@@ -66,7 +84,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, islice
+from itertools import islice
 from math import gcd, isqrt, lcm, prod
 
 from .core import (
@@ -95,6 +113,13 @@ PERIODIC = "periodic"
 OPEN = "open"
 
 DEFAULT_MAX_STEPS = 10_000
+
+# an expansion with a budget of _BLOCK_BUDGET steps or more runs a _block
+# from each kernel state of _BLOCK_BITS bits or more with k < J, on
+# residues mod p**(J * _BLOCK_DIGITS), about 28 bits a CPython digit
+_BLOCK_BUDGET = 2000
+_BLOCK_BITS = 600
+_BLOCK_DIGITS = 12
 
 # build a digit or state whose checks a proof in the stepper stands in for
 _new, _setattr = object.__new__, object.__setattr__
@@ -603,7 +628,118 @@ class Expansion:
         }
 
 
-def _chain(alpha: QuadIrr, flavor: str):
+def _rebuild(base, P, Q, P1, Q1, pk):
+    """The exact (b, c, Z) of the state L steps after base = (b0, c0, p**k0,
+    Z0), from the tilde digit matrix M = [[P, P1], [Q, Q1]] of those steps
+    and pk = p**k of the state reached: the identity proved in _block,
+    with det M = P Q1 - P1 Q = (-1)**L p**(2E)."""
+    b0, c0, pk0, Z0 = base
+    det = P * Q1 - P1 * Q
+    # the sign of det rides on the small entries: (u, v) = sign G (P, Q) and
+    # (u1, v1) = -sign G (P1, Q1) for G = [[D0, -b0], [b0, Z0]], so that
+    # f(P, Q) = sign (P u - Q v), B = sign (P1 u - Q1 v) and f(P1, Q1) =
+    # sign (Q1 v1 - P1 u1)
+    sP, sQ, tP, tQ = (-P, -Q, P1, Q1) if det < 0 else (P, Q, -P1, -Q1)
+    u, v = c0 * (pk0 * sP) - b0 * sQ, b0 * sP + Z0 * sQ
+    u1, v1 = c0 * (pk0 * tP) - b0 * tQ, b0 * tP + Z0 * tQ
+    pe2 = abs(det)
+    c, rc = divmod(P * u - Q * v, pe2 * pk)
+    b, rb = divmod(Q1 * v - P1 * u, pe2)
+    Z, rz = divmod(P1 * u1 - Q1 * v1, pe2)
+    if rc or rb or rz:
+        raise InvariantError("a block's rebuild must divide exactly by p**(2E)")
+    return b, c, Z
+
+
+def _block(p, b, c, k, pk, Z, two_delta, n, pows, flavor):
+    """Kernel steps from a big state (b + delta)/(pk * c) with k < J, the
+    chain's Z, two_delta and n, on residues mod p**N, N = J * _BLOCK_DIGITS
+    (a Lehmer block, D. H. Lehmer, Amer. Math. Monthly 45, 1938, at the
+    p-adic low end). Yields (digit, (b mod p**J, c mod p**J, k)) for the
+    states inside the block, and on send(True) the current state's exact
+    triple, which then becomes the block's new start. Returns (digit, b,
+    c, k, p**k, Z, cres, two_delta, n) for the exact last state, not yet
+    yielded, or None when no step could be taken.
+
+    The digit and k' depend only on residues. The residue route of
+    _advance reads r = two_delta/c mod p**(k+1), and W = p**k Z + r (b -
+    b') with b' = r c - b is an integer polynomial in b, c and Z, so W mod
+    p**m follows from b, c and Z mod p**m; for m > v = v_p(W) that fixes
+    k' = v - k and c' = W/p**v mod p**(m - v).
+
+    Precision: b, c and Z start as residues mod p**N, and nc counts the
+    digits of c that are right. b and Z stay right to at least nc digits
+    (b' = r c - b mod p**nc, Z' = p**k c mod p**(nc + k)), so W is right
+    mod p**nc and c' mod p**(nc - v). A step is taken only when W is not 0
+    mod p**J, so v < J <= nc and k' < J, and when nc - v >= J, so every
+    yielded state has its fingerprint right and the digit r' mod
+    p**(k' + 1), k' < J, that leaves it. Past those bounds the block ends
+    on its last state, rebuilt exactly, and the chain goes on from there
+    with a new block or, when none can step, with the kernel.
+
+    Rebuild: a state is the form f(x, y) = D x**2 - 2 b x y - Z y**2 with
+    D = p**k c, of discriminant b**2 + D Z = Delta, and alpha = (b +
+    delta)/D is its root x/y. A step substitutes (x, y) = T (x', y') with
+    T = [[r, p**k], [p**k, 0]], since alpha = r/p**k + 1/alpha', and
+    comparing coefficients (the x'**2 one is -p**k W) gives f' = -(f o
+    T)/p**(2k). Over L steps, M = [[P, P1], [Q, Q1]] = T_1 ... T_L and E =
+    k_1 + ... + k_L, (f o T_1) o T_2 = f o (T_1 T_2) makes f_L = det (f o
+    M)/p**(2E), det = (-1)**L: with B(x, y; x', y') = D x x' - b (x y' +
+    x' y) - Z y y' the polar form of f, D_L = det f(P, Q)/p**(2E), b_L =
+    -det B(P, Q; P1, Q1)/p**(2E) and Z_L = -det f(P1, Q1)/p**(2E) (as for
+    binary forms, Schoenhage, ISSAC 1991). det T = -p**(2k) makes det M =
+    (-1)**L p**(2E), so _rebuild reads the sign and p**(2E) off M. Those
+    divisions are exact on the true chain; one that is not means a
+    residue or the matrix left it, and _rebuild raises InvariantError.
+
+    Only the residues taken at the start and the rebuild touch big
+    numbers: 3 remainders by p**N, 14 products by a matrix entry of about
+    E log2(p) bits and 3 divisions by p**(2E). On a 10,000-bit state at
+    p = 5 they cost what ~10 kernel steps do, and a block runs ~55 steps.
+    """
+    J, pJ = len(pows) - 1, pows[-1]
+    M = pJ**_BLOCK_DIGITS
+    bt, ct, Zt, nc = b % M, c % M, Z % M, J * _BLOCK_DIGITS
+    base, P, Q, P1, Q1 = (b, c, pk, Z), 1, 0, 0, 1
+    centered, digit = flavor == BROWKIN, None
+    while True:
+        pn = pows[k + 1]
+        r = two_delta * pow(ct, -1, pn) % pn
+        if centered and 2 * r > pn:
+            r -= pn
+        if not r % p:
+            raise InvariantError("digit numerator must be a p-unit")
+        b1 = r * ct - bt
+        W = pk * Zt + r * (bt - b1)
+        rho = W % pJ
+        if not rho:
+            break
+        if rho % pn:
+            raise InvariantError("next complete quotient must have negative valuation")
+        u, v = rho // pn, k + 1
+        while not u % p:
+            u //= p
+            v += 1
+        if nc - v < J:
+            break
+        if digit and (yield digit, (bt % pJ, ct % pJ, k)):
+            b0, c0, Z0 = _rebuild(base, P, Q, P1, Q1, pk)
+            base, P, Q, P1, Q1 = (b0, c0, pk, Z0), 1, 0, 0, 1
+            yield b0, c0, k
+        P, P1, Q, Q1 = r * P + pk * P1, pk * P, r * Q + pk * Q1, pk * Q
+        digit, k1 = (r, k), v - k
+        bt, ct, Zt, nc = b1, W // pows[v], pk * ct, nc - v
+        if n <= k1 < J:
+            n = min(J, k + k1)
+            two_delta = 2 * bt % pows[n]
+        k, pk = k1, pows[k1]
+    if digit:
+        b, c, Z = _rebuild(base, P, Q, P1, Q1, pk)
+        return digit, b, c, k, pk, Z, ct, two_delta, n
+    return None
+
+
+def _chain(alpha: QuadIrr, flavor: str, budget: int = 0):
     """Yields ((r, e), (b, c, k)) for states 0, 1, 2, ... of alpha, without
     end: state i's triple and the digit a_(i-1) = r/p**e that led into it,
     as LaurentInt stores it (None for state 0); expand alone builds the
@@ -616,22 +752,38 @@ def _chain(alpha: QuadIrr, flavor: str):
     with k_prev >= 1 has b = delta mod p**(k_prev + k) (see
     _dividing_step), so 2 b mod p**min(J, k_prev + k) serves every later
     digit up to that exponent, and it is read again from the current b
-    only when a digit needs more."""
+    only when a digit needs more.
+
+    With a budget of _BLOCK_BUDGET steps or more (expand's max_steps) and
+    J > 1, a kernel state of _BLOCK_BITS bits or more with k < J hands
+    over to _block, and every state is yielded by the fingerprint (b mod
+    p**J, c mod p**J, k) in place of its triple, since a state inside a
+    block is known only by residues. Whatever the budget, send(True)
+    answers with the current state's exact triple, materialized from
+    the block when it is inside one."""
     p, Delta, branch = alpha.p, alpha.Delta, alpha.branch
+    pows = _digit_powers(p)
+    J, pJ = len(pows) - 1, pows[-1]
+    blocks = budget >= _BLOCK_BUDGET and J > 1
     digit, (b, c, k) = None, (alpha.b, alpha.c, alpha.k)
     while True:
-        yield digit, (b, c, k)
+        if (yield digit, (b % pJ, c % pJ, k) if blocks else (b, c, k)):
+            yield b, c, k
         kp, cp = k, c
         digit, (b, c, k) = _dividing_step(p, Delta, branch, b, c, k, flavor)
         if kp >= 1:
             break
-    pows = _digit_powers(p)
-    J = len(pows) - 1
     n = min(J, kp + k)  # two_delta = 2 delta mod p**n
     two_delta = 2 * b % pows[n]
     pk, Z, cres = p**k, p**kp * cp, None
     while True:
-        yield digit, (b, c, k)
+        if (yield digit, (b % pJ, c % pJ, k) if blocks else (b, c, k)):
+            yield b, c, k
+        if blocks and k < J and b.bit_length() >= _BLOCK_BITS:
+            end = yield from _block(p, b, c, k, pk, Z, two_delta, n, pows, flavor)
+            if end:
+                digit, b, c, k, pk, Z, cres, two_delta, n = end
+                continue
         r, b, c, k1, pk, Z, cres = _advance(p, b, c, k, pk, Z, cres, two_delta, pows, flavor)
         if n <= k1 < J:
             n = min(J, k + k1)
@@ -656,48 +808,54 @@ def expand(alpha: QuadIrr, flavor: str = BROWKIN, max_steps: int = DEFAULT_MAX_S
     stepped to but never compared. The digits and triples come from
     _chain; each distinct digit is built once, and equal digits share that
     immutable LaurentInt. Held are alpha, the triples of states 0 and 1 and the current
-    one; seen maps the fingerprint hash((b, c, k)) of each state to the
-    last index that had it.
+    one; seen maps the fingerprint of each state, hash((b, c, k)) or, with
+    a budget long enough for the chain's blocks, hash((b mod p**J, c mod
+    p**J, k)), to the last index that had it.
 
-    When state i's fingerprint is in seen, state i repeats the first of
-    states 0 .. seen[fingerprint] whose exact triple equals its own. The
-    held triples settle a repeat of state 0 or 1, as in every purely
-    periodic or preperiod-1 expansion (construct's re-expansions among
-    them), without stepping anything; states 2 onwards are replayed from
-    alpha. A search without a match is a hash collision, and i then
-    becomes the index kept for that fingerprint.
+    When state i's fingerprint is in seen, the chain hands over state i's
+    exact triple, materialized from its block when it is inside one, and
+    state i repeats the first of states 0 .. seen[fingerprint] whose
+    exact triple equals it. The held triples settle a repeat of state 0
+    or 1, as in every purely periodic or preperiod-1 expansion
+    (construct's re-expansions among them), without stepping anything;
+    states 2 onwards are replayed from alpha, exactly. A search without a
+    match is a fingerprint collision, and i then becomes the index kept
+    for that fingerprint.
 
-    Proof that this finds the first exact repeat: equal triples have
-    equal fingerprints, so every j < i with state j = state i has a
-    fingerprint in seen, and j is at most the last index kept for it,
-    which the search reaches, held or replayed. By induction no exact
-    repeat went unseen before i, so states 0 .. i - 1 are pairwise
-    distinct, at most one j matches, and state i = state j is the first
-    repeat: j is the minimal preperiod and i - j the minimal period. A
-    collision only costs a replay; PERIODIC is never declared without
-    exact equality.
+    Proof that this finds the first exact repeat: either fingerprint is a
+    function of the triple, so equal triples have equal fingerprints, and
+    every j < i with state j = state i has a fingerprint in seen, and j
+    is at most the last index kept for it, which the search reaches, held
+    or replayed. By induction no exact repeat went unseen before i, so
+    states 0 .. i - 1 are pairwise distinct, at most one j matches, and
+    state i = state j is the first repeat: j is the minimal preperiod and
+    i - j the minimal period. A collision only costs a replay; PERIODIC
+    is never declared without exact equality.
     """
     _check_flavor(flavor)
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
-    return _expand(alpha, flavor, max_steps, _chain(alpha, flavor))
+    steps = _chain(alpha, flavor, max_steps)
+    return _expand(alpha, flavor, max_steps, steps, (next(steps), next(steps)))
 
 
-def _expand(alpha: QuadIrr, flavor: str, max_steps: int, steps) -> Expansion:
-    """expand on the chain steps of alpha, which may already have yielded
-    states 0 and 1 to a caller that pushed them back (first_reexpansion)."""
+def _expand(alpha: QuadIrr, flavor: str, max_steps: int, steps, head) -> Expansion:
+    """expand on steps = _chain(alpha, flavor, max_steps), whose first two
+    yields, head, a caller has read (first_reexpansion)."""
     k0 = -alpha.valuation
     p = alpha.p
     made = {}
-    (_, key0), (d, key) = next(steps), next(steps)
+    (_, key0), (d, key) = head
     made[d] = a = _unit_digit(p, *d)
-    held, seen, quots = (key0, key), {hash(key0): 0}, [a]
+    held = ((alpha.b, alpha.c, alpha.k), steps.send(True))
+    seen, quots = {hash(key0): 0}, [a]
     for i in range(1, max_steps):
         fingerprint = hash(key)
         last = seen.get(fingerprint)
         if last is not None:
+            exact = held[1] if i == 1 else steps.send(True)
             replay = _replay(alpha, flavor, held, last)
-            j = next((n for n, st in enumerate(replay) if st == key), None)
+            j = next((n for n, st in enumerate(replay) if st == exact), None)
             if j is not None:
                 pre, per = tuple(quots[:j]), tuple(quots[j:])
                 if pre:
@@ -861,11 +1019,11 @@ def first_reexpansion(candidates, preperiod, period, flavor: str = BROWKIN):
     claim = preperiod + period
     m, N = len(preperiod), len(period)
     for alpha in candidates:
-        steps = _chain(alpha, flavor)
+        steps = _chain(alpha, flavor, m + N + 1)
         head = next(steps), next(steps)
         if _unit_digit(alpha.p, *head[1][0]) != claim[0]:
             continue
-        exp = _expand(alpha, flavor, m + N + 1, chain(head, steps))
+        exp = _expand(alpha, flavor, m + N + 1, steps, head)
         if (exp.status == PERIODIC and len(exp.preperiod) <= m and N % len(exp.period) == 0
                 and all(exp.quotient_at(i) == a for i, a in enumerate(claim))):
             return alpha, exp

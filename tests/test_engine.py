@@ -475,8 +475,13 @@ def test_expansion_states_follow_the_dividing_update(flavor):
 
 def test_expand_divides_by_c_only_on_state_0(monkeypatch):
     # state 0's (Delta - b**2)/c divides by c, and so does state 1's after a
-    # state 0 with k < 1; every kernel step with k < J makes one divmod,
-    # by p**J, and one with k >= J divides b - b' by p**k first
+    # state 0 with k < 1; every exact kernel step with k < J makes one
+    # divmod, by p**J, and one with k >= J divides b - b' by p**k first.
+    # With a budget of 2,000 steps or more a block runs from every kernel
+    # state of 600 bits or more with k < J; from state i to state j it
+    # divides only in its rebuild, by p**(2E + k_j), p**(2E) and p**(2E)
+    # with E = k_i + ... + k_(j-1), and one the budget cuts off divides
+    # nothing
     divisors = []
 
     def recording_divmod(x, y):
@@ -493,26 +498,48 @@ def test_expand_divides_by_c_only_on_state_0(monkeypatch):
             return real_expand(*args, **kwargs)
 
     monkeypatch.setattr(analysis_module, "expand", recording_expand)
-    runs = [
-        lambda: recording_expand(SQRT89_STATE, max_steps=2000),
-        lambda: recording_expand(PERIOD12_STATE),
-        lambda: analysis_module.ruban_nonperiodic_probe(6, 1, 5).expansion,
+    runs = [  # (budget, run)
+        (2000, lambda: recording_expand(SQRT89_STATE, max_steps=2000)),
+        (1999, lambda: recording_expand(SQRT89_STATE, max_steps=1999)),
+        (DEFAULT_MAX_STEPS, lambda: recording_expand(PERIOD12_STATE)),
+        (2000, lambda: analysis_module.ruban_nonperiodic_probe(6, 1, 5).expansion),
     ]
-    pJ = engine_module._digit_powers(5)[-1]
-    assert pJ == 5**12
-    for run in runs:
+    pJ, J = engine_module._digit_powers(5)[-1], 12
+    assert pJ == 5**J and engine_module._BLOCK_BUDGET == 2000
+    counts = []
+    for budget, run in runs:
         divisors.clear()
         exp = run()
         st = list(exp.walk())
-        assert len(st) in (12, 2000)
+        assert len(st) in (12, budget)
         stepped = st[:2] if st[0].k < 1 else st[:1]
-        want = [cur.c for cur in stepped]
-        for prev, cur in zip(st, st[1:]):
-            if prev.k >= 1:
-                want += [pJ] if cur.k < 12 else [exp.p**cur.k, pJ]
-        assert divisors == want
-        assert divisors[len(stepped):].count(pJ) == len(st) - len(stepped)
-    assert st[0].k < 0 and len(divisors) == len(st)  # the probe's state 0
+        assert divisors[:len(stepped)] == [cur.c for cur in stepped]
+        blocks_on = budget >= 2000
+        K = [0]
+        for cur in st:
+            K.append(K[-1] + cur.k)
+        i, pos, exact, rebuilt, cut = len(stepped), len(stepped), 0, 0, False
+        while i < len(st):
+            cur = st[i]
+            if not (blocks_on and cur.k < J and cur.b.bit_length() >= engine_module._BLOCK_BITS):
+                want = [pJ] if cur.k < J else [5**cur.k, pJ]
+                assert divisors[pos:pos + len(want)] == want, (i, cur.k)
+                pos, i, exact = pos + len(want), i + 1, exact + 1
+                continue
+            if pos == len(divisors):
+                cut = True  # the budget ended inside this block
+                break
+            d = divisors[pos]
+            j = next(j for j in range(i + 1, len(st)) if d == 5 ** (2 * (K[j] - K[i]) + st[j].k))
+            x = 5 ** (2 * (K[j] - K[i]))
+            assert divisors[pos:pos + 3] == [d, x, x], i
+            pos, i, rebuilt = pos + 3, j, rebuilt + 1
+        assert pos == len(divisors)
+        counts.append((exact, rebuilt, cut))
+    # SQRT89 at 2,000 and 1,999 steps, PERIOD12, and the probe's 2,000 Ruban steps
+    assert counts[0][1] >= 10 and counts[0][0] < 1000, counts
+    assert counts[1] == (1998, 0, False) and counts[2] == (11, 0, False), counts
+    assert counts[3][1] >= 20 and st[0].k < 0, counts
 
 
 def test_expand_steps_only_its_first_two_states(monkeypatch):
@@ -1113,6 +1140,120 @@ def test_collisions_never_make_a_period(monkeypatch):
     assert {(f, s, pure) for f in (BROWKIN, RUBAN) for s, pure in
             ((OPEN, False), (PERIODIC, False), (PERIODIC, True))} <= kinds
     assert min(alpha.k for alpha, _, _ in cases) < 0
+
+
+def _block_spy(monkeypatch):
+    """Counts of the blocks _chain runs: started, rebuilt at their end, cut
+    off by the end of the expansion, and ended before any step."""
+    counts, real = {"started": 0, "rebuilt": 0, "cut": 0, "no step": 0}, engine_module._block
+
+    def spy(*args):
+        counts["started"] += 1
+        try:
+            end = yield from real(*args)
+        except GeneratorExit:
+            counts["cut"] += 1
+            raise
+        counts["rebuilt" if end else "no step"] += 1
+        return end
+
+    monkeypatch.setattr(engine_module, "_block", spy)
+    return counts
+
+
+def _with_and_without_blocks(monkeypatch, cases):
+    """(to_json(), text()) of each (alpha, flavor, max_steps) case with
+    blocks, and with them off (as for a budget below _BLOCK_BUDGET)."""
+    got = [expand(alpha, flavor, max_steps=n) for alpha, flavor, n in cases]
+    with monkeypatch.context() as off:
+        off.setattr(engine_module, "_BLOCK_BUDGET", 10**9)
+        want = [expand(alpha, flavor, max_steps=n) for alpha, flavor, n in cases]
+    return [(e.to_json(), e.text()) for e in got], [(e.to_json(), e.text()) for e in want]
+
+
+def test_blocks_leave_expansions_unchanged(monkeypatch):
+    # seeded open values over p in {3, 5, 7, 11} in both flavors at 3,000
+    # to 20,000 steps, budgets ending inside a block, periodic values, and
+    # p = 65537, where J = 1 and no block runs
+    counts = _block_spy(monkeypatch)
+    rng = random.Random(2727)
+    cases = [(SQRT89_STATE, BROWKIN, 20_000)]
+    for p in (3, 5, 7, 11):
+        for draw in (random_quad, random_trace_zero):
+            for flavor in (BROWKIN, RUBAN):
+                cases.append((draw(rng, p), flavor, rng.randint(3000, 6000)))
+    periodic = [(random_periodic(rng, (3, 5, 7)[i % 3]), (BROWKIN, RUBAN)[i % 2], 3000)
+                for i in range(12)] + [(alpha, RUBAN, 2000) for alpha in RUBAN_PERIODIC]
+    got, want = _with_and_without_blocks(monkeypatch, cases + periodic)
+    assert got == want
+    assert sum(rec["status"] == PERIODIC for rec, _ in got) >= 12
+    assert counts["rebuilt"] > 1000 and counts["cut"] >= len(cases) - 4, counts
+    counts.update(started=0)
+    wide = [(random_quad(rng, 65537), flavor, 3000) for flavor in (BROWKIN, RUBAN)]
+    got, want = _with_and_without_blocks(monkeypatch, wide)
+    assert got == want and counts["started"] == 0
+    big = max(st.b.bit_length() for st in expand(*wide[0][:2], max_steps=100).walk())
+    assert big >= engine_module._BLOCK_BITS  # blocks would run if J allowed
+
+
+def test_blocks_meet_the_middle_digit_of_a_construction(monkeypatch):
+    # a construction's value, re-expanded with a long budget: blocks run on
+    # its big states, and the one that reaches the middle digit, k ~ omega,
+    # ends where W is 0 mod p**J and leaves that step to the kernel
+    res = construct_module.construct(construct_module.is_nice(SEED_P16), 0)
+    alpha, pinned = res.expansion.alpha, res.expansion
+    counts = _block_spy(monkeypatch)
+    got, want = _with_and_without_blocks(monkeypatch, [(alpha, BROWKIN, 2000)])
+    assert got == want and got[0][0] == pinned.to_json()
+    assert max(pinned.ks) > 7000 and counts["rebuilt"] >= 1 and counts["no step"] >= 1, counts
+
+
+def test_block_collisions_never_make_a_period(monkeypatch):
+    # about one state in 100 gets the fingerprint 0: each is materialized
+    # from its block when inside one and checked by an exact replay, so the
+    # result is the one of the unpatched run
+    rng = random.Random(2828)
+    cases = [(SQRT89_STATE, BROWKIN, 3000), (QuadIrr(5, 1231, 0, 1, -1, 1), RUBAN, 2000),
+             (random_quad(rng, 3), BROWKIN, 2500), (random_periodic(rng, 7), BROWKIN, 2000)]
+    plain = [expand(alpha, flavor, max_steps=n).to_json() for alpha, flavor, n in cases]
+    real_hash, rebuilds, real_rebuild = hash, [0], engine_module._rebuild
+
+    def counting_rebuild(*args):
+        rebuilds[0] += 1
+        return real_rebuild(*args)
+
+    counts = _block_spy(monkeypatch)
+    monkeypatch.setattr(engine_module, "_rebuild", counting_rebuild)
+    monkeypatch.setattr(engine_module, "hash", lambda key: 0 if real_hash(key) % 100 == 0
+                        else real_hash(key), raising=False)
+    got = [expand(alpha, flavor, max_steps=n).to_json() for alpha, flavor, n in cases]
+    assert got == plain
+    assert rebuilds[0] - counts["rebuilt"] >= 20, (rebuilds, counts)  # materialized states
+
+
+def test_block_rebuild_rejects_a_corrupted_matrix_under_python_O():
+    setup = (
+        "real = engine._rebuild\n"
+        "engine._rebuild = lambda base, P, *rest: real(base, P + 1, *rest)\n"
+    )
+    proc = _step_under_python_O(setup, "engine.expand(QuadIrr(5, 89, 8, 1, 1, 3), max_steps=2000)")
+    want = "1 InvariantError a block's rebuild must divide exactly by p**(2E)"
+    assert proc.stdout.strip() == want, proc.stderr
+
+
+def test_block_rebuild_rejects_a_corrupted_residue_under_python_O():
+    # Z's residue off by p**J: the digits drift off the true chain while
+    # every step's own checks pass, and the rebuild's division finds it
+    setup = (
+        "import inspect\n"
+        "source = inspect.getsource(engine._block)\n"
+        "exec(source.replace('Z % M', '(Z + pJ) % M', 1), vars(engine))\n"
+    )
+    for call in ("engine.expand(QuadIrr(5, 89, 8, 1, 1, 3), max_steps=2000)",
+                 "engine.expand(QuadIrr(5, 1231, 0, 1, -1, 1), 'ruban', max_steps=2000)"):
+        proc = _step_under_python_O(setup, call)
+        want = "1 InvariantError a block's rebuild must divide exactly by p**(2E)"
+        assert proc.stdout.strip() == want, proc.stderr
 
 
 def _reachable(root):
