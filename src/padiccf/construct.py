@@ -259,7 +259,7 @@ def construct(cert: NiceCertificate, h: int = 0,
     this function has proved, so the square test of m (a residue sieve,
     then isqrt) runs at most once per member. The re-expansion's middle
     digit has k_t ~ omega; its strip is linear in the size of m
-    (engine._advance, core.split_p_power) and takes its p**e from the
+    (engine._wide_step, core.split_p_power) and takes its p**e from the
     returned member's p**omega by one exact division by a small power of
     p (core._HELD_POWER, set for this call only), so a call builds one
     big power in all.

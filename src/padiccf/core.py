@@ -665,7 +665,7 @@ def padic_square_exists(m: int, p: int):
     return True, (m0, v // 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LaurentInt:
     """An element tilde/p**e of Z[1/p] with p not dividing tilde.
 

@@ -19,32 +19,27 @@ k_prev >= 1, X = p**k * Z with Z = p**k_prev * c_prev, and the digit
 numerator r is a p-unit (the state has k >= 1 and valuation exactly -k).
 
 With p**J the largest power of p in one CPython digit (J = 18, 12 and 10
-for p = 3, 5 and 7), a step whose digit exponent k is below J makes one big
-division: the digit comes from residues of delta and c below p**(k+1), and
-one divmod of W by p**J gives k' and c'. A step with k >= J, as after the
-middle digit of a construction's re-expansion (k ~ omega), would make
-p**k * Z a product the size of the state, so it divides b - b' exactly by
-p**k first, a division with a small quotient; _advance has both routes and
-the proof that reading the digit off delta is sound. Past 8,192 bits
-core.split_p_power finds a k' below J from one remainder by p**J and
-strips a huge k' next to a c' of under 64 bits from the top
-(core._strip_top); either way it hands back the p**k' it used, so every
-step stays linear in the state size.
+for p = 3, 5 and 7), a step whose digit exponent k is below J reads its
+digit off residues of delta and c below p**(k+1), k' off one remainder of
+W by p**J, and c' from one exact division by a one-digit power of p. A
+step with k >= J, as after the middle digit of a construction's
+re-expansion (k ~ omega), divides b - b' exactly by p**k first, a division
+with a small quotient, and a W that p**J divides goes to
+core.split_p_power, which hands back the p**k' it used; both are
+_wide_step's, and every step stays linear in the state size.
 
-That update is one private kernel, _advance, on plain ints: it carries
-p**k, Z and c's residue from step to step, so no power of p is built
-twice, and it builds no QuadIrr. State 0 has no predecessor, and a state
-stepped from one with k_prev < 1 has b = delta only mod p**(k_prev + k),
-short of the p**(k+1) its digit needs, so those (state 0, and state 1
-after a state 0 with k < 1) go through _dividing_step, which lifts delta
-and finds X by one exact division by c. Every state after state 0 has
-k >= 1, so the kernel takes over by state 2. One generator, _chain, runs _dividing_step
-while the previous state had k < 1 and the kernel from then on, on ints
-throughout; expand, walk(), state_at and the replay all consume it, so a
-replayed state is the one expand saw.
-The chain yields each digit as its numerator and exponent, and expand
-alone builds the digits, without LaurentInt's validation: the kernel
-checks that r is a p-unit.
+That update is the kernel of one generator, _chain, on plain ints: it
+carries p**k, Z and c's residue from step to step, reads c**-1 mod p**(k+1)
+off a table per prime (_inverses) and builds no QuadIrr; its docstring
+proves that reading the digit off delta is sound. State 0 has no
+predecessor, and a state stepped from one with k_prev < 1 has b = delta
+only mod p**(k_prev + k), short of the p**(k+1) its digit needs, so those
+go through _dividing_step, which lifts delta and finds X by one exact
+division by c; the kernel takes over by state 2. expand, walk(), state_at
+and the replay all consume the chain, so a replayed state is the one
+expand saw. The chain yields each digit as its numerator and exponent,
+and expand alone builds the digits, without LaurentInt's validation: the
+kernel checks that r is a p-unit.
 
 Long expansions step big states in Lehmer blocks (Lehmer's method for
 Euclid's algorithm on large numbers, at the p-adic low end). A digit and
@@ -122,7 +117,7 @@ _BLOCK_BITS = 600
 _BLOCK_DIGITS = 12
 
 # build a digit or state whose checks a proof in the stepper stands in for
-_new, _setattr = object.__new__, object.__setattr__
+_new = object.__new__
 
 
 def _check_flavor(flavor: str) -> str:
@@ -156,7 +151,7 @@ def _is_square(n: int) -> bool:
     return r * r == n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuadIrr:
     """(b + delta)/(p**k * c) with delta**2 = Delta, delta = branch mod p.
 
@@ -403,6 +398,21 @@ def _window_residue(num: int, den: int, pk: int, p: int, flavor: str) -> int:
     return r
 
 
+_INVERSE_CAP = 4096  # see _inverses
+
+
+@lru_cache(maxsize=16)  # a table holds up to ~4,096 ints, so few are kept
+def _inverses(p: int) -> tuple:
+    """(inv, pT): pT = p**T the largest power of p up to _INVERSE_CAP (1
+    above it) and inv[x] = x**-1 mod pT, 0 where p divides x. For n <= T,
+    inv[c mod p**n] is c**-1 mod p**n too, a lookup of ~25 ns where
+    pow(c, -1, p**n) takes 135-217 ns."""
+    pT = 1
+    while pT * p <= _INVERSE_CAP:
+        pT *= p
+    return tuple(pow(x, -1, pT) if x % p else 0 for x in range(pT)), pT
+
+
 def _dividing_step(p, Delta, branch, b, c, k, flavor):
     """One step of any valid state (b + delta)/(p**k * c) on plain ints:
     returns ((r, e), (b', c', k')), the digit r/p**e as LaurentInt stores
@@ -413,7 +423,7 @@ def _dividing_step(p, Delta, branch, b, c, k, flavor):
     empty (v_p(alpha) = v_p(b + delta) - k >= 1) and the digit is (0, 0).
     X = (Delta - b**2)/c comes from one exact division by c. A state
     stepped from one with k >= 1 needs no lift, which is why the kernel
-    _advance takes over there: its b is delta mod p**(k+1). Proof: for a
+    in _chain takes over there: its b is delta mod p**(k+1). Proof: for a
     state with k >= 0, digit r/p**k and b' = r c - b, v(alpha - a) >= 1
     gives b' = delta mod p, so delta + b' is a unit (the next state has
     valuation exactly -k') and Delta - b'**2 = (delta - b')(delta + b') =
@@ -443,98 +453,65 @@ def _dividing_step(p, Delta, branch, b, c, k, flavor):
 # -- the stepper -----------------------------------------------------------
 
 
-def _advance(p, b, c, k, pk, Z, cres, two_delta, pows, flavor):
-    """The step kernel on plain ints, for a state (b + delta)/(pk * c),
-    pk = p**k, stepped from one with k_prev >= 1: Z = p**k_prev * c_prev
-    and b = delta mod p**(k+1) (see _dividing_step); pows = (1, p, ...,
-    p**J) (_digit_powers; exact for any J >= 1). two_delta is 2 delta mod
-    some p**n, n > k, when k < J; cres is c mod some p**n, n > k, or
-    None. Returns (r, b', c', k', p**k', p**k * c, cres').
+def _wide_step(p, b, c, k, pk, Z, r, W, pows, flavor):
+    """The kernel's two rare routes (see _chain), on its state, Z and pows
+    = (1, p, ..., p**J). Returns (r, b', c', k', p**k').
 
-    The state has valuation exactly -k, so r is a p-unit, and W = p**k Z
-    + r (b - b') = p**(k + k') c'. For k < J (the residue route), r is
-    two_delta/c mod p**(k+1) and W is formed as written; for k >= J (the
-    dividing route), r is the window residue of 2 b/c and W/p**k = Z +
-    r (b - b')/p**k after one exact division. One divmod by p**J =
-    (q, rho) then finishes: for rho != 0, v = v_p(rho) < J gives k',
-    c' = q p**(J-v) + rho/p**v and c' mod p**(J-v), carried when
-    J - v > k'; for rho = 0, split_p_power strips q and returns the
-    p**k' it built.
-
-    Proof that v_p(W) >= k + 1 checks the reading of delta for k < J:
-    k_prev >= 1, so p**(k+1) divides p**k Z, and mod p**(k+1) r c =
-    2 delta makes b - b' = 2 b - r c = 2 (b - delta) and W = 2 r (b -
-    delta), with r and 2 units: v_p(W) >= k + 1 iff b = delta mod
-    p**(k+1). two_delta was read off an earlier b that was delta to that
-    precision by the same proof; on that state itself the check is only
-    k' >= 1.
+    With r None, k >= J: r is the window residue of 2 b/c, a p-unit, and
+    W/p**k = Z + r (b - b')/p**k after one exact division, since p**k Z
+    would be a product the size of the state (k ~ omega after a
+    construction's middle digit). Otherwise the residue route found r and
+    W, which p**J divides, so k' = J + v_p(W/p**J) - k >= 1. split_p_power
+    strips either quotient and hands back the p**k' it built, in time
+    linear in its size past 8,192 bits (core._split_big).
     """
-    pJ = pows[-1]
-    if pk < pJ:  # k < J: the residue route
-        pn = pows[k + 1]
-        r = two_delta % pn * pow(c if cres is None else cres, -1, pn) % pn
-        if flavor == BROWKIN:
-            if 2 * r > pn:
-                r -= pn
-            if not -pn < 2 * r < pn:
-                raise InvariantError("centered residue must lie inside the window")
-        b1 = r * c - b
-        W, base = pk * Z + r * (b - b1), k
-    else:
+    if r is None:
         r = _window_residue(2 * b, c, pk, p, flavor)
-        b1 = r * c - b
-        q, rem = divmod(b - b1, pk)
+        q, rem = divmod(2 * b - r * c, pk)  # (b - b')/p**k
         if rem:
             raise InvariantError("p**k must divide b - b'")
-        W, base, pn = Z + r * q, 0, p
-    if r % p == 0:
-        raise InvariantError("digit numerator must be a p-unit")
-    # pn = p**(base + 1): v = v_p(W) must exceed base, so k' = v - base >= 1
-    q, rho = divmod(W, pJ)
-    if rho:
-        if rho % pn:
-            raise InvariantError("next complete quotient must have negative valuation")
-        u, v = rho // pn, base + 1
-        while not u % p:
-            u //= p
-            v += 1
-        k1, pw = v - base, pows[-1 - v]
-        pk1 = pows[k1]
-        return r, b1, q * pw + u, k1, pk1, pk * c, u if pw > pk1 else None
-    if not q:
+        if not r % p:
+            raise InvariantError("digit numerator must be a p-unit")
+        W, shift = Z + r * q, 0
+    else:
+        W, shift = W // pows[-1], len(pows) - 1 - k
+    if not W:
         raise InvariantError("rational leak: Delta = b'**2")
-    e, c1, pe = split_p_power(q, p)
-    J = len(pows) - 1
-    return r, b1, c1, J + e - base, pe * pows[J - base], pk * c, None
+    e, c1, pe = split_p_power(W, p)
+    if e + shift < 1:
+        raise InvariantError("next complete quotient must have negative valuation")
+    return r, r * c - b, c1, e + shift, pe * pows[shift]
 
 
 def _unit_digit(p: int, r: int, k: int) -> LaurentInt:
     """The digit r/p**k for a pair that LaurentInt's strip would leave as
-    it is (a p-unit r, or (0, 0)), so the strip is skipped. The fields are
-    set one by one: filling the instance __dict__ in one update would
-    double the digit's memory."""
+    it is (a p-unit r, or (0, 0)), so the strip is skipped."""
     a = _new(LaurentInt)
-    _setattr(a, "p", p)
-    _setattr(a, "tilde", r)
-    _setattr(a, "e", k)
+    _DIGIT_P(a, p)
+    _DIGIT_TILDE(a, r)
+    _DIGIT_E(a, k)
     return a
 
 
 def _quad(p: int, Delta: int, b: int, c: int, k: int, branch: int) -> QuadIrr:
     """QuadIrr(p, Delta, b, c, k, branch) without its checks, for a caller
     that has proved them: a stepped state (c != 0 is free of p and divides
-    Delta - b**2 = p**(k_prev + k) c_prev c) or a construction's target.
-    The fields are set one by one, in declaration order: filling the
-    instance __dict__ in one update would more than double the state's
-    memory."""
+    Delta - b**2 = p**(k_prev + k) c_prev c) or a construction's target."""
     st = _new(QuadIrr)
-    _setattr(st, "p", p)
-    _setattr(st, "Delta", Delta)
-    _setattr(st, "b", b)
-    _setattr(st, "c", c)
-    _setattr(st, "k", k)
-    _setattr(st, "branch", branch)
+    _QUAD_P(st, p)
+    _QUAD_DELTA(st, Delta)
+    _QUAD_B(st, b)
+    _QUAD_C(st, c)
+    _QUAD_K(st, k)
+    _QUAD_BRANCH(st, branch)
     return st
+
+
+# slot setters for _unit_digit and _quad: they skip the frozen __setattr__
+# and the field name's lookup (a digit in ~300 ns, ~450 by object.__setattr__)
+_DIGIT_P, _DIGIT_TILDE, _DIGIT_E = (getattr(LaurentInt, f).__set__ for f in ("p", "tilde", "e"))
+_QUAD_P, _QUAD_DELTA, _QUAD_B, _QUAD_C, _QUAD_K, _QUAD_BRANCH = (
+    getattr(QuadIrr, f).__set__ for f in ("p", "Delta", "b", "c", "k", "branch"))
 
 
 # -- expansions ------------------------------------------------------------
@@ -658,11 +635,12 @@ def _block(p, b, c, k, pk, Z, two_delta, n, pows, flavor):
     p-adic low end). Yields (digit, (b mod p**J, c mod p**J, k)) for the
     states inside the block, and on send(True) the current state's exact
     triple, which then becomes the block's new start. Returns (digit, b,
-    c, k, p**k, Z, cres, two_delta, n) for the exact last state, not yet
-    yielded, or None when no step could be taken.
+    c, k, p**k, Z, cres, two_delta, n, wide) for the exact last state, not
+    yet yielded, wide telling whether p**J divides its W, or None when no
+    step could be taken.
 
-    The digit and k' depend only on residues. The residue route of
-    _advance reads r = two_delta/c mod p**(k+1), and W = p**k Z + r (b -
+    The digit and k' depend only on residues. The chain's residue route
+    reads r = two_delta/c mod p**(k+1), and W = p**k Z + r (b -
     b') with b' = r c - b is an integer polynomial in b, c and Z, so W mod
     p**m follows from b, c and Z mod p**m; for m > v = v_p(W) that fixes
     k' = v - k and c' = W/p**v mod p**(m - v).
@@ -698,13 +676,14 @@ def _block(p, b, c, k, pk, Z, two_delta, n, pows, flavor):
     p = 5 they cost what ~10 kernel steps do, and a block runs ~55 steps.
     """
     J, pJ = len(pows) - 1, pows[-1]
-    M = pJ**_BLOCK_DIGITS
+    M, (inv, pT) = pJ**_BLOCK_DIGITS, _inverses(p)
     bt, ct, Zt, nc = b % M, c % M, Z % M, J * _BLOCK_DIGITS
     base, P, Q, P1, Q1 = (b, c, pk, Z), 1, 0, 0, 1
     centered, digit = flavor == BROWKIN, None
     while True:
         pn = pows[k + 1]
-        r = two_delta * pow(ct, -1, pn) % pn
+        x = ct % pn
+        r = two_delta * (inv[x] if pn <= pT else pow(x, -1, pn)) % pn
         if centered and 2 * r > pn:
             r -= pn
         if not r % p:
@@ -735,32 +714,44 @@ def _block(p, b, c, k, pk, Z, two_delta, n, pows, flavor):
         k, pk = k1, pows[k1]
     if digit:
         b, c, Z = _rebuild(base, P, Q, P1, Q1, pk)
-        return digit, b, c, k, pk, Z, ct, two_delta, n
+        return digit, b, c, k, pk, Z, ct, two_delta, n, not rho
     return None
 
 
 def _chain(alpha: QuadIrr, flavor: str, budget: int = 0):
     """Yields ((r, e), (b, c, k)) for states 0, 1, 2, ... of alpha, without
     end: state i's triple and the digit a_(i-1) = r/p**e that led into it,
-    as LaurentInt stores it (None for state 0); expand alone builds the
-    digits. While the previous state had k < 1, which covers state 0
-    and state 1 after a state 0 with k < 1, the next state comes from
-    _dividing_step on ints; from then on from the kernel _advance on plain
-    ints, which checks that r is a p-unit. Every state after state 0 has
-    k >= 1, so the kernel takes over by state 2. Its digits with k < J
-    read delta off a residue of an earlier b: a state stepped from one
-    with k_prev >= 1 has b = delta mod p**(k_prev + k) (see
+    as LaurentInt stores it (None for state 0). While the previous state
+    had k < 1 (state 0, and state 1 after a state 0 with k < 1) the next
+    state comes from _dividing_step, and from then on from the kernel
+    inline here, on plain ints, which takes over by state 2.
+
+    The kernel steps (b + delta)/(pk * c), pk = p**k, stepped from a state
+    with k_prev >= 1, carrying Z = p**k_prev * c_prev, two_delta = 2 delta
+    mod p**n, n > k, and cres, c mod some p**n, n > k, or None. Its state
+    has valuation exactly -k, so r is a p-unit, and W = p**k Z + r (b - b')
+    = p**(k + k') c'. For k < J (the residue route), r = two_delta/c mod
+    p**(k+1), by the table of _inverses when p**(k+1) is in it, and rho =
+    W mod p**J != 0 gives v = v_p(rho) = v_p(W) < J, k' = v - k, c' = W/p**v
+    by one exact division and c' mod p**(J-v) = rho/p**v, carried when
+    J - v > k'. k >= J and rho = 0 are _wide_step's routes.
+
+    Proof that v_p(W) >= k + 1 checks the reading of delta for k < J:
+    k_prev >= 1, so p**(k+1) divides p**k Z, and mod p**(k+1) r c = 2 delta
+    makes b - b' = 2 (b - delta) and W = 2 r (b - delta), with r and 2
+    units: v_p(W) >= k + 1 iff b = delta mod p**(k+1). A state stepped from
+    one with k_prev >= 1 has b = delta mod p**(k_prev + k) (see
     _dividing_step), so 2 b mod p**min(J, k_prev + k) serves every later
-    digit up to that exponent, and it is read again from the current b
-    only when a digit needs more.
+    digit up to that exponent; two_delta is read again only when a digit
+    needs more, and on that state the check is only k' >= 1.
 
     With a budget of _BLOCK_BUDGET steps or more (expand's max_steps) and
     J > 1, a kernel state of _BLOCK_BITS bits or more with k < J hands
-    over to _block, and every state is yielded by the fingerprint (b mod
-    p**J, c mod p**J, k) in place of its triple, since a state inside a
-    block is known only by residues. Whatever the budget, send(True)
-    answers with the current state's exact triple, materialized from
-    the block when it is inside one."""
+    over to _block, except right after a block that ended where p**J
+    divides W, and every state is yielded by the fingerprint (b mod p**J,
+    c mod p**J, k), since a state inside a block is known only by
+    residues. Whatever the budget, send(True) answers with the current
+    state's exact triple, materialized from the block when inside one."""
     p, Delta, branch = alpha.p, alpha.Delta, alpha.branch
     pows = _digit_powers(p)
     J, pJ = len(pows) - 1, pows[-1]
@@ -775,20 +766,48 @@ def _chain(alpha: QuadIrr, flavor: str, budget: int = 0):
             break
     n = min(J, kp + k)  # two_delta = 2 delta mod p**n
     two_delta = 2 * b % pows[n]
-    pk, Z, cres = p**k, p**kp * cp, None
+    pk, Z, cres, wide = p**k, p**kp * cp, None, False
+    inv, pT = _inverses(p)
+    centered = flavor == BROWKIN
     while True:
         if (yield digit, (b % pJ, c % pJ, k) if blocks else (b, c, k)):
             yield b, c, k
-        if blocks and k < J and b.bit_length() >= _BLOCK_BITS:
-            end = yield from _block(p, b, c, k, pk, Z, two_delta, n, pows, flavor)
-            if end:
-                digit, b, c, k, pk, Z, cres, two_delta, n = end
-                continue
-        r, b, c, k1, pk, Z, cres = _advance(p, b, c, k, pk, Z, cres, two_delta, pows, flavor)
+        if k < J:
+            if blocks and not wide and b.bit_length() >= _BLOCK_BITS:
+                end = yield from _block(p, b, c, k, pk, Z, two_delta, n, pows, flavor)
+                if end:
+                    digit, b, c, k, pk, Z, cres, two_delta, n, wide = end
+                    continue
+            pn = pows[k + 1]
+            x = (c if cres is None else cres) % pn
+            r = two_delta * (inv[x] if pn <= pT else pow(x, -1, pn)) % pn
+            if centered and 2 * r > pn:
+                r -= pn
+            if not r % p:
+                raise InvariantError("digit numerator must be a p-unit")
+            b1 = r * c - b
+            W = pk * Z + r * (b - b1)
+            rho = W % pJ
+        else:
+            r = W = rho = None
+        if rho:
+            if rho % pn:
+                raise InvariantError("next complete quotient must have negative valuation")
+            u, v = rho // pn, k + 1
+            while not u % p:
+                u //= p
+                v += 1
+            k1 = v - k
+            pk1, c1 = pows[k1], W // pows[v]
+            cres = u if pows[J - v] > pk1 else None
+        else:
+            r, b1, c1, k1, pk1 = _wide_step(p, b, c, k, pk, Z, r, W, pows, flavor)
+            cres, wide = None, False
+        digit, b, c, Z = (r, k), b1, c1, pk * c
         if n <= k1 < J:
             n = min(J, k + k1)
             two_delta = 2 * b % pows[n]
-        digit, k = (r, k), k1
+        k, pk = k1, pk1
 
 
 def _replay(alpha: QuadIrr, flavor: str, held: tuple, last: int):
@@ -851,8 +870,8 @@ def _expand(alpha: QuadIrr, flavor: str, max_steps: int, steps, head) -> Expansi
     seen, quots = {hash(key0): 0}, [a]
     for i in range(1, max_steps):
         fingerprint = hash(key)
-        last = seen.get(fingerprint)
-        if last is not None:
+        last = seen.setdefault(fingerprint, i)
+        if last != i:
             exact = held[1] if i == 1 else steps.send(True)
             replay = _replay(alpha, flavor, held, last)
             j = next((n for n, st in enumerate(replay) if st == exact), None)
@@ -861,7 +880,7 @@ def _expand(alpha: QuadIrr, flavor: str, max_steps: int, steps, head) -> Expansi
                 if pre:
                     _invariant(pre[-1] != per[-1], "state-minimal cycle should be digit-minimal")
                 return Expansion(p, flavor, PERIODIC, pre, per, k0, alpha)
-        seen[fingerprint] = i
+            seen[fingerprint] = i
         d, key = next(steps)
         a = made.get(d)
         if a is None:

@@ -92,7 +92,7 @@ def test_is_regular_steps_no_state(monkeypatch):
         raise AssertionError("is_regular stepped a state")
 
     monkeypatch.setattr(engine_module, "_dividing_step", no_step)
-    monkeypatch.setattr(engine_module, "_advance", no_step)
+    monkeypatch.setattr(engine_module, "_chain", no_step)
     assert is_regular(PERIOD12_STATE).first_regular_index == 0
     assert is_regular(INV_5_SQRT_M434).first_regular_index == 1
     # sqrt(126)/2 (k = 0) and 5*sqrt(19) (k = -1) are regular from index 2
@@ -132,7 +132,7 @@ def test_galois_check_reads_the_stored_states(monkeypatch):
     exp = expand(INV_5_SQRT_M434)
     assert len(exp.preperiod) == 1
     monkeypatch.setattr(engine_module, "_dividing_step", no_step)
-    monkeypatch.setattr(engine_module, "_advance", no_step)
+    monkeypatch.setattr(engine_module, "_chain", no_step)
     verdict = galois_check(INV_5_SQRT_M434, exp)
     assert verdict.ok and not verdict.regular
     assert verdict.first_regular_index == verdict.preperiod_length == 1

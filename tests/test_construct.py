@@ -313,13 +313,13 @@ def test_construct_holds_its_power_for_the_reexpansion_only(monkeypatch):
     assert held_power.get() is None
 
 
-def test_reexpansion_strips_p_only_from_state_size_numbers(monkeypatch):
+def test_reexpansion_strips_p_only_from_state_size_numbers(monkeypatch, kernel_steps):
     # the kernel divides b - b' by p**k before it strips p when k is past
     # the one-digit power p**J, so no strip in the l = 353 re-expansion sees
     # a product twice the size of m, as the one that would strip p**31,853
     # at once would; and the kernel's strip of k' = k_t ~ omega hands the
     # next step p**k' as the power it built
-    sizes, steps, advance = [], [], engine_module._advance
+    sizes = []
 
     def spying(split):
         def spy(n, p):
@@ -327,18 +327,13 @@ def test_reexpansion_strips_p_only_from_state_size_numbers(monkeypatch):
             return split(n, p)
         return spy
 
-    def spying_advance(*args):
-        steps.append(advance(*args))
-        return steps[-1]
-
     monkeypatch.setattr(engine_module, "split_p", spying(split_p))
     monkeypatch.setattr(engine_module, "split_p_power", spying(split_p_power))
-    monkeypatch.setattr(engine_module, "_advance", spying_advance)
     res = construct(is_nice(SEED_353), 0)
     assert res.verified and res.m.bit_length() == 50489
     assert sizes and max(sizes) <= res.m.bit_length() + 64
-    assert max(k1 for _, _, _, k1, _, _, _ in steps) == res.kt == 31852
-    for _, _, c1, k1, pk1, _, cres in steps:
+    assert max(after[2] for _, _, _, after in kernel_steps) == res.kt == 31852
+    for _, _, _, (_, c1, k1, pk1, _, cres) in kernel_steps:
         assert pk1 == 3**k1
         assert cres is None or (cres - c1) % 3 ** (k1 + 1) == 0
 

@@ -3,6 +3,7 @@ import gc
 import hashlib
 import importlib
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -25,7 +26,7 @@ from padiccf import (
     periodic_limit,
     valuation_audit,
 )
-from padiccf.core import INF, LaurentInt
+from padiccf.core import INF, LaurentInt, split_p
 from padiccf.corpus import (
     random_digits,
     random_periodic,
@@ -244,20 +245,25 @@ def _step_under_python_O(setup, call=(
         "_dividing_step(5, alpha.Delta, alpha.branch, alpha.b, alpha.c, alpha.k, 'browkin')")):
     """Run call under python -O after the lines in setup.
 
-    The dividing step and the kernel _advance skip QuadIrr's checks on the
-    state they build, and expand_rational skips LaurentInt's on its digits;
-    their own invariants must fire under -O, which strips assert
-    statements. stepped(st) is the state after st by the dividing step.
+    The dividing step and the kernel in _chain skip QuadIrr's checks on
+    the state they build, and expand_rational skips LaurentInt's on its
+    digits; their own invariants must fire under -O, which strips assert
+    statements. corrupt_first(name, change) wraps engine.name so that its
+    first call returns change(result), and a chain that calls it then
+    steps a corrupted state.
     """
     code = (
         "import sys\n"
         "import padiccf.engine as engine\n"
         "from padiccf import QuadIrr\n"
-        "from padiccf.core import hensel_digits\n"
-        "from padiccf.engine import _advance, _digit_powers, _dividing_step\n"
-        "def stepped(st):\n"
-        "    _, (b, c, k) = _dividing_step(st.p, st.Delta, st.branch, st.b, st.c, st.k, 'browkin')\n"
-        "    return QuadIrr(st.p, st.Delta, b, c, k, st.branch)\n"
+        "from padiccf.engine import _dividing_step\n"
+        "def corrupt_first(name, change):\n"
+        "    real, calls = getattr(engine, name), []\n"
+        "    def wrapped(*args):\n"
+        "        calls.append(args)\n"
+        "        out = real(*args)\n"
+        "        return change(out) if len(calls) == 1 else out\n"
+        "    setattr(engine, name, wrapped)\n"
         + setup +
         "try:\n"
         f"    {call}\n"
@@ -280,60 +286,81 @@ def test_step_rejects_a_corrupted_state_under_python_O():
     assert proc.stdout.strip() == "1 InvariantError c | Delta - b'**2 must propagate", proc.stderr
 
 
-# the kernel's per-chain arguments for p = 5: the powers 5**0 .. 5**J (J = 12),
-# and 2 delta mod 5**J lifted from the state; passing only (1, 5) makes J = 1,
-# which sends every state with k >= 1 down the dividing route
-KERNEL_ARGS = (
-    "pows = _digit_powers(5)\n"
-    "two_delta = 2 * hensel_digits(5, alpha.Delta, alpha.branch, 12) % 5**12\n"
-)
-
-
-def _kernel_call(pows):
-    return ("_advance(5, alpha.b, alpha.c, alpha.k, 5**alpha.k, 5**prev.k * prev.c, "
-            f"None, two_delta, {pows}, 'browkin')")
+# (8 + sqrt(89))/5 has k = 1, so its state 1, from the dividing step, is
+# the kernel's first; with the powers cut to (1, 5), J = 1 and every
+# kernel state takes _wide_step's dividing route
+KERNEL_CALL = "engine.expand(QuadIrr(5, 89, 8, 1, 1, 3), max_steps=5)"
+ONE_DIGIT_J = "engine._digit_powers = lambda p: (1, p)\n"
 
 
 def test_step_rejects_an_inexact_p_power_division_under_python_O():
     # the dividing route divides b - b' = 2 b - r c by p**k, exact because
     # the window digit has r c = 2 b mod p**(k+1); a window digit off by
-    # one leaves a remainder
-    setup = (
-        "prev = QuadIrr(5, 89, 8, 1, 1, 3)\n"
-        "alpha = stepped(prev)\n"
-    ) + KERNEL_ARGS + (
+    # one, from the kernel's first state on, leaves a remainder
+    setup = ONE_DIGIT_J + (
         "window = engine._window_residue\n"
-        "engine._window_residue = lambda *args: window(*args) + 1\n"
+        "def off_by_one(out):\n"
+        "    engine._window_residue = lambda *args: window(*args) + 1\n"
+        "    return out\n"
+        "corrupt_first('_dividing_step', off_by_one)\n"
     )
-    proc = _step_under_python_O(setup, _kernel_call("(1, 5)"))
+    proc = _step_under_python_O(setup, KERNEL_CALL)
     assert proc.stdout.strip() == "1 InvariantError p**k must divide b - b'", proc.stderr
 
 
-def _corrupted_steady_state():
-    # prev has k >= 1, so b stands for delta mod p**(k+1); moving b by a
-    # multiple of c keeps c | Delta - b**2 but puts b off delta mod p
-    return (
-        "prev = QuadIrr(5, 89, 8, 1, 1, 3)\n"
-        "alpha = stepped(prev)\n"
-        "b = next(b for b in range(alpha.b, alpha.b + 5 * alpha.c, alpha.c) if b % 5 == 0)\n"
-        "object.__setattr__(alpha, 'b', b)\n"
-    ) + KERNEL_ARGS
+# a state stepped from one with k >= 1 has b = delta mod p**(k+1); moving
+# b by a multiple of c keeps c | Delta - b**2 but puts b off delta mod p
+B_OFF_DELTA = (
+    "def off_delta(out):\n"
+    "    r, (b, c, k) = out[0], out[1][:3]\n"
+    "    b = next(b for b in range(b, b + 5 * c, c) if b % 5 == 0)\n"
+    "    return (r, (b, c, k)) + out[2:]\n"
+)
 
 
 def test_step_rejects_a_corrupted_steady_state_under_python_O():
     # the dividing route reads the digit numerator off 2b/c, which the
-    # corruption makes divisible by p
-    proc = _step_under_python_O(_corrupted_steady_state(), _kernel_call("(1, 5)"))
+    # corruption of the kernel's first state makes divisible by p
+    setup = ONE_DIGIT_J + B_OFF_DELTA + "corrupt_first('_dividing_step', off_delta)\n"
+    proc = _step_under_python_O(setup, KERNEL_CALL)
     assert proc.stdout.strip() == "1 InvariantError digit numerator must be a p-unit", proc.stderr
+
+
+def _after_a_wide_step(change):
+    """A chain whose state 1 has k >= J = 12 at p = 5, so _wide_step makes
+    state 2, which has k < J and the two_delta read off state 1: change
+    corrupts state 2 as _wide_step hands it over, and the chain's residue
+    route gets it. Returns (setup, call) for _step_under_python_O."""
+    alpha = _near_digit(5, 89, 3, 1, 13)
+    steps = list(expand(alpha, max_steps=3).walk())
+    assert steps[1].k >= 12 > steps[2].k >= 1
+    fields = ", ".join(str(getattr(alpha, f)) for f in ("p", "Delta", "b", "c", "k", "branch"))
+    setup = B_OFF_DELTA + (
+        "def change(out):\n"
+        "    r, b, c, k, pk = out\n"
+        f"    {change}\n"
+        "    return r, b, c, k, pk\n"
+        "corrupt_first('_wide_step', change)\n"
+    )
+    return setup, f"engine.expand(QuadIrr({fields}), max_steps=5)"
 
 
 def test_residue_route_rejects_b_off_delta_under_python_O():
     # the residue route reads the digit numerator off 2 delta/c, a p-unit
     # whatever b is; its check v_p(W) >= k + 1 fails exactly when b !=
     # delta mod p**(k+1), so the corrupted state cannot pass
-    proc = _step_under_python_O(_corrupted_steady_state(), _kernel_call("pows"))
+    setup, call = _after_a_wide_step("b = off_delta((r, (b, c, k)))[1][0]")
+    proc = _step_under_python_O(setup, call)
     want = "1 InvariantError next complete quotient must have negative valuation"
     assert proc.stdout.strip() == want, proc.stderr
+
+
+def test_residue_route_rejects_c_divisible_by_p_under_python_O():
+    # the table of inverses holds 0 where p divides the index, so a c that
+    # is no p-unit gives the digit numerator 0, which the p-unit check stops
+    setup, call = _after_a_wide_step("c *= 5")
+    proc = _step_under_python_O(setup, call)
+    assert proc.stdout.strip() == "1 InvariantError digit numerator must be a p-unit", proc.stderr
 
 
 def test_top_strip_rejects_a_corrupt_held_power_under_python_O():
@@ -475,8 +502,9 @@ def test_expansion_states_follow_the_dividing_update(flavor):
 
 def test_expand_divides_by_c_only_on_state_0(monkeypatch):
     # state 0's (Delta - b**2)/c divides by c, and so does state 1's after a
-    # state 0 with k < 1; every exact kernel step with k < J makes one
-    # divmod, by p**J, and one with k >= J divides b - b' by p**k first.
+    # state 0 with k < 1; every exact kernel step with k < J makes no
+    # divmod (one remainder by p**J, one exact // by a one-digit power of
+    # p), and one with k >= J divmods b - b' by p**k.
     # With a budget of 2,000 steps or more a block runs from every kernel
     # state of 600 bits or more with k < J; from state i to state j it
     # divides only in its rebuild, by p**(2E + k_j), p**(2E) and p**(2E)
@@ -522,7 +550,7 @@ def test_expand_divides_by_c_only_on_state_0(monkeypatch):
         while i < len(st):
             cur = st[i]
             if not (blocks_on and cur.k < J and cur.b.bit_length() >= engine_module._BLOCK_BITS):
-                want = [pJ] if cur.k < J else [5**cur.k, pJ]
+                want = [] if cur.k < J else [5**cur.k]
                 assert divisors[pos:pos + len(want)] == want, (i, cur.k)
                 pos, i, exact = pos + len(want), i + 1, exact + 1
                 continue
@@ -569,18 +597,12 @@ def test_expand_steps_only_its_first_two_states(monkeypatch):
     assert digits > 1000 and seen_state1
 
 
-def test_kernel_runs_only_on_states_stepped_from_k_at_least_1(monkeypatch):
+def test_kernel_runs_only_on_states_stepped_from_k_at_least_1(kernel_steps):
     # the kernel reads b as delta mod p**(k+1), which holds on a state
     # stepped from one with k >= 1; starts with k0 < 0, k0 = 0 (state 1
     # with k >= J among them) and k0 >= 1 must hand over right after the
     # first state with k >= 1, and every later state goes through the kernel
-    calls, real = [], engine_module._advance
-
-    def spy(p, b, c, k, pk, Z, *rest):
-        calls.append((b, c, k, Z))
-        return real(p, b, c, k, pk, Z, *rest)
-
-    monkeypatch.setattr(engine_module, "_advance", spy)
+    # with Z = p**k_prev * c_prev and pk = p**k
     rng = random.Random(2525)
     values = [_near_digit(5, 89, 3, 0, 14), _near_digit(3, -80, 2, 2, 19)]
     values += [(random_quad, random_trace_zero)[i % 2](rng, (3, 5, 7, 211)[i % 4]) for i in range(40)]
@@ -588,9 +610,10 @@ def test_kernel_runs_only_on_states_stepped_from_k_at_least_1(monkeypatch):
     for alpha in values + RUBAN_PERIODIC:
         p = alpha.p
         for flavor in (BROWKIN, RUBAN):
-            calls.clear()
+            kernel_steps.clear()
             exp = expand(alpha, flavor, max_steps=40)
-            got = set(calls)
+            got = {before[:3] + before[4:5] for _, _, before, _ in kernel_steps}
+            assert all(before[3] == p ** before[2] for _, _, before, _ in kernel_steps)
             states = list(exp.walk())
             want = {(st.b, st.c, st.k, p**prev.k * prev.c)
                     for prev, st in zip(states, states[1:]) if prev.k >= 1}
@@ -680,10 +703,10 @@ def _near_digit(p, Delta, branch, k0, K):
     return QuadIrr(p, Delta, b, 1, k0, branch)
 
 
-def _kernel_routes(p, b, c, k, pk, Z, cres, two_delta, pows, flavor, out):
-    """The routes one kernel step took, named as in _advance's docstring;
+def _kernel_routes(J, before, after):
+    """The routes one kernel step took, named as in _chain's docstring;
     a residue too short is one the next step cannot read its digit off."""
-    J, k1, cres1 = len(pows) - 1, out[3], out[6]
+    k, k1, cres1 = before[2], after[2], after[5]
     if k >= J:
         return {"k >= J"} | ({"J = 1"} if J == 1 else set())
     if k + k1 < J and cres1 is None:
@@ -691,21 +714,13 @@ def _kernel_routes(p, b, c, k, pk, Z, cres, two_delta, pows, flavor, out):
     return {"residue"}
 
 
-def test_kernel_routes_agree_with_the_dividing_step_and_the_oracle(monkeypatch):
+def test_kernel_routes_agree_with_the_dividing_step_and_the_oracle(kernel_steps):
     # every route of the kernel, on states chosen to reach it, must give the
     # states of the dividing step and the digits of the rational-pair
     # oracle: states with k >= J = 18 (p = 3, after a k >= 1 state; the
     # p = 5 state 1 with k >= J = 12 after a k = 0 one is the dividing
     # step's), residues too short for the next digit (p = 211, J = 3), and
     # a prime above 2**15, where J = 1 and every kernel step divides
-    seen, real = set(), engine_module._advance
-
-    def spy(*args):
-        out = real(*args)
-        seen.update(_kernel_routes(*args, out))
-        return out
-
-    monkeypatch.setattr(engine_module, "_advance", spy)
     rng = random.Random(2121)
     values = [_near_digit(5, 89, 3, 0, 14), _near_digit(5, -434, 1, 0, 13),
               _near_digit(3, 37, 1, 1, 20), _near_digit(3, -80, 2, 2, 19)]
@@ -721,9 +736,94 @@ def test_kernel_routes_agree_with_the_dividing_step_and_the_oracle(monkeypatch):
             _assert_kernel_chain_is_the_dividing_route(exp)
             want = surd_expand_brute(u, v, alpha.Delta, alpha.branch, alpha.p, flavor, 8)
             assert [exp.quotient_at(i).value for i in range(8)] == want, (alpha, flavor)
+    seen = set().union(*(_kernel_routes(J, before, after) for _, J, before, after in kernel_steps))
     assert {"residue", "residue too short", "k >= J", "J = 1"} <= seen
     firsts = [expand(alpha, max_steps=2).ks[1] for alpha in values[:4]]
     assert all(k1 >= K for k1, K in zip(firsts, (14, 13, 20, 19))), firsts
+
+
+def test_inverse_tables_hold_every_inverse_up_to_the_cap():
+    # inv[x] = x**-1 mod p**n for every n with p**n inside the table, 0 where
+    # p divides x, and the table reaches the largest power up to the cap
+    cap = engine_module._INVERSE_CAP
+    for p in (3, 5, 7, 11, 13):
+        inv, pT = engine_module._inverses(p)
+        assert pT <= cap < pT * p and len(inv) == pT
+        pn = p
+        while pn <= pT:
+            for x in range(pn):
+                assert inv[x] == 0 if x % p == 0 else inv[x] % pn == pow(x, -1, pn), (p, pn, x)
+            pn *= p
+    assert engine_module._inverses(65537) == ((0,), 1)
+
+
+def test_residue_route_past_the_table_takes_pow(monkeypatch):
+    # p = 4099 is past the cap with J = 2, and p = 3 states with k >= 7
+    # are past their table's 3**7: their residue digits come from pow, and
+    # the chain still agrees with the dividing step and the oracle
+    calls, real = [], pow
+
+    def counting_pow(*args):
+        calls.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(engine_module, "pow", counting_pow, raising=False)
+    rng = random.Random(2929)
+    values = [random_quad(rng, 4099) for _ in range(6)] + [_near_digit(3, 37, 1, 1, 8)]
+    for alpha in values:
+        u, v = _pair(alpha)
+        for flavor in (BROWKIN, RUBAN):
+            calls.clear()
+            exp = expand(alpha, flavor, max_steps=12)
+            _assert_kernel_chain_is_the_dividing_route(exp)
+            want = surd_expand_brute(u, v, alpha.Delta, alpha.branch, alpha.p, flavor, 8)
+            assert [exp.quotient_at(i).value for i in range(8)] == want, (alpha, flavor)
+            # the window digit's pow works mod its small den, the residue
+            # route's mod a power of p past the table
+            pT, p = engine_module._inverses(alpha.p)[1], alpha.p
+            mods = [m for m in calls if m > 1 and split_p(m, p)[1] == 1]
+            assert mods and all(m > pT for m in mods), (alpha, flavor)
+    assert engine_module._digit_powers(4099) == (1, 4099, 4099**2)
+
+
+def test_inverse_tables_leave_expansions_unchanged(monkeypatch):
+    # with the tables cut to nothing every residue digit, in the chain and
+    # in the blocks, comes from pow; the results must not move
+    # (blocks from 2,000 steps; p = 211 and 65537 grow ~8 and ~16 bits a
+    # step, so they stop at 300)
+    rng = random.Random(3030)
+    cases = []
+    for p in (3, 5, 7, 11, 211, 65537):
+        for j, budget in enumerate((1, 7, 60, 300, 2500, 6000)[: 6 if p < 100 else 4]):
+            alpha = (random_quad, random_trace_zero)[j % 2](rng, p)
+            cases += [(alpha, flavor, budget) for flavor in (BROWKIN, RUBAN)]
+    got = [expand(alpha, flavor, max_steps=n) for alpha, flavor, n in cases]
+    monkeypatch.setattr(engine_module, "_inverses", lambda p: ((0,), 1))
+    want = [expand(alpha, flavor, max_steps=n) for alpha, flavor, n in cases]
+    assert [(e.to_json(), e.text()) for e in got] == [(e.to_json(), e.text()) for e in want]
+    assert sum(len(e.quotients) for e in got) > 20_000
+
+
+def test_slotted_records_pickle_compare_and_hash():
+    # states and digits are slotted: no instance dict, and a pickle round
+    # trip (pcf search --jobs ships certificates between processes), ==
+    # and hash agree with the validated constructors, for built and stepped
+    # records alike
+    exp = expand(PERIOD12_STATE, max_steps=40)
+    states = list(exp.walk())
+    records = states + list(exp.quotients) + [PERIOD12_STATE, LaurentInt(5, 50, 3)]
+    for rec in records:
+        assert not hasattr(rec, "__dict__")
+        back = pickle.loads(pickle.dumps(rec))
+        assert back == rec and hash(back) == hash(rec) and type(back) is type(rec)
+        fields = dataclasses.astuple(rec)
+        twin = type(rec)(*fields)
+        assert twin == rec and hash(twin) == hash(rec) and dataclasses.astuple(twin) == fields
+    assert pickle.loads(pickle.dumps(exp)) == exp
+    assert len({*states, *(pickle.loads(pickle.dumps(st)) for st in states)}) == len(set(states))
+    assert LaurentInt(5, 50, 3) == LaurentInt(5, 2, 1) != LaurentInt(5, 2, 2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        states[0].b = 0
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 40, 5000])
@@ -1143,9 +1243,11 @@ def test_collisions_never_make_a_period(monkeypatch):
 
 
 def _block_spy(monkeypatch):
-    """Counts of the blocks _chain runs: started, rebuilt at their end, cut
-    off by the end of the expansion, and ended before any step."""
-    counts, real = {"started": 0, "rebuilt": 0, "cut": 0, "no step": 0}, engine_module._block
+    """Counts of the blocks _chain runs: started, rebuilt at their end (at
+    a state whose W is 0 mod p**J among them: wide), cut off by the end of
+    the expansion, and ended before any step."""
+    counts = {"started": 0, "rebuilt": 0, "wide": 0, "cut": 0, "no step": 0}
+    real = engine_module._block
 
     def spy(*args):
         counts["started"] += 1
@@ -1155,6 +1257,7 @@ def _block_spy(monkeypatch):
             counts["cut"] += 1
             raise
         counts["rebuilt" if end else "no step"] += 1
+        counts["wide"] += bool(end and end[-1])
         return end
 
     monkeypatch.setattr(engine_module, "_block", spy)
@@ -1199,13 +1302,14 @@ def test_blocks_leave_expansions_unchanged(monkeypatch):
 def test_blocks_meet_the_middle_digit_of_a_construction(monkeypatch):
     # a construction's value, re-expanded with a long budget: blocks run on
     # its big states, and the one that reaches the middle digit, k ~ omega,
-    # ends where W is 0 mod p**J and leaves that step to the kernel
+    # ends where W is 0 mod p**J and leaves that step to the kernel, which
+    # takes it before any other block starts: no block ends without a step
     res = construct_module.construct(construct_module.is_nice(SEED_P16), 0)
     alpha, pinned = res.expansion.alpha, res.expansion
     counts = _block_spy(monkeypatch)
     got, want = _with_and_without_blocks(monkeypatch, [(alpha, BROWKIN, 2000)])
     assert got == want and got[0][0] == pinned.to_json()
-    assert max(pinned.ks) > 7000 and counts["rebuilt"] >= 1 and counts["no step"] >= 1, counts
+    assert max(pinned.ks) > 7000 and counts["wide"] >= 1 and counts["no step"] == 0, counts
 
 
 def test_block_collisions_never_make_a_period(monkeypatch):
