@@ -52,8 +52,9 @@ from .refchecks import DEFAULT_CASES, DEFAULT_SEED, check_names, run_checks
 MAX_DIGITS_CEILING = 10**6  # one construct at a million digits takes minutes
 # expand holds four states, so memory is linear in the step count; states grow
 # by ~0.7 bits a step and a step is linear in the state, so time is quadratic.
-# Blocks of residue steps (engine._block) cut the part that grows with the
-# state about fourfold: 50,000 steps of (8+sqrt(89))/5 take ~1.0 s, not ~1.5 s
+# Lehmer blocks, a residue mode of the step kernel's loop (engine._chain), cut
+# the part that grows with the state about fourfold: 50,000 steps of
+# (8+sqrt(89))/5 take ~1.0 s, not ~1.5 s
 MAX_STEPS_CEILING = 50_000
 # a parallel search hands out blocks of at most this many candidates, so a
 # huge space still reports hits, honours --limit and saves its cursor as it goes

@@ -252,17 +252,19 @@ def construct(cert: NiceCertificate, h: int = 0,
     expansion and branch are that re-expansion, or None when neither
     branch reproduces the digits. A broken eq. (12) leaves verified False.
 
-    Cost: each coset member visited builds one power p**omega; the other
-    two big powers it needs are exact quotients of that one by small powers
-    of p, and its remaining arithmetic divides by the seed's small rows.
+    Cost: the first coset member visited builds its power p**omega, and
+    each later one multiplies the one before by p**s, built once; the
+    other two big powers a member needs are exact quotients of its p**omega
+    by small powers of p, and its remaining arithmetic divides by the
+    seed's small rows.
     The target 1/(p**k0 sqrt(m)) is built without QuadIrr's checks, which
     this function has proved, so the square test of m (a residue sieve,
     then isqrt) runs at most once per member. The re-expansion's middle
     digit has k_t ~ omega; its strip is linear in the size of m
     (engine._wide_step, core.split_p_power) and takes its p**e from the
     returned member's p**omega by one exact division by a small power of
-    p (core._HELD_POWER, set for this call only), so a call builds one
-    big power in all.
+    p (core._HELD_POWER, set for this call only), so a call raises p to a
+    big power at most twice: p**omega of its first member, and p**s.
     """
     if cert.cond_c is None:
         raise ValueError("niceness is indeterminate (discrete-log budget): cannot construct")
@@ -283,7 +285,7 @@ def construct(cert: NiceCertificate, h: int = 0,
     _invariant(rem == 0, "q must divide B~_{t-1}**2")
     log10p = math.log10(p)
     lead = k0 + 2 * Kt1  # k_t = omega - lead; lead >= k_{t-1} and lead >= k0 >= 1
-    valid = 0  # valid members before the current one
+    valid, pw, ps = 0, None, None  # valid members before this one; p**omega, p**s
     for j in range(h + 201):
         omega = cert.omega0 + j * s
         if omega <= lead:
@@ -295,9 +297,15 @@ def construct(cert: NiceCertificate, h: int = 0,
                 omega, int(omega * log10p),
             )
         kt = omega - lead
-        # the one big power of the member; p**(kt + kt1) and p**(kt + 1)
-        # are exact quotients of it by small powers of p
-        pw = p**omega
+        # the member's one big power, carried from the member before by one
+        # product with p**s, built once the loop first moves past a member;
+        # p**(kt + kt1) and p**(kt + 1) are exact quotients of it by small
+        # powers of p
+        if pw is None:
+            pw = p**omega
+        else:
+            ps = ps or p**s
+            pw *= ps
         b_int, rem = divmod(pw - cert.q, A1sq)
         _invariant(rem == 0, "coset membership must make b integral")
         if b_int == 0:

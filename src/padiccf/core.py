@@ -593,7 +593,8 @@ def discrete_log(base: int, target: int, m: int, budget=None):
 
     Every element base**w of that subgroup has an order dividing
     s = ord(base), since (base**w)**s = (base**s)**w = 1. So a target with
-    target**s != 1 is outside it, and None comes back after one pow.
+    target**s != 1 is outside it, and None comes back after one pow,
+    before the budget is looked at: no budget makes that answer unknown.
 
     Otherwise Pohlig-Hellman over the factored order (_order_factors, which
     also holds each element g of order q**e): one log per base-q digit of
@@ -603,9 +604,10 @@ def discrete_log(base: int, target: int, m: int, budget=None):
     residues recombined by the Chinese remainder theorem. The answer is
     accepted only if base**w == target mod m holds. From m = 10**6 up,
     budget caps the baby-step table of the largest prime subgroup (default
-    DEFAULT_DLOG_TABLE_CAP), checked before any table is built; a blown
-    budget raises DlogBudgetExceeded, which callers must treat as
-    "unknown", not as "no". A budget below 1 is a ValueError.
+    DEFAULT_DLOG_TABLE_CAP), checked after the membership test and before
+    any table is built; a blown budget raises DlogBudgetExceeded, which
+    callers must treat as "unknown", not as "no". A budget below 1 is a
+    ValueError.
     """
     if m < 2:
         raise ValueError("modulus must be >= 2")
@@ -619,13 +621,13 @@ def discrete_log(base: int, target: int, m: int, budget=None):
         return None  # not even in the unit group, so not in the subgroup
     entry = _order_factors(base, m)
     order = entry[0]
+    if pow(target, order, m) != 1:
+        return None
     if m >= _UNBUDGETED_DLOG_MODULUS and order > 1:
         steps = isqrt(entry[-3] - 1) + 1  # the largest prime of the order
         cap = DEFAULT_DLOG_TABLE_CAP if budget is None else budget
         if steps > cap:
             raise DlogBudgetExceeded(f"need {steps} table entries, budget is {cap}")
-    if pow(target, order, m) != 1:
-        return None
     residues = []
     primes = iter(entry[1:])
     for q, e, g in zip(primes, primes, primes):

@@ -42,21 +42,22 @@ and expand alone builds the digits, without LaurentInt's validation: the
 kernel checks that r is a p-unit.
 
 Long expansions step big states in Lehmer blocks (Lehmer's method for
-Euclid's algorithm on large numbers, at the p-adic low end). A digit and
-its k' depend only on the state's residues, so from a kernel state of
-600 bits or more with k < J, _block runs the kernel's residue route on
-b, c and Z mod p**N, N = 12 J (about 336 bits), multiplies the tilde
-digit matrices of its steps, and rebuilds the exact state once, at the
-end, from the block's first state: read as binary quadratic forms, L
-steps with matrix product M and digit exponents summing to E take f to
-(-1)**L (f o M)/p**(2E), every division exact (_block has the proof).
-A block of ~55 steps at p = 5 touches the big numbers about as much as
-10 kernel steps. Blocks run only when expand's budget is 2,000 steps or
-more: a state inside a block is known by residues alone, so such an
-expansion fingerprints every state by residues mod p**J, which costs two
-remainders of the big numbers per exactly stepped state. Construct's
-re-expansions, with huge states and short budgets, keep the exact hash.
-walk(), state_at and the replay step every state exactly.
+Euclid's algorithm on large numbers, at the p-adic low end), a mode of
+the same kernel loop. A digit and its k' depend only on the state's
+residues, so from a kernel state of 600 bits or more with k < J the loop
+runs its residue route on b, c and Z mod p**N, N = 12 J (about 336
+bits), multiplies the tilde digit matrices of its steps, and rebuilds
+the exact state once, at the end, from the block's first state: read as
+binary quadratic forms, L steps with matrix product M and digit
+exponents summing to E take f to (-1)**L (f o M)/p**(2E), every division
+exact (_chain has the proof). A block of ~55 steps at p = 5 touches the
+big numbers about as much as 10 kernel steps. Blocks run only when
+expand's budget is 2,000 steps or more: a state inside a block is known
+by residues alone, so such an expansion fingerprints every state by
+residues mod p**J, which costs two remainders of the big numbers per
+exactly stepped state. Construct's re-expansions, with huge states and
+short budgets, keep the exact hash. walk(), state_at and the replay step
+every state exactly.
 
 expand_rational runs on plain ints too, with the kernel's window digit
 (_window_residue) and one exact divmod per step; its docstring proves
@@ -109,7 +110,7 @@ OPEN = "open"
 
 DEFAULT_MAX_STEPS = 10_000
 
-# an expansion with a budget of _BLOCK_BUDGET steps or more runs a _block
+# an expansion with a budget of _BLOCK_BUDGET steps or more runs a block
 # from each kernel state of _BLOCK_BITS bits or more with k < J, on
 # residues mod p**(J * _BLOCK_DIGITS), about 28 bits a CPython digit
 _BLOCK_BUDGET = 2000
@@ -606,10 +607,10 @@ class Expansion:
 
 
 def _rebuild(base, P, Q, P1, Q1, pk):
-    """The exact (b, c, Z) of the state L steps after base = (b0, c0, p**k0,
-    Z0), from the tilde digit matrix M = [[P, P1], [Q, Q1]] of those steps
-    and pk = p**k of the state reached: the identity proved in _block,
-    with det M = P Q1 - P1 Q = (-1)**L p**(2E)."""
+    """The exact (b, c, p**k, Z) of the state L steps after base = (b0, c0,
+    p**k0, Z0), from the tilde digit matrix M = [[P, P1], [Q, Q1]] of those
+    steps and pk = p**k of the state reached: the identity proved in
+    _chain, with det M = P Q1 - P1 Q = (-1)**L p**(2E)."""
     b0, c0, pk0, Z0 = base
     det = P * Q1 - P1 * Q
     # the sign of det rides on the small entries: (u, v) = sign G (P, Q) and
@@ -625,97 +626,7 @@ def _rebuild(base, P, Q, P1, Q1, pk):
     Z, rz = divmod(P1 * u1 - Q1 * v1, pe2)
     if rc or rb or rz:
         raise InvariantError("a block's rebuild must divide exactly by p**(2E)")
-    return b, c, Z
-
-
-def _block(p, b, c, k, pk, Z, two_delta, n, pows, flavor):
-    """Kernel steps from a big state (b + delta)/(pk * c) with k < J, the
-    chain's Z, two_delta and n, on residues mod p**N, N = J * _BLOCK_DIGITS
-    (a Lehmer block, D. H. Lehmer, Amer. Math. Monthly 45, 1938, at the
-    p-adic low end). Yields (digit, (b mod p**J, c mod p**J, k)) for the
-    states inside the block, and on send(True) the current state's exact
-    triple, which then becomes the block's new start. Returns (digit, b,
-    c, k, p**k, Z, cres, two_delta, n, wide) for the exact last state, not
-    yet yielded, wide telling whether p**J divides its W, or None when no
-    step could be taken.
-
-    The digit and k' depend only on residues. The chain's residue route
-    reads r = two_delta/c mod p**(k+1), and W = p**k Z + r (b -
-    b') with b' = r c - b is an integer polynomial in b, c and Z, so W mod
-    p**m follows from b, c and Z mod p**m; for m > v = v_p(W) that fixes
-    k' = v - k and c' = W/p**v mod p**(m - v).
-
-    Precision: b, c and Z start as residues mod p**N, and nc counts the
-    digits of c that are right. b and Z stay right to at least nc digits
-    (b' = r c - b mod p**nc, Z' = p**k c mod p**(nc + k)), so W is right
-    mod p**nc and c' mod p**(nc - v). A step is taken only when W is not 0
-    mod p**J, so v < J <= nc and k' < J, and when nc - v >= J, so every
-    yielded state has its fingerprint right and the digit r' mod
-    p**(k' + 1), k' < J, that leaves it. Past those bounds the block ends
-    on its last state, rebuilt exactly, and the chain goes on from there
-    with a new block or, when none can step, with the kernel.
-
-    Rebuild: a state is the form f(x, y) = D x**2 - 2 b x y - Z y**2 with
-    D = p**k c, of discriminant b**2 + D Z = Delta, and alpha = (b +
-    delta)/D is its root x/y. A step substitutes (x, y) = T (x', y') with
-    T = [[r, p**k], [p**k, 0]], since alpha = r/p**k + 1/alpha', and
-    comparing coefficients (the x'**2 one is -p**k W) gives f' = -(f o
-    T)/p**(2k). Over L steps, M = [[P, P1], [Q, Q1]] = T_1 ... T_L and E =
-    k_1 + ... + k_L, (f o T_1) o T_2 = f o (T_1 T_2) makes f_L = det (f o
-    M)/p**(2E), det = (-1)**L: with B(x, y; x', y') = D x x' - b (x y' +
-    x' y) - Z y y' the polar form of f, D_L = det f(P, Q)/p**(2E), b_L =
-    -det B(P, Q; P1, Q1)/p**(2E) and Z_L = -det f(P1, Q1)/p**(2E) (as for
-    binary forms, Schoenhage, ISSAC 1991). det T = -p**(2k) makes det M =
-    (-1)**L p**(2E), so _rebuild reads the sign and p**(2E) off M. Those
-    divisions are exact on the true chain; one that is not means a
-    residue or the matrix left it, and _rebuild raises InvariantError.
-
-    Only the residues taken at the start and the rebuild touch big
-    numbers: 3 remainders by p**N, 14 products by a matrix entry of about
-    E log2(p) bits and 3 divisions by p**(2E). On a 10,000-bit state at
-    p = 5 they cost what ~10 kernel steps do, and a block runs ~55 steps.
-    """
-    J, pJ = len(pows) - 1, pows[-1]
-    M, (inv, pT) = pJ**_BLOCK_DIGITS, _inverses(p)
-    bt, ct, Zt, nc = b % M, c % M, Z % M, J * _BLOCK_DIGITS
-    base, P, Q, P1, Q1 = (b, c, pk, Z), 1, 0, 0, 1
-    centered, digit = flavor == BROWKIN, None
-    while True:
-        pn = pows[k + 1]
-        x = ct % pn
-        r = two_delta * (inv[x] if pn <= pT else pow(x, -1, pn)) % pn
-        if centered and 2 * r > pn:
-            r -= pn
-        if not r % p:
-            raise InvariantError("digit numerator must be a p-unit")
-        b1 = r * ct - bt
-        W = pk * Zt + r * (bt - b1)
-        rho = W % pJ
-        if not rho:
-            break
-        if rho % pn:
-            raise InvariantError("next complete quotient must have negative valuation")
-        u, v = rho // pn, k + 1
-        while not u % p:
-            u //= p
-            v += 1
-        if nc - v < J:
-            break
-        if digit and (yield digit, (bt % pJ, ct % pJ, k)):
-            b0, c0, Z0 = _rebuild(base, P, Q, P1, Q1, pk)
-            base, P, Q, P1, Q1 = (b0, c0, pk, Z0), 1, 0, 0, 1
-            yield b0, c0, k
-        P, P1, Q, Q1 = r * P + pk * P1, pk * P, r * Q + pk * Q1, pk * Q
-        digit, k1 = (r, k), v - k
-        bt, ct, Zt, nc = b1, W // pows[v], pk * ct, nc - v
-        if n <= k1 < J:
-            n = min(J, k + k1)
-            two_delta = 2 * bt % pows[n]
-        k, pk = k1, pows[k1]
-    if digit:
-        b, c, Z = _rebuild(base, P, Q, P1, Q1, pk)
-        return digit, b, c, k, pk, Z, ct, two_delta, n, not rho
-    return None
+    return b, c, pk, Z
 
 
 def _chain(alpha: QuadIrr, flavor: str, budget: int = 0):
@@ -746,12 +657,55 @@ def _chain(alpha: QuadIrr, flavor: str, budget: int = 0):
     needs more, and on that state the check is only k' >= 1.
 
     With a budget of _BLOCK_BUDGET steps or more (expand's max_steps) and
-    J > 1, a kernel state of _BLOCK_BITS bits or more with k < J hands
-    over to _block, except right after a block that ended where p**J
-    divides W, and every state is yielded by the fingerprint (b mod p**J,
-    c mod p**J, k), since a state inside a block is known only by
-    residues. Whatever the budget, send(True) answers with the current
-    state's exact triple, materialized from the block when inside one."""
+    J > 1, every state is yielded by the fingerprint (b mod p**J, c mod
+    p**J, k), and a kernel state of _BLOCK_BITS bits or more with k < J
+    starts a Lehmer block (D. H. Lehmer, Amer. Math. Monthly 45, 1938, at
+    the p-adic low end), except right after a block that ended where p**J
+    divides W. A block keeps its exact first state in base and runs the
+    residue route on b, c and Z mod p**N, N = J * _BLOCK_DIGITS, while
+    [[P, P1], [Q, Q1]] multiplies the tilde digit matrices of its steps.
+    Whatever the budget, send(True) answers with the current state's exact
+    triple; inside a block, that ends the block there.
+
+    Residues suffice: r depends only on two_delta and c mod p**(k+1), and
+    W is an integer polynomial in b, c and Z, so W mod p**m follows from
+    b, c and Z mod p**m; for m > v = v_p(W) that fixes k' = v - k and
+    c' = W/p**v mod p**(m - v).
+
+    Precision: nc counts the digits of c that are right, N at the start.
+    b and Z stay right to at least nc digits (b' = r c - b mod p**nc, Z' =
+    p**k c mod p**(nc + k)), so W is right mod p**nc and c' mod p**(nc -
+    v). A block takes a step only when W is not 0 mod p**J, so v < J <= nc
+    and k' < J, and when nc - v >= J, so every state it yields has its
+    fingerprint right and the digit r' mod p**(k' + 1), k' < J, that leaves
+    it. Where either fails, or on send(True), the block ends on the state
+    it yielded last: _rebuild makes that state exact (it is base when the
+    block took no step), and the loop steps it again, by a new block or,
+    where p**J divides W, by the kernel, so no state is yielded twice.
+
+    Rebuild: a state is the form f(x, y) = D x**2 - 2 b x y - Z y**2 with
+    D = p**k c, of discriminant b**2 + D Z = Delta, and alpha = (b +
+    delta)/D is its root x/y. A step substitutes (x, y) = T (x', y') with
+    T = [[r, p**k], [p**k, 0]], since alpha = r/p**k + 1/alpha', and
+    comparing coefficients (the x'**2 one is -p**k W) gives f' = -(f o
+    T)/p**(2k). Over L steps, M = [[P, P1], [Q, Q1]] = T_1 ... T_L and E =
+    k_1 + ... + k_L, (f o T_1) o T_2 = f o (T_1 T_2) makes f_L = det (f o
+    M)/p**(2E), det = (-1)**L: with B(x, y; x', y') = D x x' - b (x y' +
+    x' y) - Z y y' the polar form of f, D_L = det f(P, Q)/p**(2E), b_L =
+    -det B(P, Q; P1, Q1)/p**(2E) and Z_L = -det f(P1, Q1)/p**(2E) (as for
+    binary forms, Schoenhage, ISSAC 1991). det T = -p**(2k) makes det M =
+    (-1)**L p**(2E), so _rebuild reads the sign and p**(2E) off M. Those
+    divisions are exact on the true chain; one that is not means a
+    residue or the matrix left it, and _rebuild raises InvariantError.
+    P1 is 0 until the block takes a step and then p**k times the P before,
+    a p-unit (P = r P + p**k P1 = r P mod p), so it tells whether there is
+    anything to rebuild.
+
+    Only the residues taken at the start and the rebuild touch big
+    numbers: 3 remainders by p**N, 14 products by a matrix entry of about
+    E log2(p) bits and 3 divisions by p**(2E). On a 10,000-bit state at
+    p = 5 they cost what ~10 kernel steps do, and a block runs ~55 steps.
+    """
     p, Delta, branch = alpha.p, alpha.Delta, alpha.branch
     pows = _digit_powers(p)
     J, pJ = len(pows) - 1, pows[-1]
@@ -766,37 +720,52 @@ def _chain(alpha: QuadIrr, flavor: str, budget: int = 0):
             break
     n = min(J, kp + k)  # two_delta = 2 delta mod p**n
     two_delta = 2 * b % pows[n]
-    pk, Z, cres, wide = p**k, p**kp * cp, None, False
+    pk, Z, cres, wide, base, ask = p**k, p**kp * cp, None, False, None, False
     inv, pT = _inverses(p)
     centered = flavor == BROWKIN
     while True:
         if (yield digit, (b % pJ, c % pJ, k) if blocks else (b, c, k)):
-            yield b, c, k
-        if k < J:
-            if blocks and not wide and b.bit_length() >= _BLOCK_BITS:
-                end = yield from _block(p, b, c, k, pk, Z, two_delta, n, pows, flavor)
-                if end:
-                    digit, b, c, k, pk, Z, cres, two_delta, n, wide = end
-                    continue
-            pn = pows[k + 1]
-            x = (c if cres is None else cres) % pn
-            r = two_delta * (inv[x] if pn <= pT else pow(x, -1, pn)) % pn
-            if centered and 2 * r > pn:
-                r -= pn
-            if not r % p:
-                raise InvariantError("digit numerator must be a p-unit")
-            b1 = r * c - b
-            W = pk * Z + r * (b - b1)
-            rho = W % pJ
-        else:
-            r = W = rho = None
+            if base is None:
+                yield b, c, k
+            else:
+                ask = True
+        while True:  # twice where a block ends: its last state steps again
+            if k < J:
+                if blocks and not wide and base is None and b.bit_length() >= _BLOCK_BITS:
+                    M, nc = pJ**_BLOCK_DIGITS, J * _BLOCK_DIGITS
+                    base, P, Q, P1, Q1 = (b, c, pk, Z), 1, 0, 0, 1
+                    b, c, Z = b % M, c % M, Z % M
+                pn = pows[k + 1]
+                x = (c if cres is None else cres) % pn
+                r = two_delta * (inv[x] if pn <= pT else pow(x, -1, pn)) % pn
+                if centered and 2 * r > pn:
+                    r -= pn
+                if not r % p:
+                    raise InvariantError("digit numerator must be a p-unit")
+                b1 = r * c - b
+                W = pk * Z + r * (b - b1)
+                rho = W % pJ
+                if rho:
+                    if rho % pn:
+                        raise InvariantError("next complete quotient must have negative valuation")
+                    u, v = rho // pn, k + 1
+                    while not u % p:
+                        u //= p
+                        v += 1
+            else:
+                r = W = rho = None
+            if base is None:
+                break
+            if rho and nc - v >= J and not ask:
+                P, P1, Q, Q1 = r * P + pk * P1, pk * P, r * Q + pk * Q1, pk * Q
+                nc -= v
+                break
+            b, c, pk, Z = _rebuild(base, P, Q, P1, Q1, pk) if P1 else base
+            base, wide = None, not rho
+            if ask:
+                ask = False
+                yield b, c, k
         if rho:
-            if rho % pn:
-                raise InvariantError("next complete quotient must have negative valuation")
-            u, v = rho // pn, k + 1
-            while not u % p:
-                u //= p
-                v += 1
             k1 = v - k
             pk1, c1 = pows[k1], W // pows[v]
             cres = u if pows[J - v] > pk1 else None

@@ -36,9 +36,10 @@ def kernel_steps(monkeypatch):
     The kernel is inline in engine._chain, so no function call marks a
     step; the spy wraps each chain and reads the generator's locals. A
     chain in its kernel loop (Z bound) steps its current state exactly
-    when it is resumed with a falsy send, so no step is missed. Steps
-    inside a residue block (_block, budgets of _BLOCK_BUDGET or more) are
-    not exact steps and are not recorded."""
+    when it is resumed with a falsy send, so no step is missed. Steps of
+    a residue block (budgets of _BLOCK_BUDGET or more), taken while the
+    chain's base local holds the block's first state, are not exact steps
+    and are not recorded."""
     import padiccf.engine as engine
 
     steps, real = [], engine._chain
@@ -50,13 +51,14 @@ def kernel_steps(monkeypatch):
         while True:
             sent = yield out
             loc = gen.gi_frame.f_locals
-            if sent or "Z" not in loc or gen.gi_yieldfrom is not None:
+            if sent or "Z" not in loc or loc["base"] is not None:
                 out = gen.send(sent)
                 continue
             before = tuple(loc[name] for name in _KERNEL_LOCALS)
             out = gen.send(sent)
-            if gen.gi_yieldfrom is None:
-                after = tuple(gen.gi_frame.f_locals[name] for name in _KERNEL_LOCALS)
+            loc = gen.gi_frame.f_locals
+            if loc["base"] is None:
+                after = tuple(loc[name] for name in _KERNEL_LOCALS)
                 steps.append((alpha.p, J, before, after))
 
     monkeypatch.setattr(engine, "_chain", spy)

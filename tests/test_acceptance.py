@@ -13,6 +13,8 @@ import hashlib
 import time
 from fractions import Fraction
 
+import pytest
+
 from padiccf.construct import (
     ConstructionInfeasible,
     beta,
@@ -209,6 +211,23 @@ def test_period_16_from_a_small_order_seed():
     assert res.verified and len(res.period) == 16 and res.omega == 7676
     digest = hashlib.sha256(str(res.m).encode()).hexdigest()
     assert digest == "f0fa8ee6cfd37f5a5031ca9fc193512ff25efcfee75afd52a1af35a0d5459cfc"
+
+
+@pytest.mark.parametrize("p,seed,atilde,omega,digest", [
+    (3, "2/3, -2/3, -4/3, -4/3, -1/3, 4/3, 4/3, 1/3", 1870, 949,
+     "88cbe751ad449b4af66c8c4df65fb1ed641210a3b5ccc2feb066a7afa6c682ce"),
+    (7, "-2/7, 20/7, 9/7, 23/7, 13/7, 16/7, -17/7, -22/7", 4920, 2056,
+     "7c40f5dc7667494bdaa67035bf8f5130aefa8fb377336dd5a8f6b5edd3bfe489"),
+], ids=["p3", "p7"])
+def test_period_16_over_p_3_and_7(p, seed, atilde, omega, digest):
+    # period 16 beside p = 5: a t = 8 seed over each prime whose
+    # |Atilde_7| makes the order of p mod Atilde_7**2 small, so omega stays
+    # near 1,000-2,000 and the construction verifies in milliseconds
+    cert = is_nice(parse_quotient_list(seed, p))
+    assert cert.nice and abs(cert.Atilde_last) == atilde
+    res = construct(cert, 0)
+    assert res.verified and len(res.period) == 16 and res.omega == omega
+    assert hashlib.sha256(str(res.m).encode()).hexdigest() == digest
 
 
 def _closed_form_families():

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import importlib
 import random
 import sys
@@ -254,16 +255,16 @@ def test_reexpansion_states_follow_the_dividing_update(seed):
 
 
 class _CountingPrime(int):
-    """An int p whose powers of 50,000 bits or more are logged as built."""
+    """An int p whose powers of floor bits or more are logged as built."""
 
-    def __new__(cls, p, built):
+    def __new__(cls, p, built, floor=50000):
         self = super().__new__(cls, p)
-        self.built = built
+        self.built, self.floor = built, floor
         return self
 
     def __pow__(self, e, mod=None):
         out = int.__pow__(int(self), e, mod)
-        if mod is None and out.bit_length() >= 50000:
+        if mod is None and out.bit_length() >= self.floor:
             self.built.append(e)
         return out
 
@@ -287,6 +288,28 @@ def test_construct_builds_one_big_power_per_call():
     assert built == [first.kt]
     assert second.to_json() == first.to_json()
     assert built == [first.kt] * 3
+
+
+def test_construct_carries_p_omega_from_member_to_member():
+    # a coset member after the first takes its p**omega from the one before
+    # by one product with p**s, built once the loop moves past a member:
+    # the period-16 seed (s = 10,512, p**s ~ 24,400 bits) builds p**7,676
+    # alone at h = 0 and p**s on top at any h >= 1 (l = 353 at h = 0, whose
+    # s = 124,256 exceeds its omega, builds no p**s either: see above); the
+    # digests, in hex to stay linear in m's size, are those of the results
+    # built from a fresh power per member
+    built = []
+    counting = dataclasses.replace(is_nice(SEED_P16), p=_CountingPrime(5, built, 17000))
+    construct(counting, 0)  # fills the per-prime caches that key on p
+    for h, omega, digest in ((0, 7676, "a8d9516ad8047df2"), (1, 18188, "9e0f7b1708c27f6c"),
+                             (2, 28700, "53dfa0121c406b80"), (3, 39212, "2469ab440c421f23"),
+                             (26, 280988, "0126b9a4f3d4e270")):
+        built.clear()
+        res = construct(counting, h)
+        assert res.omega == omega and res.verified
+        assert built == ([7676] if h == 0 else [7676, 10512]), h
+        record = f"{res.omega} {res.kt} {res.b:x} {res.c_tilde:x} {res.m:x} {res.branch}"
+        assert hashlib.sha256(record.encode()).hexdigest()[:16] == digest, h
 
 
 def test_construct_holds_its_power_for_the_reexpansion_only(monkeypatch):

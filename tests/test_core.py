@@ -435,6 +435,18 @@ def test_discrete_log_budget_caps_the_largest_prime_subgroup():
     assert discrete_log(2, target, m, budget=409) == 777777
 
 
+def test_discrete_log_membership_test_runs_before_the_budget():
+    # 11**ord(5) != 1 mod 1009**2 proves by one pow that 11 is outside <5>,
+    # so the smallest budget still answers None; a member of <5> whose
+    # log needs a 32-entry table blows that budget
+    m = 1009**2
+    order = mult_order(5, m)
+    assert pow(11, order, m) != 1
+    assert discrete_log(5, 11, m, budget=1) is None
+    with pytest.raises(DlogBudgetExceeded, match="need 32 table entries"):
+        discrete_log(5, pow(5, 1234, m), m, budget=1)
+
+
 def test_discrete_log_rejects_a_budget_below_one():
     # a nonsense budget is an error, not an "unknown" from a blown table
     for budget in (0, -1):

@@ -1245,22 +1245,45 @@ def test_collisions_never_make_a_period(monkeypatch):
 def _block_spy(monkeypatch):
     """Counts of the blocks _chain runs: started, rebuilt at their end (at
     a state whose W is 0 mod p**J among them: wide), cut off by the end of
-    the expansion, and ended before any step."""
+    the expansion, and ended before any step.
+
+    A block is a mode of _chain's kernel loop, so no call marks it: the
+    spy wraps each chain and reads its locals after every resume. Each
+    block computes its own M = p**N, so a new M object means a block
+    started, at most one per resume (a block's first step is followed by a
+    yield); if base, which holds the block's first state while it runs, is
+    None again and P1 still 0, it ended before any step. _rebuild, wrapped
+    too, ends a block that took a step; a rebuild for a send(True), with
+    the chain's ask local set, is not counted."""
     counts = {"started": 0, "rebuilt": 0, "wide": 0, "cut": 0, "no step": 0}
-    real = engine_module._block
+    real_chain, real_rebuild = engine_module._chain, engine_module._rebuild
 
-    def spy(*args):
-        counts["started"] += 1
-        try:
-            end = yield from real(*args)
-        except GeneratorExit:
-            counts["cut"] += 1
-            raise
-        counts["rebuilt" if end else "no step"] += 1
-        counts["wide"] += bool(end and end[-1])
-        return end
+    def rebuild(*args):
+        loc = sys._getframe(1).f_locals
+        if not loc["ask"]:
+            counts["rebuilt"] += 1
+            counts["wide"] += not loc["rho"]
+        return real_rebuild(*args)
 
-    monkeypatch.setattr(engine_module, "_block", spy)
+    def chain(alpha, flavor, budget=0):
+        gen = real_chain(alpha, flavor, budget)
+        out, M = next(gen), None
+        while True:
+            try:
+                sent = yield out
+            except GeneratorExit:
+                counts["cut"] += gen.gi_frame.f_locals.get("base") is not None
+                gen.close()
+                raise
+            out = gen.send(sent)
+            loc = gen.gi_frame.f_locals
+            if loc.get("M", M) is not M:
+                M = loc["M"]
+                counts["started"] += 1
+                counts["no step"] += loc["base"] is None and not loc["P1"]
+
+    monkeypatch.setattr(engine_module, "_chain", chain)
+    monkeypatch.setattr(engine_module, "_rebuild", rebuild)
     return counts
 
 
@@ -1326,8 +1349,8 @@ def test_block_collisions_never_make_a_period(monkeypatch):
         rebuilds[0] += 1
         return real_rebuild(*args)
 
-    counts = _block_spy(monkeypatch)
     monkeypatch.setattr(engine_module, "_rebuild", counting_rebuild)
+    counts = _block_spy(monkeypatch)
     monkeypatch.setattr(engine_module, "hash", lambda key: 0 if real_hash(key) % 100 == 0
                         else real_hash(key), raising=False)
     got = [expand(alpha, flavor, max_steps=n).to_json() for alpha, flavor, n in cases]
@@ -1350,7 +1373,7 @@ def test_block_rebuild_rejects_a_corrupted_residue_under_python_O():
     # every step's own checks pass, and the rebuild's division finds it
     setup = (
         "import inspect\n"
-        "source = inspect.getsource(engine._block)\n"
+        "source = inspect.getsource(engine._chain)\n"
         "exec(source.replace('Z % M', '(Z + pJ) % M', 1), vars(engine))\n"
     )
     for call in ("engine.expand(QuadIrr(5, 89, 8, 1, 1, 3), max_steps=2000)",

@@ -88,12 +88,13 @@ def test_library_writes_no_instance_dict():
 
 # functions with exactly one library caller: expand, walk(),
 # state_at and the replay share one stepping chain, engine._chain, which
-# alone runs the dividing step, the kernel (its rare routes in
-# _wide_step) and the residue blocks; delta is lifted only where the
-# dividing step needs it. A second caller would be a second chain.
+# alone runs the dividing step and the kernel, whose rare routes are in
+# _wide_step and whose residue blocks end in one _rebuild; delta is lifted
+# only where the dividing step needs it. A second caller would be a
+# second chain.
 _SINGLE_CALLERS = {
     "_wide_step": "engine.py:_chain",
-    "_block": "engine.py:_chain",
+    "_rebuild": "engine.py:_chain",
     "_dividing_step": "engine.py:_chain",
     "hensel_digits": "engine.py:_dividing_step",
 }
