@@ -162,6 +162,8 @@ def is_nice(cf, dlog_budget: int | None = None) -> NiceCertificate:
             if A1sq == 1 or qc % A1sq == 1 % A1sq:
                 q, omega0, cond_c = qc, 0, True
                 break
+            if not A1sq % p:  # no p**omega, omega >= 1, is a unit mod A1sq
+                continue
             try:
                 w = discrete_log(p, qc % A1sq, A1sq, **cap)
             except DlogBudgetExceeded:
@@ -260,11 +262,11 @@ def construct(cert: NiceCertificate, h: int = 0,
     The target 1/(p**k0 sqrt(m)) is built without QuadIrr's checks, which
     this function has proved, so the square test of m (a residue sieve,
     then isqrt) runs at most once per member. The re-expansion's middle
-    digit has k_t ~ omega; its strip is linear in the size of m
-    (engine._wide_step, core.split_p_power) and takes its p**e from the
-    returned member's p**omega by one exact division by a small power of
-    p (core._HELD_POWER, set for this call only), so a call raises p to a
-    big power at most twice: p**omega of its first member, and p**s.
+    step strips p**(k_t + k_{t-1}), k_t ~ omega, in time linear in the size
+    of m (engine._wide_step, core.split_p_power); that power is eq. (12)'s
+    jump of the returned member, lent for this call only
+    (core._HELD_POWER), so a call raises p to a big power at most twice:
+    p**omega of its first member, and p**s.
     """
     if cert.cond_c is None:
         raise ValueError("niceness is indeterminate (discrete-log budget): cannot construct")
@@ -342,8 +344,9 @@ def construct(cert: NiceCertificate, h: int = 0,
     # QuadIrr's checks hold: m is prime to p and not a square (the loop
     # checked both), c = m divides Delta - b**2 = m, r**2 = m mod p
     targets = (_quad(p, m, 0, m, k0, br) for br in (r, p - r))
-    # the re-expansion's strip of k_t ~ omega takes its power from pw
-    token = _HELD_POWER.set((p, omega, pw))
+    # the re-expansion strips exactly p**(k_t + k_{t-1}) off the W (for
+    # t = 1, the dividing step's Y) of its middle step: lend it jump
+    token = _HELD_POWER.set((p, kt + kt1, jump))
     try:
         hit = first_reexpansion(targets, preperiod, period, BROWKIN)
     finally:

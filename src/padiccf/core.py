@@ -58,41 +58,53 @@ def _check_odd_prime(p: int) -> int:
 
 
 def split_p(n: int, p: int):
-    """(e, u) with n == p**e * u and u not divisible by p, for n != 0, p >= 2.
-
-    Divides by p, p**2, p**4, ... while the division is exact, then walks
-    back down the same powers, so e factors cost O(log e) big divisions
-    instead of e of them. Those divisions cost O(bits(n) * bits(p**e)),
-    quadratic when p**e is most of n, so an n of _TOP_BITS bits or more
-    goes to _split_big, which settles e below J with one remainder by the
-    one-digit power p**J and one division, and a huge e next to a u of
-    under 64 bits in time linear in the size of n.
-    """
+    """(e, u) with n == p**e * u and u not divisible by p, for n != 0, p >= 2:
+    split_p_power without the power."""
     if n % p:  # the common case, kept to one cheap test
         return 0, n
     if n == 0 or p < 2:
         raise ValueError(f"split_p needs n != 0 and p >= 2, got n={n}, p={p}")
-    if n.bit_length() < _TOP_BITS:
-        return _split_p(n, p)
-    return _split_big(n, p)[:2]
+    return split_p_power(n, p)[:2]
 
 
 def split_p_power(n: int, p: int):
-    """(e, u, p**e) with (e, u) = split_p(n, p), for n != 0 and p >= 2
-    (unchecked).
+    """(e, u, p**e) with n == p**e * u and u not divisible by p, for n != 0
+    and p >= 2 (unchecked): the one p-power strip.
 
-    _split_big holds p**e when it is a one-digit power, and _strip_top
-    builds it to prove its answer; that power comes back here, so a caller
-    that needs it does not build it a second time.
+    One remainder rho = n mod p**J (_digit_powers) settles every e < J at
+    any size: e = v_p(rho), read off the small rho, and one exact division
+    by the one-digit p**e gives u (none for e = 0). For rho = 0, an n of
+    _TOP_BITS bits or more goes to _strip_top, which strips a huge e next to
+    a cofactor below 2**64 in time linear in the size of n and hands back
+    the p**e that proved it. Otherwise, or on its miss, the doubling
+    _split_p runs on n/p**J and p**e is built. A miss is rare where big
+    numbers with p**J | n come from (a construction's middle step, a huge
+    p-power next to a small cofactor), and its scan costs 9-20 us; a guard
+    such as p**63 | n would cost more, 24-160 us between 9,000 and 50,000
+    bits for p > 2**15.
     """
-    if n.bit_length() < _TOP_BITS:
-        e, u = _split_p(n, p)
-        return e, u, p**e
-    e, u, pe = _split_big(n, p)
-    return e, u, p**e if pe is None else pe
+    pows = _digit_powers(p)
+    rho = n % pows[-1]
+    if rho:
+        e = 0
+        while not rho % p:
+            rho //= p
+            e += 1
+        if e:
+            n, r = divmod(n, pows[e])
+            if r:
+                raise InvariantError("p**v_p(n mod p**J) must divide n")
+        return e, n, pows[e]
+    if n.bit_length() >= _TOP_BITS and (hit := _strip_top(n, p)):
+        return hit
+    e, u = _split_p(n // pows[-1], p)
+    e += len(pows) - 1
+    return e, u, p**e
 
 
 def _split_p(n: int, p: int):
+    """Divides by p, p**2, p**4, ... while the division is exact, then walks
+    back down the same powers, so e factors cost O(log e) big divisions."""
     q, r = divmod(n, p)
     if r:
         return 0, n
@@ -113,43 +125,12 @@ def _digit_powers(p: int) -> tuple:
     return tuple(pows)
 
 
-# split_p hands numbers of at least this many bits to _split_big: the top
-# strip beats the doubling from ~2k bits (p = 3, 5, 7, with a 7-bit u), and
-# a miss adds a fixed ~20 us that the doubling of a bigger number hides
+# split_p_power tries the top strip on numbers of at least this many bits:
+# it beats the doubling from ~2k bits (p = 3, 5, 7, with a 7-bit u), and a
+# miss adds a fixed ~20 us that the doubling of a bigger number hides
 _TOP_BITS = 8192
 _TOP_U_BITS = 64  # the cofactor bound |u| < 2**64 that the top strip covers
 _TOP_K = 16384  # the bit length of p**_TOP_K gives log2(p) to about 1/_TOP_K
-
-
-def _split_big(n: int, p: int):
-    """(e, u, p**e or None) with (e, u) = split_p(n, p), for n != 0.
-
-    One remainder rho = n mod p**J (_digit_powers) decides the route. For
-    rho != 0, e = v_p(rho) < J, read off the small rho, and one exact
-    division by the one-digit p**e gives u (none for e = 0). For rho = 0,
-    _strip_top gets n; only when it misses (a cofactor of 64 bits or more
-    next to p**J) does the doubling _split_p run, on n/p**J, and no power
-    comes back. A miss
-    is rare where big numbers come from (the kernel strips here only when
-    p**J divides), and its scan costs 9-20 us; a guard such as p**63 | n
-    would cost more, 24-160 us between 9,000 and 50,000 bits for p > 2**15.
-    """
-    pows = _digit_powers(p)
-    rho = n % pows[-1]
-    if rho:
-        e = 0
-        while not rho % p:
-            rho //= p
-            e += 1
-        if e:
-            n, r = divmod(n, pows[e])
-            _invariant(not r, "p**v_p(n mod p**J) must divide n")
-        return e, n, pows[e]
-    hit = _strip_top(n, p)
-    if hit:
-        return hit
-    e, u = _split_p(n // pows[-1], p)
-    return e + len(pows) - 1, u, None
 
 
 @lru_cache(maxsize=None)
@@ -159,23 +140,18 @@ def _top_constants(p: int):
     return (p**_TOP_K).bit_length(), pow(p, -1, 1 << (_TOP_U_BITS + 64))
 
 
-# (p, w, p**w) while construct re-expands the m it built from p**w; set and
-# reset around that one call, so nothing outlives it
+# (p, e, p**e) while construct re-expands the m it built, whose middle step
+# strips exactly that power; set and reset around that one call, so nothing
+# outlives it
 _HELD_POWER = ContextVar("_HELD_POWER", default=None)
-# the held p**w stands in for p**e when e <= w <= e + _HELD_SPAN: at
-# w = 31,861 (p = 3) p**(w - 23) took ~0.5 ms to build, and p**w divided
-# by p**23 ~0.04 ms, by p**200 ~0.07 ms
-_HELD_SPAN = 256
 
 
 def _power(p: int, e: int) -> int:
-    """p**e: the exact quotient of a held p**w by p**(w - e) when
-    _HELD_POWER covers e, a division linear in the size of p**e; else built."""
+    """p**e: the number _HELD_POWER lends when it is lent for this very p
+    and e, else built. _strip_top's product check proves whatever it gets."""
     held = _HELD_POWER.get()
-    if held is not None and held[0] == p and 0 <= held[1] - e <= _HELD_SPAN:
-        pe, r = divmod(held[2], p ** (held[1] - e))
-        _invariant(not r, "a held power of p must be divisible by the smaller ones")
-        return pe
+    if held is not None and held[0] == p and held[1] == e:
+        return held[2]
     return p**e
 
 
@@ -196,8 +172,8 @@ def _strip_top(n: int, p: int):
     answer is exact whatever the scan order; a false small residue (chance
     about 2**-63 per e) costs one power. A miss costs the scan alone, a
     few dozen steps on W-bit numbers; a hit adds one power of p (_power,
-    which derives it from construct's p**omega when that is held) and one
-    product with u, both subquadratic.
+    which takes the one construct lends when that is p**e) and one product
+    with u, both subquadratic.
     """
     if not p & 1:
         return None
@@ -337,7 +313,18 @@ def mod_inverse(a: int, m: int) -> int:
 
 # -- prime tests, factoring, orders and discrete logs --------------------------
 
-_SMALL_PRIMES = tuple(q for q in range(2, 1000) if all(q % r for r in range(2, isqrt(q) + 1)))
+
+def _primes_below(bound: int) -> tuple:
+    """The primes below bound, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * bound
+    for i in range(2, isqrt(bound - 1) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, bound, i)))
+    return tuple(i for i in range(2, bound) if sieve[i])
+
+
+_PRIMES = _primes_below(10_000)  # trial division and content reduction
+_SMALL_PRIMES = tuple(q for q in _PRIMES if q < 1000)
 # Miller-Rabin to the prime bases up to 41 decides primality below this bound
 # (Sorenson and Webster, 2017); above it isprime runs Baillie-PSW.
 _MR_BASES = _SMALL_PRIMES[:13]

@@ -25,8 +25,9 @@ W by p**J, and c' from one exact division by a one-digit power of p. A
 step with k >= J, as after the middle digit of a construction's
 re-expansion (k ~ omega), divides b - b' exactly by p**k first, a division
 with a small quotient, and a W that p**J divides goes to
-core.split_p_power, which hands back the p**k' it used; both are
-_wide_step's, and every step stays linear in the state size.
+core.split_p_power whole, which hands back the p**(k + k') it used, so
+p**k' is one division by the one-digit p**k; both are _wide_step's, and
+every step stays linear in the state size.
 
 That update is the kernel of one generator, _chain, on plain ints: it
 carries p**k, Z and c's residue from step to step, reads c**-1 mod p**(k+1)
@@ -87,6 +88,7 @@ from .core import (
     INF,
     InvariantError,
     LaurentInt,
+    _PRIMES,
     _check_odd_prime,
     _digit_powers,
     _invariant,
@@ -330,9 +332,8 @@ def normalize(p: int, Delta: int, b: int, c: int, k: int, branch: int) -> QuadIr
     # c | D0-b**2 invariant survives; factoring huge cofactors is never worth
     # it here. One gcd with the product of those primes picks the q to try.
     g = gcd(b, c)
-    primes, primorial = _content_primes()
-    h = gcd(g, primorial)
-    for q in primes:
+    h = gcd(g, _primorial())
+    for q in _PRIMES:
         if q > h:
             break
         if h % q or q == p or D0 % q:
@@ -351,14 +352,9 @@ def normalize(p: int, Delta: int, b: int, c: int, k: int, branch: int) -> QuadIr
 
 
 @lru_cache(maxsize=None)
-def _content_primes():
-    """The primes below 10,000 and their product, sieved on first use."""
-    sieve = bytearray([1]) * 10_000
-    for i in range(2, 100):
-        if sieve[i]:
-            sieve[i * i :: i] = bytes(len(range(i * i, 10_000, i)))
-    primes = tuple(i for i in range(2, 10_000) if sieve[i])
-    return primes, prod(primes)
+def _primorial():
+    """The product of the primes below 10,000 (core._PRIMES), on first use."""
+    return prod(_PRIMES)
 
 
 def _from_uvw(p: int, u: int, v: int, w: int, Delta: int, branch: int) -> QuadIrr:
@@ -454,17 +450,18 @@ def _dividing_step(p, Delta, branch, b, c, k, flavor):
 # -- the stepper -----------------------------------------------------------
 
 
-def _wide_step(p, b, c, k, pk, Z, r, W, pows, flavor):
-    """The kernel's two rare routes (see _chain), on its state, Z and pows
-    = (1, p, ..., p**J). Returns (r, b', c', k', p**k').
+def _wide_step(p, b, c, k, pk, Z, r, W, flavor):
+    """The kernel's two rare routes (see _chain), on its state and Z.
+    Returns (r, b', c', k', p**k').
 
     With r None, k >= J: r is the window residue of 2 b/c, a p-unit, and
     W/p**k = Z + r (b - b')/p**k after one exact division, since p**k Z
     would be a product the size of the state (k ~ omega after a
-    construction's middle digit). Otherwise the residue route found r and
-    W, which p**J divides, so k' = J + v_p(W/p**J) - k >= 1. split_p_power
-    strips either quotient and hands back the p**k' it built, in time
-    linear in its size past 8,192 bits (core._split_big).
+    construction's middle digit); its valuation is k'. Otherwise the
+    residue route found r and W, which p**J divides, so v_p(W) = k + k' with
+    k' >= J - k >= 1. split_p_power strips either number and hands back
+    the p**e it used, so p**k' = p**e/p**k costs one division by a one-digit
+    power.
     """
     if r is None:
         r = _window_residue(2 * b, c, pk, p, flavor)
@@ -473,15 +470,13 @@ def _wide_step(p, b, c, k, pk, Z, r, W, pows, flavor):
             raise InvariantError("p**k must divide b - b'")
         if not r % p:
             raise InvariantError("digit numerator must be a p-unit")
-        W, shift = Z + r * q, 0
-    else:
-        W, shift = W // pows[-1], len(pows) - 1 - k
+        W, k, pk = Z + r * q, 0, 1  # W/p**k, stripped as a W with k = 0
     if not W:
         raise InvariantError("rational leak: Delta = b'**2")
     e, c1, pe = split_p_power(W, p)
-    if e + shift < 1:
+    if e - k < 1:
         raise InvariantError("next complete quotient must have negative valuation")
-    return r, r * c - b, c1, e + shift, pe * pows[shift]
+    return r, r * c - b, c1, e - k, pe // pk
 
 
 def _unit_digit(p: int, r: int, k: int) -> LaurentInt:
@@ -770,7 +765,7 @@ def _chain(alpha: QuadIrr, flavor: str, budget: int = 0):
             pk1, c1 = pows[k1], W // pows[v]
             cres = u if pows[J - v] > pk1 else None
         else:
-            r, b1, c1, k1, pk1 = _wide_step(p, b, c, k, pk, Z, r, W, pows, flavor)
+            r, b1, c1, k1, pk1 = _wide_step(p, b, c, k, pk, Z, r, W, flavor)
             cres, wide = None, False
         digit, b, c, Z = (r, k), b1, c1, pk * c
         if n <= k1 < J:

@@ -209,6 +209,9 @@ def test_construct_niceness_violation_exits_3():
          "condition (c) violated: no admissible q in the p-coset"),
         (("--p", "3", "--cf", "1/3, 2000/2187", "--dlog-budget", "1"),
          "condition (c) indeterminate: discrete-log budget exceeded before any q decided"),
+        # a leading 0 puts p into Atilde_7, so (c) takes no log to base p
+        (("--p", "3", "--cf", "0, -7/9, -10/9, 10/9, -14/27, -38/27, -4/3, 10/9"),
+         "condition (a) violated: |a_0|_p = 3^0, a_0 = 0"),
     )
     for args, message in cases:
         res = run("construct", *args)

@@ -24,7 +24,9 @@ from padiccf import (
     nice_search,
     periodic_limit,
 )
+from padiccf import core
 from padiccf.core import LaurentInt, divisors, split_p, split_p_power
+from padiccf.corpus import random_digits
 from padiccf.engine import PERIODIC, QuadIrr, parse_quotient_list
 
 from oracles import step_brute
@@ -95,6 +97,23 @@ def test_is_nice_rejects_a_dlog_budget_below_one():
     for budget in (0, -3):
         with pytest.raises(ValueError, match=f"dlog_budget must be >= 1, got {budget}"):
             is_nice(SEED_6_5, budget)
+
+
+def test_is_nice_on_a_leading_zero_fails_a_without_a_log():
+    # only a leading digit 0 puts p into Atilde_{t-1}; then no p**omega with
+    # omega >= 1 is q mod Atilde**2 for a q prime to Atilde, so condition (c)
+    # tries omega = 0 alone instead of a log to a base that is no unit
+    rng, zeros = random.Random(31), 0
+    for p in (3, 5):
+        for length in (8, 16):
+            for _ in range(16):
+                cf = random_digits(rng, p, length)
+                cert = is_nice(cf, dlog_budget=1 << 10)
+                if cf[0].tilde == 0:
+                    zeros += 1
+                    assert cert.Atilde_last % p == 0
+                    assert not cert.nice and cert.failure == "a", cf
+    assert zeros >= 5
 
 
 def _slice_candidates():
@@ -313,16 +332,28 @@ def test_construct_carries_p_omega_from_member_to_member():
 
 
 def test_construct_holds_its_power_for_the_reexpansion_only(monkeypatch):
+    # construct lends eq. (12)'s jump p**(k_t + k_{t-1}), the very power
+    # the re-expansion's middle step strips, and the strip takes that
+    # number itself instead of building p**e
     held_power = construct_module._HELD_POWER
     seen, real = [], construct_module.first_reexpansion
+    took, real_power = [], core._power
 
     def spy(*args):
         seen.append(held_power.get())
         return real(*args)
 
+    def power(p, e):
+        out = real_power(p, e)
+        took.append((e, out is held_power.get()[2]))
+        return out
+
     monkeypatch.setattr(construct_module, "first_reexpansion", spy)
+    monkeypatch.setattr(core, "_power", power)
     res = construct(is_nice(SEED_353), 0)
-    assert seen == [(3, 31861, 3**31861)] and res.verified
+    assert seen == [(3, 31856, 3**31856)] and res.verified
+    assert res.kt + res.period[0].e == 31856
+    assert took == [(31856, True)]
     assert held_power.get() is None
 
     def broken(*args):

@@ -81,10 +81,20 @@ def test_split_p_matches_the_naive_loop():
             u = rng.randrange(p**40) * p + rng.randrange(1, p)  # p does not divide u
             for n in (p**e * u, -(p**e) * u, p**e):
                 assert split_p(n, p) == _strip_one_at_a_time(n, p) == (e, n // p**e), (p, e)
-    # past 8,192 bits split_p runs _split_big: one remainder by p**J reads
-    # an e below J, and from J on the top strip gets n, which misses on a
-    # cofactor of 64 bits or more and falls back to the doubling
-    # (a cofactor below 2**64 needs p**e of 8,128 bits or more: e_top)
+    # at any size one remainder by p**J reads an e below J; from J on the
+    # doubling runs on n/p**J, from 8,192 bits after the top strip, which
+    # misses on a cofactor of 64 bits or more (a cofactor below 2**64
+    # needs p**e of 8,128 bits or more: e_top)
+    for p in (2, 3, 5, 7, 211, 32771, 65537):
+        J = len(core._digit_powers(p)) - 1
+        for e in sorted({1, J - 1, J, J + 1, 2 * J}):
+            pe = p**e
+            for bits in (1, 2, 30, 64, 65, 500, 8000):
+                u = _unit(rng, p, bits)
+                for n in (pe * u, -pe * u):
+                    assert n.bit_length() < 8192
+                    assert split_p(n, p) == _strip_one_at_a_time(n, p) == (e, n // pe), (p, e, bits)
+                    assert split_p_power(n, p) == (e, n // pe, pe), (p, e, bits)
     for p in (3, 5, 7, 211, 353, 32771):
         J = len(core._digit_powers(p)) - 1
         e_top = 8200 * 16384 // (p**16384).bit_length() + 1
@@ -121,9 +131,9 @@ def test_split_p_matches_the_naive_loop():
 
 
 def test_split_p_strips_a_big_n_in_one_pass(monkeypatch):
-    # past 8,192 bits an e below J costs one remainder by p**J and one
-    # exact division by p**e: the doubling's p, p**2, p**4, ... never run,
-    # and the top strip's hit divides by nothing
+    # an e below J costs one remainder by p**J and one exact division by
+    # p**e, here past 8,192 bits: the doubling's p, p**2, p**4, ... never
+    # run, and the top strip's hit divides by nothing
     divisors = []
 
     def recording_divmod(a, b):

@@ -364,15 +364,15 @@ def test_residue_route_rejects_c_divisible_by_p_under_python_O():
 
 
 def test_top_strip_rejects_a_corrupt_held_power_under_python_O():
-    # the strip of a huge p-power divides construct's held p**omega by a
-    # small power of p; a held number that is no power of p must not pass
+    # the top strip takes the number construct lends as p**e when it is
+    # lent for that e; its product check must reject one that is no power
+    # of p, so the strip falls back to the doubling and the answer stands
     setup = (
         "from padiccf.core import _HELD_POWER, split_p\n"
-        "_HELD_POWER.set((3, 31861, 3**31861 + 1))\n"
+        "_HELD_POWER.set((3, 31838, 3**31838 + 1))\n"
     )
-    proc = _step_under_python_O(setup, "split_p(3**31838 * 7, 3)")
-    want = "1 InvariantError a held power of p must be divisible by the smaller ones"
-    assert proc.stdout.strip() == want, proc.stderr
+    proc = _step_under_python_O(setup, "print(split_p(3**31838 * 7, 3))")
+    assert proc.stdout.split() == ["(31838,", "7)", "1", "accepted"], proc.stderr
 
 
 def test_is_square_matches_isqrt():

@@ -91,12 +91,15 @@ def test_library_writes_no_instance_dict():
 # alone runs the dividing step and the kernel, whose rare routes are in
 # _wide_step and whose residue blocks end in one _rebuild; delta is lifted
 # only where the dividing step needs it. A second caller would be a
-# second chain.
+# second chain. Likewise the strip of a huge p-power has one entry point,
+# split_p_power, and construct's lent power one reader, the top strip.
 _SINGLE_CALLERS = {
     "_wide_step": "engine.py:_chain",
     "_rebuild": "engine.py:_chain",
     "_dividing_step": "engine.py:_chain",
     "hensel_digits": "engine.py:_dividing_step",
+    "_strip_top": "core.py:split_p_power",
+    "_power": "core.py:_strip_top",
 }
 
 
