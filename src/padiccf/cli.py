@@ -385,11 +385,18 @@ def cmd_verify_paper(only, beta_n, cases, seed, list_only, as_json, out_file):
 
 
 def _read_cursor(path: str) -> dict:
+    """The cursor a previous run left, {} if there is none. One that is not
+    a JSON object with an integer next_index exits 1."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            cursor = json.load(fh)
     except FileNotFoundError:
         return {}
+    except ValueError:  # not JSON, or not UTF-8
+        cursor = None
+    if not isinstance(cursor, dict) or type(cursor.get("next_index", 0)) is not int:
+        _fail(f"{path} is not a search cursor; remove it, then resume")
+    return cursor
 
 
 def _write_cursor(path: str, next_index: int, total: int, exhausted: bool):
@@ -486,7 +493,7 @@ def cmd_search(p, t, pool_kind, num_bound, exp_bound, limit, dlog_budget,
         if cursor.get("exhausted"):
             click.echo("search space already exhausted; nothing to resume")
             return
-        start_index = int(cursor.get("next_index", 0))
+        start_index = cursor.get("next_index", 0)
         if not 0 <= start_index <= total:
             _fail(f"cursor next_index {start_index} lies outside 0..{total}")
     inputs = {

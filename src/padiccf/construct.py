@@ -262,11 +262,12 @@ def construct(cert: NiceCertificate, h: int = 0,
     The target 1/(p**k0 sqrt(m)) is built without QuadIrr's checks, which
     this function has proved, so the square test of m (a residue sieve,
     then isqrt) runs at most once per member. The re-expansion's middle
-    step strips p**(k_t + k_{t-1}), k_t ~ omega, in time linear in the size
-    of m (engine._wide_step, core.split_p_power); that power is eq. (12)'s
-    jump of the returned member, lent for this call only
-    (core._HELD_POWER), so a call raises p to a big power at most twice:
-    p**omega of its first member, and p**s.
+    step strips p**(k_t + k_{t-1}), k_t ~ omega (engine._wide_step,
+    core.split_p_power). That power is eq. (12)'s jump of the returned
+    member, lent for this call only (core._HELD_POWER), so the strip is one
+    division by it instead of a doubling that builds p**e, and a call
+    raises p to a big power at most twice: p**omega of its first member,
+    and p**s.
     """
     if cert.cond_c is None:
         raise ValueError("niceness is indeterminate (discrete-log budget): cannot construct")

@@ -57,6 +57,12 @@ def _check_odd_prime(p: int) -> int:
     return p
 
 
+# (p, e, p**e) while construct re-expands the m it built, whose middle step
+# strips exactly that power; set and reset around that one call, so nothing
+# outlives it. Only split_p_power reads it, and it checks what it takes
+_HELD_POWER = ContextVar("_HELD_POWER", default=None)
+
+
 def split_p(n: int, p: int):
     """(e, u) with n == p**e * u and u not divisible by p, for n != 0, p >= 2:
     split_p_power without the power."""
@@ -73,15 +79,12 @@ def split_p_power(n: int, p: int):
 
     One remainder rho = n mod p**J (_digit_powers) settles every e < J at
     any size: e = v_p(rho), read off the small rho, and one exact division
-    by the one-digit p**e gives u (none for e = 0). For rho = 0, an n of
-    _TOP_BITS bits or more goes to _strip_top, which strips a huge e next to
-    a cofactor below 2**64 in time linear in the size of n and hands back
-    the p**e that proved it. Otherwise, or on its miss, the doubling
-    _split_p runs on n/p**J and p**e is built. A miss is rare where big
-    numbers with p**J | n come from (a construction's middle step, a huge
-    p-power next to a small cofactor), and its scan costs 9-20 us; a guard
-    such as p**63 | n would cost more, 24-160 us between 9,000 and 50,000
-    bits for p > 2**15.
+    by the one-digit p**e gives u (none for e = 0). For rho = 0, a power
+    (p, e, p**e) that construct lends for this p (_HELD_POWER) costs one
+    division: it is taken when it divides n with a quotient free of p and
+    agrees with p**e mod 2**128, a cheap check that turns away a corrupt
+    lent number. Otherwise, the doubling _split_p runs on n/p**J and p**e
+    is built.
     """
     pows = _digit_powers(p)
     rho = n % pows[-1]
@@ -95,8 +98,12 @@ def split_p_power(n: int, p: int):
             if r:
                 raise InvariantError("p**v_p(n mod p**J) must divide n")
         return e, n, pows[e]
-    if n.bit_length() >= _TOP_BITS and (hit := _strip_top(n, p)):
-        return hit
+    held = _HELD_POWER.get()
+    if held is not None and held[0] == p:
+        _, e, pe = held
+        u, r = divmod(n, pe)
+        if not r and u % p and pe % (1 << 128) == pow(p, e, 1 << 128):
+            return e, u, pe
     e, u = _split_p(n // pows[-1], p)
     e += len(pows) - 1
     return e, u, p**e
@@ -123,73 +130,6 @@ def _digit_powers(p: int) -> tuple:
     while pows[-1] * p < 1 << 30:
         pows.append(pows[-1] * p)
     return tuple(pows)
-
-
-# split_p_power tries the top strip on numbers of at least this many bits:
-# it beats the doubling from ~2k bits (p = 3, 5, 7, with a 7-bit u), and a
-# miss adds a fixed ~20 us that the doubling of a bigger number hides
-_TOP_BITS = 8192
-_TOP_U_BITS = 64  # the cofactor bound |u| < 2**64 that the top strip covers
-_TOP_K = 16384  # the bit length of p**_TOP_K gives log2(p) to about 1/_TOP_K
-
-
-@lru_cache(maxsize=None)
-def _top_constants(p: int):
-    """The bit length of p**_TOP_K and the inverse of p mod 2**(S + 64),
-    S = _TOP_U_BITS, built once per odd p."""
-    return (p**_TOP_K).bit_length(), pow(p, -1, 1 << (_TOP_U_BITS + 64))
-
-
-# (p, e, p**e) while construct re-expands the m it built, whose middle step
-# strips exactly that power; set and reset around that one call, so nothing
-# outlives it
-_HELD_POWER = ContextVar("_HELD_POWER", default=None)
-
-
-def _power(p: int, e: int) -> int:
-    """p**e: the number _HELD_POWER lends when it is lent for this very p
-    and e, else built. _strip_top's product check proves whatever it gets."""
-    held = _HELD_POWER.get()
-    if held is not None and held[0] == p and held[1] == e:
-        return held[2]
-    return p**e
-
-
-def _strip_top(n: int, p: int):
-    """(e, u, p**e) with n == p**e * u and p not dividing u, when p is odd
-    and |u| < 2**_TOP_U_BITS; None otherwise.
-
-    With b the bit length of n and S = _TOP_U_BITS, 2**(b-1) <= |n| =
-    p**e |u| < 2**b and 1 <= |u| < 2**S put e log2(p) in (b - 1 - S, b).
-    L = bit length of p**K satisfies L - 1 <= K log2(p) < L, so e lies in
-    [lo, hi] = [(b - 1 - S) K // L, b K // (L - 1)], a window of about
-    (S + 1)/log2(p) + b/(K log2(p)**2) values (65 for p = 3 at a million
-    bits). p is odd, so it is a unit mod 2**W, W = S + 64, and for that e
-    the residue of n * p**-e mod 2**W, centred, is u itself. The scan walks
-    e down from hi on W-bit residues and returns the first e whose residue
-    x has |x| < 2**S, p not dividing x and p**e * x == n. That product
-    proves n == p**e * x with p not dividing x, which fixes e and u, so the
-    answer is exact whatever the scan order; a false small residue (chance
-    about 2**-63 per e) costs one power. A miss costs the scan alone, a
-    few dozen steps on W-bit numbers; a hit adds one power of p (_power,
-    which takes the one construct lends when that is p**e) and one product
-    with u, both subquadratic.
-    """
-    if not p & 1:
-        return None
-    b, S = n.bit_length(), _TOP_U_BITS
-    L, inv = _top_constants(p)
-    hi, lo = b * _TOP_K // (L - 1), max((b - 1 - S) * _TOP_K // L, 0)
-    W = S + 64
-    mask, small, neg = (1 << W) - 1, 1 << S, (1 << W) - (1 << S)
-    x = (n & mask) * pow(inv, hi, 1 << W) & mask
-    for e in range(hi, lo - 1, -1):
-        if x < small or x >= neg:  # x centred lies in [-2**S, 2**S)
-            u = x if x < small else x - (1 << W)
-            if u % p and (pe := _power(p, e)) * u == n:
-                return e, u, pe
-        x = x * p & mask
-    return None
 
 
 def to_decimal(n: int) -> str:

@@ -449,6 +449,16 @@ def test_search_resume_rejects_corrupt_cursor(tmp_path):
     assert res.exit_code == 1
     assert "lies outside 0..16" in res.stderr
     assert not out.exists()
+    # an unreadable cursor (empty, a next_index that is no integer, no JSON
+    # object) is named in an error line, not a traceback
+    for text in ("", '{"next_index": "x"}', "[1]"):
+        cursor.write_text(text, encoding="utf-8")
+        res = run("search", "--p", "5", "--t", "1", "--num-bound", "10",
+                  "--resume", "--out", str(out))
+        assert res.exit_code == 1, text
+        assert f"error: {cursor} is not a search cursor" in res.stderr, text
+        assert "Traceback" not in res.stderr + res.stdout, text
+        assert not out.exists()
 
 
 def test_search_resume_requires_out():

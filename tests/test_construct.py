@@ -333,27 +333,30 @@ def test_construct_carries_p_omega_from_member_to_member():
 
 def test_construct_holds_its_power_for_the_reexpansion_only(monkeypatch):
     # construct lends eq. (12)'s jump p**(k_t + k_{t-1}), the very power
-    # the re-expansion's middle step strips, and the strip takes that
-    # number itself instead of building p**e
+    # the re-expansion's middle step strips, and exactly one strip hands
+    # back that number itself instead of building p**e
     held_power = construct_module._HELD_POWER
     seen, real = [], construct_module.first_reexpansion
-    took, real_power = [], core._power
+    took, real_split = [], core.split_p_power
 
     def spy(*args):
         seen.append(held_power.get())
         return real(*args)
 
-    def power(p, e):
-        out = real_power(p, e)
-        took.append((e, out is held_power.get()[2]))
+    def split(n, p):
+        out = real_split(n, p)
+        held = held_power.get()
+        if held is not None and out[2] is held[2]:
+            took.append(out[0])
         return out
 
     monkeypatch.setattr(construct_module, "first_reexpansion", spy)
-    monkeypatch.setattr(core, "_power", power)
+    monkeypatch.setattr(core, "split_p_power", split)
+    monkeypatch.setattr(engine_module, "split_p_power", split)
     res = construct(is_nice(SEED_353), 0)
     assert seen == [(3, 31856, 3**31856)] and res.verified
     assert res.kt + res.period[0].e == 31856
-    assert took == [(31856, True)]
+    assert took == [31856]
     assert held_power.get() is None
 
     def broken(*args):

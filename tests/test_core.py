@@ -82,9 +82,8 @@ def test_split_p_matches_the_naive_loop():
             for n in (p**e * u, -(p**e) * u, p**e):
                 assert split_p(n, p) == _strip_one_at_a_time(n, p) == (e, n // p**e), (p, e)
     # at any size one remainder by p**J reads an e below J; from J on the
-    # doubling runs on n/p**J, from 8,192 bits after the top strip, which
-    # misses on a cofactor of 64 bits or more (a cofactor below 2**64
-    # needs p**e of 8,128 bits or more: e_top)
+    # doubling runs on n/p**J, past 8,192 bits too (e_top puts p**e past
+    # 8,128 bits, next to cofactors below and past 2**64)
     for p in (2, 3, 5, 7, 211, 32771, 65537):
         J = len(core._digit_powers(p)) - 1
         for e in sorted({1, J - 1, J, J + 1, 2 * J}):
@@ -109,9 +108,9 @@ def test_split_p_matches_the_naive_loop():
                     assert split_p_power(n, p) == (e, n // pe, pe), (p, e, bits)
         n = -(p**63) * _unit(rng, p, 9000)
         assert split_p(n, p) == _strip_one_at_a_time(n, p) == (63, n // p**63)
-    # the top strip's regime: a huge e next to a cofactor of 1 bit, below p,
-    # of ~64 bits (its bound) or half the size of n; past e ~ 5,000 the
-    # reference is the (e, u) the input is built from
+    # a construction's regime: a huge e next to a cofactor of 1 bit, below
+    # p, of ~64 bits or half the size of n; past e ~ 5,000 the reference is
+    # the (e, u) the input is built from
     for p, e in ((3, 5001), (3, 12345), (3, 31850), (5, 133805)):
         pe = p**e
         units = [1, 2, p - 1, _unit(rng, p, 63), _unit(rng, p, 64), _unit(rng, p, 70)]
@@ -130,10 +129,22 @@ def test_split_p_matches_the_naive_loop():
         split_p(5, 1)
 
 
+def _split_lent(n, p, held):
+    """split_p_power(n, p) while construct's lent power is held."""
+    token = core._HELD_POWER.set(held)
+    try:
+        return split_p_power(n, p)
+    finally:
+        core._HELD_POWER.reset(token)
+
+
 def test_split_p_strips_a_big_n_in_one_pass(monkeypatch):
     # an e below J costs one remainder by p**J and one exact division by
     # p**e, here past 8,192 bits: the doubling's p, p**2, p**4, ... never
-    # run, and the top strip's hit divides by nothing
+    # run. A power lent for this p and e costs one division, by the lent
+    # number, which comes back as p**e. One lent for another prime is not
+    # tried; one for another e is tried once, is not taken, and the
+    # doubling's answer stands
     divisors = []
 
     def recording_divmod(a, b):
@@ -142,16 +153,23 @@ def test_split_p_strips_a_big_n_in_one_pass(monkeypatch):
 
     monkeypatch.setattr(core, "divmod", recording_divmod, raising=False)
     rng = random.Random(23)
-    for p in (3, 5, 7, 211):
+    for p, other in ((3, 5), (5, 3), (7, 3), (211, 7)):
         J = len(core._digit_powers(p)) - 1
         for e in range(1, J):
             n = p**e * _unit(rng, p, 50000)
             divisors.clear()
             assert split_p(-n, p) == (e, -n // p**e)
             assert divisors == [p**e], (p, e)
+        n, lent = p**20000 * 2, p**20000
         divisors.clear()
-        assert split_p_power(p**20000 * 2, p)[:2] == (20000, 2)
-        assert divisors == []
+        e, u, pe = _split_lent(n, p, (p, 20000, lent))
+        assert (e, u) == (20000, 2) and pe is lent
+        assert len(divisors) == 1 and divisors[0] is lent
+        for q, k, tries in ((other, 20000, 0), (p, 19999, 1), (p, 20001, 1)):
+            held = (q, k, q**k)
+            divisors.clear()
+            assert _split_lent(n, p, held) == (20000, 2, lent), (p, q, k)
+            assert sum(d is held[2] for d in divisors) == tries, (p, q, k)
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no str limit here")

@@ -363,16 +363,20 @@ def test_residue_route_rejects_c_divisible_by_p_under_python_O():
     assert proc.stdout.strip() == "1 InvariantError digit numerator must be a p-unit", proc.stderr
 
 
-def test_top_strip_rejects_a_corrupt_held_power_under_python_O():
-    # the top strip takes the number construct lends as p**e when it is
-    # lent for that e; its product check must reject one that is no power
-    # of p, so the strip falls back to the doubling and the answer stands
-    setup = (
-        "from padiccf.core import _HELD_POWER, split_p\n"
-        "_HELD_POWER.set((3, 31838, 3**31838 + 1))\n"
-    )
-    proc = _step_under_python_O(setup, "print(split_p(3**31838 * 7, 3))")
-    assert proc.stdout.split() == ["(31838,", "7)", "1", "accepted"], proc.stderr
+def test_split_p_rejects_a_corrupt_lent_power_under_python_O():
+    # split_p_power takes the number construct lends for p, with one
+    # division; its checks must reject one that is no power of p, so the
+    # strip falls back to the doubling and the answer stands. 2 * 3**31838
+    # divides n with a quotient free of 3, and only the congruence with
+    # 3**31838 mod 2**128 rejects it: taken, it would give (31838, 7)
+    for lent, n, want in (("3**31838 + 1", "3**31838 * 7", ["(31838,", "7)"]),
+                          ("2 * 3**31838", "3**31838 * 14", ["(31838,", "14)"])):
+        setup = (
+            "from padiccf.core import _HELD_POWER, split_p\n"
+            f"_HELD_POWER.set((3, 31838, {lent}))\n"
+        )
+        proc = _step_under_python_O(setup, f"print(split_p({n}, 3))")
+        assert proc.stdout.split() == want + ["1", "accepted"], proc.stderr
 
 
 def test_is_square_matches_isqrt():

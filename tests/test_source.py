@@ -91,32 +91,50 @@ def test_library_writes_no_instance_dict():
 # alone runs the dividing step and the kernel, whose rare routes are in
 # _wide_step and whose residue blocks end in one _rebuild; delta is lifted
 # only where the dividing step needs it. A second caller would be a
-# second chain. Likewise the strip of a huge p-power has one entry point,
-# split_p_power, and construct's lent power one reader, the top strip.
+# second chain.
 _SINGLE_CALLERS = {
     "_wide_step": "engine.py:_chain",
     "_rebuild": "engine.py:_chain",
     "_dividing_step": "engine.py:_chain",
     "hensel_digits": "engine.py:_dividing_step",
-    "_strip_top": "core.py:split_p_power",
-    "_power": "core.py:_strip_top",
 }
+
+
+def _calls(path):
+    """(call node, name of the innermost function around it) for every call
+    in a library file."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    defs = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            owners = [d for d in defs if d.lineno <= node.lineno <= d.end_lineno]
+            inner = min(owners, key=lambda d: d.end_lineno - d.lineno, default=None)
+            yield node, getattr(inner, "name", "<module>")
 
 
 def test_step_kernel_has_one_call_site():
     found = {name: [] for name in _SINGLE_CALLERS}
     for path in SOURCES:
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        defs = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
+        for node, owner in _calls(path):
             name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
             if name in found:
-                owners = [d for d in defs if d.lineno <= node.lineno <= d.end_lineno]
-                inner = min(owners, key=lambda d: d.end_lineno - d.lineno, default=None)
-                found[name].append(f"{path.name}:{getattr(inner, 'name', '<module>')}")
+                found[name].append(f"{path.name}:{owner}")
     assert found == {name: [caller] for name, caller in _SINGLE_CALLERS.items()}
+
+
+def test_lent_power_has_one_lender_and_one_reader():
+    # the strip of a huge p-power has one entry point, split_p_power, whose
+    # one big route is the power construct lends around its re-expansion:
+    # construct alone sets and resets _HELD_POWER, and split_p_power alone
+    # reads it. A second reader would be a second big strip
+    found = []
+    for path in SOURCES:
+        for node, owner in _calls(path):
+            held = getattr(node.func, "value", None)
+            if (getattr(held, "id", None) or getattr(held, "attr", None)) == "_HELD_POWER":
+                found.append(f"{path.name}:{owner}:{node.func.attr}")
+    assert sorted(found) == ["construct.py:construct:reset", "construct.py:construct:set",
+                             "core.py:split_p_power:get"]
 
 
 def test_no_export_takes_a_private_parameter():
