@@ -119,10 +119,16 @@ def _io_options(fn):
 
 
 def _shorten(n: int) -> str:
-    s = str(n)
-    if len(s) <= 32:
-        return s
-    return f"{s[:12]}...{s[-12:]} ({len(s)} digits)"
+    """str(n), or past 32 characters its first 12, "...", its last 12 digits
+    and its length, read off powers of 10 so that no big number is converted."""
+    sign, a = "-" * (n < 0), abs(n)
+    if a < 10 ** (32 - len(sign)):
+        return str(n)
+    d = int(a.bit_length() * math.log10(2)) - 2  # at most a's digit count
+    p10 = 10**d
+    while p10 <= a:
+        d, p10 = d + 1, 10 * p10
+    return f"{sign}{a * 10 ** (12 - len(sign)) // p10}...{a % 10**12:012d} ({len(sign) + d} digits)"
 
 
 @click.group(context_settings={"help_option_names": ["-h", "--help"]})
@@ -256,11 +262,12 @@ def _not_nice_message(cert) -> str:
 
 
 def _construct_row(cert, max_digits: int, h: int):
-    """One h offset of a nice certificate: (h, result JSON, infeasibility note)."""
+    """One h offset of a nice certificate: (h, result, infeasibility note)."""
     try:
-        return h, run_construction(cert, h, max_digits).to_json(), None
+        return h, run_construction(cert, h, max_digits), None
     except ConstructionInfeasible as exc:
-        return h, None, f"{exc} (omega={exc.omega}, ~{exc.digits_estimate} digits)"
+        return h, None, (f"infeasible: needs omega={exc.omega}"
+                         f" (~{exc.digits_estimate} digits, cap {max_digits})")
 
 
 @main.command("construct")
@@ -311,11 +318,12 @@ def cmd_construct(p, cf_text, cf_file, h_spec, dlog_budget, max_digits, jobs, as
             rows = list(pool.imap(run_one, hs))
     else:
         rows = list(map(run_one, hs))
+    # a record formats every digit of every m, the table a few
     outputs = {
         "certificate": cert.to_json(),
-        "results": [r for _, r, _ in rows if r is not None],
+        "results": [r.to_json() for _, r, _ in rows if r is not None],
         "errors": {str(h): e for h, _, e in rows if e is not None},
-    }
+    } if as_json or out_file else None
     if as_json:
         click.echo(json.dumps(outputs, indent=2))
     else:
@@ -326,14 +334,14 @@ def cmd_construct(p, cf_text, cf_file, h_spec, dlog_budget, max_digits, jobs, as
             if r is None:
                 click.echo(f"{h:<4} {err}")
             else:
-                ok = "yes" if r["verified"] else "NO"
-                click.echo(f"{h:<4} {r['omega']:<10} {r['kt']:<10} {ok:<9} {_shorten(r['m'])}")
+                ok = "yes" if r.verified else "NO"
+                click.echo(f"{h:<4} {r.omega:<10} {r.kt:<10} {ok:<9} {_shorten(r.m)}")
     inputs = {
         "p": p, "cf": [str(a) for a in cf], "h": h_spec,
         "dlog_budget": dlog_budget, "max_digits": max_digits,
     }
     _append_record(out_file, "construct", inputs, outputs, time.perf_counter() - start)
-    if outputs["errors"]:
+    if any(err for _, _, err in rows):
         sys.exit(4)
 
 

@@ -309,10 +309,9 @@ def construct(cert: NiceCertificate, h: int = 0,
         else:
             ps = ps or p**s
             pw *= ps
+        # q | B~_{t-1}**2 is a p-unit and p | p**omega: p**omega != q, b != 0, m != 0
         b_int, rem = divmod(pw - cert.q, A1sq)
         _invariant(rem == 0, "coset membership must make b integral")
-        if b_int == 0:
-            continue
         jump = pw // p ** (lead - kt1)
         ctil, rem = divmod(sign_t * qq - jump * A2_, A1)
         if rem != 0:
@@ -322,7 +321,7 @@ def construct(cert: NiceCertificate, h: int = 0,
             continue
         m = -b_int * q1
         _invariant(m % p != 0, "m must be prime to p")
-        if m == 0 or _is_square(m):
+        if _is_square(m):
             continue
         if valid == h:
             break
@@ -562,50 +561,46 @@ def family_section6(variant: int, p: int, t: int) -> FamilyReport:
 # -- search --------------------------------------------------------------------
 
 
-def _digit_pool(p: int, pool: str, num_bound: int, exp_bound: int) -> tuple:
-    out = []
-    for e in range(1, exp_bound + 1):
-        for tt in range(1, num_bound + 1):
-            if tt % p == 0 or 2 * tt >= p ** (e + 1):
-                continue
-            out.append(LaurentInt(p, tt, e))
-            if pool == "all":
-                out.append(LaurentInt(p, -tt, e))
-    return tuple(out)
-
-
 MAX_SEARCH_T, MAX_SEARCH_POOL, MAX_SEARCH_SPACE = 60, 10**5, 10**18
 
 
-def search_space_size(p: int, t: int, pool: str, num_bound: int, exp_bound: int) -> int:
-    """len(_digit_pool(p, pool, num_bound, exp_bound)) ** t, counted without
-    building either, or ValueError past one of the MAX_SEARCH_* caps.
+def _digit_pool(p: int, pool: str, num_bound: int, exp_bound: int) -> tuple:
+    """The digits tt/p**e, e = 1..exp_bound, tt = 1..min(num_bound, half)
+    prime to p, half = p**(e+1) // 2 (the centered window), by exponent,
+    numerator, then sign (+, and - for pool "all"). half grows by one small
+    product per exponent; a window that would pass MAX_SEARCH_POOL is refused unbuilt."""
+    if num_bound < 1:
+        return ()
+    signs = (1, -1) if pool == "all" else (1,)
+    out, half = [], p // 2
+    for e in range(1, exp_bound + 1):
+        if half < num_bound:
+            half = p * half + p // 2
+        top = min(num_bound, half)
+        if len(out) + len(signs) * (top - top // p) > MAX_SEARCH_POOL:
+            raise ValueError(f"the digit pool would hold more than {MAX_SEARCH_POOL} digits")
+        out += [LaurentInt(p, s * tt, e) for tt in range(1, top + 1) if tt % p for s in signs]
+    return tuple(out)
 
-    Exponent e admits the numerators up to min(num_bound, p**(e+1) // 2)
-    prime to p. The windows grow by a factor p, so only a few exponents are
-    counted one by one; from the first whose window holds num_bound on,
-    each admits the same count.
-    """
+
+def _search_pool(p: int, t: int, pool: str, num_bound: int, exp_bound: int) -> tuple:
+    """_digit_pool's digits, or ValueError past a MAX_SEARCH_* cap, checked in
+    the order p, t, the pool kind, the pool, then the space len(pool) ** t."""
     _check_odd_prime(p)
     if not 1 <= t <= MAX_SEARCH_T:
         raise ValueError(f"t must lie in 1..{MAX_SEARCH_T}, got {t}")
     if pool not in ("pos", "all"):
         raise ValueError("pool must be 'pos' or 'all'")
-    size, e = 0, 1
-    while e <= exp_bound and p ** (e + 1) // 2 < num_bound and size <= MAX_SEARCH_POOL:
-        m = p ** (e + 1) // 2
-        size += m - m // p
-        e += 1
-    if num_bound > 0:
-        size += max(exp_bound - e + 1, 0) * (num_bound - num_bound // p)
-    size *= 2 if pool == "all" else 1
-    if size > MAX_SEARCH_POOL:
-        raise ValueError(f"the digit pool would hold more than {MAX_SEARCH_POOL} digits")
-    space = size**t
-    if space > MAX_SEARCH_SPACE:
-        raise ValueError(f"the search space would hold {size}**{t} candidates, "
+    digits = _digit_pool(p, pool, num_bound, exp_bound)
+    if len(digits) ** t > MAX_SEARCH_SPACE:
+        raise ValueError(f"the search space would hold {len(digits)}**{t} candidates, "
                          f"more than {MAX_SEARCH_SPACE}")
-    return space
+    return digits
+
+
+def search_space_size(p: int, t: int, pool: str, num_bound: int, exp_bound: int) -> int:
+    """The number of candidates nice_search walks, len(_search_pool(...)) ** t."""
+    return len(_search_pool(p, t, pool, num_bound, exp_bound)) ** t
 
 
 def _candidates_from(digits: tuple, t: int, start: int):
@@ -617,13 +612,10 @@ def _candidates_from(digits: tuple, t: int, start: int):
     prefix ranks[:j] held fixed, position j past ranks[j] (from ranks[j]
     itself in the first block), and every later position free.
     """
-    n, ranks = len(digits), []
+    n = len(digits)
     if start >= n**t:  # past the end of the space, or an empty pool
         return
-    for _ in range(t):
-        start, r = divmod(start, n)
-        ranks.append(r)
-    ranks.reverse()
+    ranks = [start // n**i % n for i in reversed(range(t))]
     for j in reversed(range(t)):
         head = tuple(digits[r] for r in ranks[:j])
         first = ranks[j] + (j < t - 1)
@@ -637,18 +629,17 @@ def nice_search(p: int, t: int, pool: str = "pos", num_bound: int = 6,
     """Enumerate candidate digit lists and yield (index, certificate) for
     the nice ones.
 
-    Candidates are drawn from the centered digit window with numerator up
-    to num_bound and denominator exponent up to exp_bound, positive only or
-    both signs; the enumeration order is deterministic (exponent, then
-    numerator, then sign, cartesian power by position), so start_index
-    gives exact resumption. Only indices in [start_index, stop_index) are
-    scanned (stop_index None means to the end of the space); the scan
-    starts in O(t) wherever start_index lies (_candidates_from).
+    Candidates are drawn from _search_pool, built once a call: numerators
+    up to num_bound in the centered windows of exponents up to exp_bound,
+    positive only or both signs. The enumeration order is deterministic
+    (exponent, then numerator, then sign, cartesian power by position), so
+    start_index gives exact resumption. Only indices in [start_index,
+    stop_index) are scanned (stop_index None means to the end of the
+    space); the scan starts in O(t) wherever start_index lies (_candidates_from).
     """
-    search_space_size(p, t, pool, num_bound, exp_bound)
+    digits = _search_pool(p, t, pool, num_bound, exp_bound)
     if start_index < 0 or (stop_index is not None and stop_index < 0):
         raise ValueError("start_index and stop_index must be >= 0")
-    digits = _digit_pool(p, pool, num_bound, exp_bound)
     combos = _candidates_from(digits, t, start_index)
     if stop_index is not None:
         combos = islice(combos, max(stop_index - start_index, 0))

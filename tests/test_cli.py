@@ -19,6 +19,7 @@ from click.testing import CliRunner
 import padiccf
 from padiccf import __version__, cli
 from padiccf.cli import main
+from padiccf.core import LaurentInt
 
 construct_module = importlib.import_module("padiccf.construct")
 
@@ -185,6 +186,31 @@ def test_construct_table_matches_golden():
     assert res.stdout == golden("construct_6_5.txt")
 
 
+def test_construct_text_formats_only_what_it_prints(monkeypatch):
+    # the table shows a few digits of each m, so the record, which formats
+    # every digit of m and of the period, is built only for --json or --out
+    calls = []
+    to_json = construct_module.ConstructionResult.to_json
+
+    def spy(self):
+        calls.append(self.omega)
+        return to_json(self)
+
+    monkeypatch.setattr(construct_module.ConstructionResult, "to_json", spy)
+    res = run("construct", "--p", "5", "--cf", "6/5", "--h", "0..2")
+    assert res.exit_code == 0
+    assert res.stdout == golden("construct_6_5.txt")
+    assert calls == []
+    assert run("construct", "--p", "5", "--cf", "6/5", "--h", "0..2", "--json").exit_code == 0
+    assert calls == [6, 12, 18]
+    # _shorten reads the length and head off powers of 10; str(n) is the spec
+    for n in (0, 7, 10**31 - 1, 10**31, 10**32 - 1, 10**32, 3**4000, 10**60 + 1, 2**9999):
+        for m in (n, -n):
+            s = str(m)
+            want = s if len(s) <= 32 else f"{s[:12]}...{s[-12:]} ({len(s)} digits)"
+            assert cli._shorten(m) == want, m
+
+
 def test_construct_json_pins():
     res = run("construct", "--p", "5", "--cf", "6/5", "--h", "0..2", "--json")
     assert res.exit_code == 0
@@ -225,6 +251,11 @@ def test_construct_infeasible_exits_4(tmp_path):
               "--out", str(out))
     assert res.exit_code == 4
     assert "omega=6" in res.stdout
+    # each infeasible row names omega once, in verify-paper's form
+    assert res.stdout.splitlines()[-1] == "0    infeasible: needs omega=6 (~4 digits, cap 3)"
+    rows = run("construct", "--p", "5", "--cf", "6/5", "--h", "0..3", "--max-digits", "10")
+    notes = [line for line in rows.stdout.splitlines() if "infeasible" in line]
+    assert notes == [f"{h}    infeasible: needs omega=18 (~12 digits, cap 10)" for h in (2, 3)]
     rec = read_records(out)[0]
     assert rec["outputs"]["results"] == []
     assert set(rec["outputs"]["errors"]) == {"0"}
@@ -569,28 +600,54 @@ def test_parallel_search_hands_out_bounded_blocks(tmp_path, monkeypatch):
     assert cursor["next_index"] == hit + 1 and not cursor["exhausted"]
 
 
-def test_search_rejects_huge_spaces_before_building_the_pool(monkeypatch):
-    # the pool and the space are counted arithmetically, so neither the
-    # pool nor len(pool) ** t is ever built for a refused spec
-    def refuse(*args, **kwargs):
-        raise AssertionError("the digit pool was built or scanned")
+def test_search_rejects_huge_spaces_without_building_them(monkeypatch):
+    # a refused spec is never scanned, and the pool stops before the window
+    # that would take it past its cap: no more digits are built than the
+    # windows before it hold, and none of the len(pool) ** t candidates
+    built = []
 
-    monkeypatch.setattr(construct_module, "_digit_pool", refuse)
+    def counting(*args):
+        built.append(args)
+        return LaurentInt(*args)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the search space was scanned")
+
+    monkeypatch.setattr(construct_module, "LaurentInt", counting)
+    monkeypatch.setattr(construct_module, "_candidates_from", refuse)
     monkeypatch.setattr(cli, "nice_search", refuse)
     cases = (
-        (("--t", "1000000000"), "t must lie in 1..60, got 1000000000"),
-        (("--t", "0"), "t must lie in 1..60, got 0"),
+        (("--t", "1000000000"), "t must lie in 1..60, got 1000000000", 0),
+        (("--t", "0"), "t must lie in 1..60, got 0", 0),
+        # the windows of e = 1..6 hold 10 + 50 + ... + 31,250 numerators
         (("--t", "1", "--num-bound", "1000000000000", "--exp-bound", "30"),
-         "digit pool would hold"),
-        (("--t", "1", "--exp-bound", "1000000000000"), "digit pool would hold"),
+         "digit pool would hold", 39_060),
+        # numerators 1, 2, 3, 4, 6 at each of the first 20,000 exponents
+        (("--t", "1", "--exp-bound", "1000000000000"), "digit pool would hold", 10**5),
         (("--t", "16", "--pool", "all", "--num-bound", "8"),
-         "search space would hold 28**16 candidates, more than 1000000000000000000"),
+         "search space would hold 28**16 candidates, more than 1000000000000000000", 28),
     )
-    for args, message in cases:
+    for args, message, digits in cases:
+        built.clear()
         res = run("search", "--p", "5", *args)
         assert res.exit_code == 1, args
         assert res.stdout == ""
         assert message in res.stderr
+        assert len(built) == digits, args
+
+
+def test_search_output_ignores_numerators_past_every_window():
+    # at p = 3 with exponents up to 2 no numerator past 13 lies in a window,
+    # so a bound of 10**8 walks the same 12 digits, serially and by blocks
+    outs = set()
+    for num_bound in ("13", "100000000"):
+        for jobs in ("1", "2"):
+            res = run("search", "--p", "3", "--t", "2", "--num-bound", num_bound,
+                      "--json", "--jobs", jobs)
+            assert res.exit_code == 0, (num_bound, jobs)
+            outs.add(res.stdout)
+    assert len(outs) == 1
+    assert len(outs.pop().splitlines()) == 62
 
 
 def test_search_json_lines_parse():

@@ -651,7 +651,40 @@ def test_search_input_validation():
         list(nice_search(5, 1, pool="negatives"))
 
 
-def test_search_space_size_counts_the_pool_without_building_it():
+def _brute_pool(p, pool, num_bound, exp_bound):
+    """The pool's definition, filtered over every numerator up to num_bound."""
+    out = []
+    for e in range(1, exp_bound + 1):
+        for tt in range(1, num_bound + 1):
+            if tt % p == 0 or 2 * tt >= p ** (e + 1):
+                continue
+            out.append(LaurentInt(p, tt, e))
+            if pool == "all":
+                out.append(LaurentInt(p, -tt, e))
+    return out
+
+
+def test_digit_pool_walks_only_each_exponents_window():
+    for p in (3, 5, 7, 11, 13):
+        for pool in ("pos", "all"):
+            for num_bound in range(-1, 60):
+                for exp_bound in range(-1, 5):
+                    got = construct_module._digit_pool(p, pool, num_bound, exp_bound)
+                    want = _brute_pool(p, pool, num_bound, exp_bound)
+                    assert [(d.tilde, d.e) for d in got] == [(d.tilde, d.e) for d in want], (
+                        p, pool, num_bound, exp_bound)
+    # the windows of 1/3 and 1/9 hold 1, 2, 4 and the 9 numerators up to 13
+    # prime to 3; a walk of every numerator up to num_bound would take
+    # 2 * 10**8 steps
+    start = time.perf_counter()
+    digits = construct_module._digit_pool(3, "pos", 10**8, 2)
+    assert time.perf_counter() - start < 1.0
+    assert [str(d) for d in digits] == [
+        "1/3", "2/3", "4/3", "1/9", "2/9", "4/9", "5/9", "7/9", "8/9",
+        "10/9", "11/9", "13/9"]
+
+
+def test_search_space_size_is_the_pool_size_to_the_t():
     for p in (3, 5, 7, 11):
         for pool in ("pos", "all"):
             for num_bound in range(-1, 40):
