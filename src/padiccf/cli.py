@@ -3,7 +3,8 @@
 Four subcommands: expand (digit stream of a rational or quadratic
 irrational), construct (niceness check plus the period-2t square-root
 construction), verify-paper (the named check registry), and search
-(enumerate digit lists, stream niceness certificates as JSONL).
+(enumerate digit lists, stream niceness certificates as JSONL). construct
+walks the coset once for all its --h offsets; only search has --jobs.
 
 Every command accepts --out FILE; each run appends self-describing JSON
 records, one per line, so an experiment log re-parses without context.
@@ -19,7 +20,6 @@ import os
 import sys
 import time
 from fractions import Fraction
-from functools import partial
 from itertools import islice
 from multiprocessing import Pool
 
@@ -29,7 +29,8 @@ from . import __version__
 from .construct import (
     DEFAULT_MAX_DIGITS,
     ConstructionInfeasible,
-    construct as run_construction,
+    _members,
+    _verified,
     is_nice,
     nice_search,
     search_space_size,
@@ -71,13 +72,6 @@ def _need_odd_prime(p: int):
         _check_odd_prime(p)
     except ValueError as exc:
         _fail(str(exc))
-
-
-def _need_jobs(jobs: int):
-    """--jobs must lie in 1..4*cpu_count, checked before any worker starts."""
-    cap = 4 * (os.cpu_count() or 1)
-    if not 1 <= jobs <= cap:
-        _fail(f"--jobs must lie in 1..{cap}, got {jobs}")
 
 
 def _need_dlog_budget(budget):
@@ -216,8 +210,9 @@ def cmd_expand(p, quad_spec, rational_spec, flavor, max_steps, as_json, out_file
 # -- construct -------------------------------------------------------------------
 
 
-def _parse_h_spec(spec: str, p: int, max_digits: int) -> tuple:
-    """Offsets like "0", "1,3" or "0..4" (inclusive), deduplicated in order.
+def _parse_h_spec(spec: str, p: int, max_digits: int) -> dict:
+    """Offsets like "0", "1,3" or "0..4" (inclusive), deduplicated in order
+    as the keys of a dict whose values are None.
 
     Every range is bounded before it is expanded: the h-th valid omega is
     at least h, so an offset with h * log10(p) > max_digits is infeasible.
@@ -228,7 +223,10 @@ def _parse_h_spec(spec: str, p: int, max_digits: int) -> tuple:
         if not piece:
             continue
         lo, dots, hi = piece.partition("..")
-        spans.append((int(lo), int(hi) if dots else int(lo)))
+        try:
+            spans.append((int(lo), int(hi if dots else lo)))
+        except ValueError:
+            raise ValueError(f"--h: {piece!r} is not an offset n or a range a..b") from None
     spans = [(lo, hi) for lo, hi in spans if lo <= hi]
     if not spans:
         raise ValueError(f"empty h range {spec!r}")
@@ -240,7 +238,7 @@ def _parse_h_spec(spec: str, p: int, max_digits: int) -> tuple:
         raise ValueError(
             f"h offset {top} needs p**omega with omega >= {top}, "
             f"more than --max-digits {max_digits} decimal digits")
-    return tuple(dict.fromkeys(h for lo, hi in spans for h in range(lo, hi + 1)))
+    return dict.fromkeys(h for lo, hi in spans for h in range(lo, hi + 1))
 
 
 def _not_nice_message(cert) -> str:
@@ -261,15 +259,6 @@ def _not_nice_message(cert) -> str:
     return f"not nice: condition ({cert.failure[0]}) {verb}: {witness}"
 
 
-def _construct_row(cert, max_digits: int, h: int):
-    """One h offset of a nice certificate: (h, result, infeasibility note)."""
-    try:
-        return h, run_construction(cert, h, max_digits), None
-    except ConstructionInfeasible as exc:
-        return h, None, (f"infeasible: needs omega={exc.omega}"
-                         f" (~{exc.digits_estimate} digits, cap {max_digits})")
-
-
 @main.command("construct")
 @click.option("--p", "p", type=int, required=True, help="odd prime")
 @click.option("--cf", "cf_text", default=None, help='inline digit list, e.g. "6/5" or "1/3, 110/81"')
@@ -283,18 +272,17 @@ def _construct_row(cert, max_digits: int, h: int):
 @click.option("--dlog-budget", type=int, default=None, help=_DLOG_BUDGET_HELP)
 @click.option("--max-digits", type=int, default=DEFAULT_MAX_DIGITS, show_default=True,
               help="give up when p**omega would exceed this many decimal digits")
-@click.option("--jobs", type=int, default=1, show_default=True, help="worker processes over the h offsets, 1..4*CPUs")
 @_io_options
-def cmd_construct(p, cf_text, cf_file, h_spec, dlog_budget, max_digits, jobs, as_json, out_file):
+def cmd_construct(p, cf_text, cf_file, h_spec, dlog_budget, max_digits, as_json, out_file):
     """Run the even-period square-root construction seeded by a digit list.
 
     The list must pass the niceness test; a violation exits with code 3 and
     names the failed condition. Each h offset yields one constructed m whose
-    square root expands with the predicted preperiod and period.
+    square root expands with the predicted preperiod and period; one walk of
+    the coset up to the largest h finds them all.
     """
     start = time.perf_counter()
     _need_odd_prime(p)
-    _need_jobs(jobs)
     _need_dlog_budget(dlog_budget)
     if not 1 <= max_digits <= MAX_DIGITS_CEILING:  # before --h is read
         _fail(f"--max-digits must lie in 1..{MAX_DIGITS_CEILING}, got {max_digits}")
@@ -305,24 +293,26 @@ def cmd_construct(p, cf_text, cf_file, h_spec, dlog_budget, max_digits, jobs, as
             cf_text = fh.read().replace("\n", ",")
     try:
         cf = parse_quotient_list(cf_text, p)
-        hs = _parse_h_spec(h_spec, p, max_digits)
+        rows = _parse_h_spec(h_spec, p, max_digits)  # h -> its result, once built
         cert = is_nice(cf, dlog_budget)
     except ValueError as exc:
         _fail(str(exc))
     if not cert.nice:
         click.echo(_not_nice_message(cert), err=True)
         sys.exit(3)
-    run_one = partial(_construct_row, cert, max_digits)
-    if jobs > 1:
-        with Pool(jobs) as pool:
-            rows = list(pool.imap(run_one, hs))
-    else:
-        rows = list(map(run_one, hs))
+    note = None
+    try:
+        for h, member in enumerate(islice(_members(cert, max_digits), max(rows) + 1)):
+            if h in rows:
+                rows[h] = _verified(cert, member)
+    except ConstructionInfeasible as exc:  # every h not yet reached needs this omega
+        note = (f"infeasible: needs omega={exc.omega}"
+                f" (~{exc.digits_estimate} digits, cap {max_digits})")
     # a record formats every digit of every m, the table a few
     outputs = {
         "certificate": cert.to_json(),
-        "results": [r.to_json() for _, r, _ in rows if r is not None],
-        "errors": {str(h): e for h, _, e in rows if e is not None},
+        "results": [r.to_json() for r in rows.values() if r is not None],
+        "errors": {str(h): note for h, r in rows.items() if r is None},
     } if as_json or out_file else None
     if as_json:
         click.echo(json.dumps(outputs, indent=2))
@@ -330,9 +320,9 @@ def cmd_construct(p, cf_text, cf_file, h_spec, dlog_budget, max_digits, jobs, as
         cf_str = ", ".join(str(a) for a in cf)
         click.echo(f"nice: [{cf_str}]  p={p} t={len(cf)} q={cert.q} omega0={cert.omega0}")
         click.echo(f"{'h':<4} {'omega':<10} {'kt':<10} {'verified':<9} m")
-        for h, r, err in rows:
+        for h, r in rows.items():
             if r is None:
-                click.echo(f"{h:<4} {err}")
+                click.echo(f"{h:<4} {note}")
             else:
                 ok = "yes" if r.verified else "NO"
                 click.echo(f"{h:<4} {r.omega:<10} {r.kt:<10} {ok:<9} {_shorten(r.m)}")
@@ -341,7 +331,7 @@ def cmd_construct(p, cf_text, cf_file, h_spec, dlog_budget, max_digits, jobs, as
         "dlog_budget": dlog_budget, "max_digits": max_digits,
     }
     _append_record(out_file, "construct", inputs, outputs, time.perf_counter() - start)
-    if any(err for _, _, err in rows):
+    if note:
         sys.exit(4)
 
 
@@ -484,7 +474,9 @@ def cmd_search(p, t, pool_kind, num_bound, exp_bound, limit, dlog_budget,
     """
     start = time.perf_counter()
     _need_odd_prime(p)
-    _need_jobs(jobs)
+    cap = 4 * (os.cpu_count() or 1)
+    if not 1 <= jobs <= cap:  # before any worker starts
+        _fail(f"--jobs must lie in 1..{cap}, got {jobs}")
     _need_dlog_budget(dlog_budget)
     try:
         total = search_space_size(p, t, pool_kind, num_bound, exp_bound)

@@ -21,7 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, product
+from functools import lru_cache
+from itertools import count, islice, product
 from math import gcd
 
 from .core import (
@@ -237,71 +238,37 @@ class ConstructionResult:
         }
 
 
-def construct(cert: NiceCertificate, h: int = 0,
-              max_digits: int = DEFAULT_MAX_DIGITS) -> ConstructionResult:
-    """Run the period-2t construction on a nice certificate.
-
-    h indexes the valid exponents omega = omega0 + j*order_s (those beyond
-    k0 + 2*K_{t-1} whose c~ satisfies 4|c~| < p**(k_t+1)); each valid omega
-    yields its own m. Raises ConstructionInfeasible when the next valid
-    p**omega would exceed max_digits decimal digits.
-
-    verified is eq. (12), checked as one integer identity on the
-    certificate's tilde rows, plus an exact re-expansion: one branch of
-    1/(p**k0 * sqrt(m)) must repeat a state exactly where the claimed
-    preperiod and period say, with matching digits up to there. The two
-    branches start with opposite digits, so only one is expanded.
-    expansion and branch are that re-expansion, or None when neither
-    branch reproduces the digits. A broken eq. (12) leaves verified False.
-
-    Cost: the first coset member visited builds its power p**omega, and
-    each later one multiplies the one before by p**s, built once; the
-    other two big powers a member needs are exact quotients of its p**omega
-    by small powers of p, and its remaining arithmetic divides by the
-    seed's small rows.
-    The target 1/(p**k0 sqrt(m)) is built without QuadIrr's checks, which
-    this function has proved, so the square test of m (a residue sieve,
-    then isqrt) runs at most once per member. The re-expansion's middle
-    step strips p**(k_t + k_{t-1}), k_t ~ omega (engine._wide_step,
-    core.split_p_power). That power is eq. (12)'s jump of the returned
-    member, lent for this call only (core._HELD_POWER), so the strip is one
-    division by it instead of a doubling that builds p**e, and a call
-    raises p to a big power at most twice: p**omega of its first member,
-    and p**s.
-    """
-    if cert.cond_c is None:
-        raise ValueError("niceness is indeterminate (discrete-log budget): cannot construct")
-    if not cert.nice:
-        raise ValueError(f"certificate is not nice (first failed condition: {cert.failure})")
-    if h < 0:
-        raise ValueError("h must be >= 0")
-    p, t = cert.p, len(cert.cf)
-    A1, A2_ = cert.Atilde_last, cert.Atilde_prev
-    B1, B2_ = cert.Btilde_last, cert.Btilde_prev
-    k0, Kt1, kt1 = cert.k0, cert.K_prev, cert.ks[-1]
+def _members(cert: NiceCertificate, max_digits: int):
+    """The valid members of the certificate's coset in order, as tuples
+    (omega, s, k_t, b, c~, m, jump), s = order_s and jump = p**(k_t + k_{t-1}).
+    Raises ConstructionInfeasible at the first element whose p**omega passes
+    max_digits decimal digits, and RuntimeError once 201 elements in all are
+    passed over: the n-th valid one sits at coset index n + 200 at most.
+    Each element meets that cap first, then the validity tests."""
+    p, A1, A2_, B1 = cert.p, cert.Atilde_last, cert.Atilde_prev, cert.Btilde_last
     A1sq = A1 * A1
     s = mult_order(p, A1sq)
-    sign_t = (-1) ** (t - 1)
     qq, rem = divmod(cert.q, B1)
     _invariant(rem == 0, "B~_{t-1} must divide q")
     q1, rem = divmod(B1 * B1, cert.q)
     _invariant(rem == 0, "q must divide B~_{t-1}**2")
-    log10p = math.log10(p)
-    lead = k0 + 2 * Kt1  # k_t = omega - lead; lead >= k_{t-1} and lead >= k0 >= 1
-    valid, pw, ps = 0, None, None  # valid members before this one; p**omega, p**s
-    for j in range(h + 201):
+    sign_t, log10p, kt1 = (-1) ** (len(cert.cf) - 1), math.log10(p), cert.ks[-1]
+    lead = cert.k0 + 2 * cert.K_prev  # k_t = omega - lead; lead >= k_{t-1} and lead >= k0 >= 1
+    valid, pw, ps = 0, None, None  # valid members so far; p**omega, p**s
+    for j in count():
+        if j > valid + 200:
+            raise RuntimeError("no valid omega within 200 coset steps; the certificate "
+                               "violates the growth expectations of condition (b)")
         omega = cert.omega0 + j * s
         if omega <= lead:
             continue
         if omega * log10p > max_digits:
-            raise ConstructionInfeasible(
-                f"needs p**omega with omega = {omega} "
-                f"(about {int(omega * log10p)} decimal digits, cap {max_digits})",
-                omega, int(omega * log10p),
-            )
+            digits = int(omega * log10p)
+            raise ConstructionInfeasible(f"needs p**omega with omega = {omega} (about {digits} "
+                                         f"decimal digits, cap {max_digits})", omega, digits)
         kt = omega - lead
         # the member's one big power, carried from the member before by one
-        # product with p**s, built once the loop first moves past a member;
+        # product with p**s, built once the walk first moves past a member;
         # p**(kt + kt1) and p**(kt + 1) are exact quotients of it by small
         # powers of p
         if pw is None:
@@ -323,25 +290,26 @@ def construct(cert: NiceCertificate, h: int = 0,
         _invariant(m % p != 0, "m must be prime to p")
         if _is_square(m):
             continue
-        if valid == h:
-            break
+        yield omega, s, kt, b_int, ctil, m, jump
         valid += 1
-    else:
-        raise RuntimeError(
-            "no valid omega within 200 coset steps; the certificate "
-            "violates the growth expectations of condition (b)"
-        )
+
+
+def _verified(cert: NiceCertificate, member: tuple) -> ConstructionResult:
+    """One member of _members(cert, ...) as a ConstructionResult, verified as construct says."""
+    p, t, k0, kt1 = cert.p, len(cert.cf), cert.k0, cert.ks[-1]
+    omega, s, kt, b_int, ctil, m, jump = member
     # eq. (12) on the rows of cf + (a_t,): with J = p**(k_t + k_{t-1}),
     # row t is 2 c~ row(t-1) + J row(t-2), and the division defining c~
     # turns its A side into 2 (-1)**t b A~_{t-1} B~_{t-1}; B~_{t-1} != 0
     # cancels, leaving this one identity on the certificate's rows
-    eq12_ok = ctil * B1 + jump * B2_ == (-1) ** t * b_int * A1
+    eq12_ok = (ctil * cert.Btilde_last + jump * cert.Btilde_prev
+               == (-1) ** t * b_int * cert.Atilde_last)
     a_t = LaurentInt(p, 2 * ctil, kt)
     period = cert.cf[1:] + (a_t,) + tuple(reversed(cert.cf[1:])) + (cert.cf[0].doubled(),)
     preperiod = (cert.cf[0],)
     r = sqrt_mod_p(m % p, p)
     _invariant(r, "sqrt(m) must exist in Q_p by construction")
-    # QuadIrr's checks hold: m is prime to p and not a square (the loop
+    # QuadIrr's checks hold: m is prime to p and not a square (the walk
     # checked both), c = m divides Delta - b**2 = m, r**2 = m mod p
     targets = (_quad(p, m, 0, m, k0, br) for br in (r, p - r))
     # the re-expansion strips exactly p**(k_t + k_{t-1}) off the W (for
@@ -356,6 +324,45 @@ def construct(cert: NiceCertificate, h: int = 0,
         p, t, k0, omega, s, cert.q, b_int, kt, ctil, a_t, m, preperiod, period,
         actual, branch_used, eq12_ok and hit is not None,
     )
+
+
+def construct(cert: NiceCertificate, h: int = 0) -> ConstructionResult:
+    """Run the period-2t construction on a nice certificate.
+
+    h indexes the valid exponents omega = omega0 + j*order_s (those beyond
+    k0 + 2*K_{t-1} whose c~ satisfies 4|c~| < p**(k_t+1)); each valid omega
+    yields its own m. Raises ConstructionInfeasible when the next valid
+    p**omega would exceed DEFAULT_MAX_DIGITS decimal digits (pcf construct
+    --max-digits caps its own walk).
+
+    verified is eq. (12), checked as one integer identity on the
+    certificate's tilde rows, plus an exact re-expansion: one branch of
+    1/(p**k0 * sqrt(m)) must repeat a state exactly where the claimed
+    preperiod and period say, with matching digits up to there. The two
+    branches start with opposite digits, so only one is expanded.
+    expansion and branch are that re-expansion, or None when neither
+    branch reproduces the digits. A broken eq. (12) leaves verified False.
+
+    Cost: one coset walk (_members) up to the h-th valid member, which
+    alone is verified (_verified); pcf construct verifies each requested
+    member of one walk. The walk builds p**omega of its first member and
+    multiplies it by p**s, built once, per later one; a member's other two
+    big powers are exact quotients of its p**omega by small powers of p.
+    The target 1/(p**k0 sqrt(m)) is built without QuadIrr's checks, which
+    the walk has proved, so m's square test (a residue sieve, then isqrt)
+    runs at most once per member. The re-expansion's middle step strips
+    p**(k_t + k_{t-1}), k_t ~ omega (engine._wide_step,
+    core.split_p_power): eq. (12)'s jump, lent for the re-expansion only
+    (core._HELD_POWER), so the strip is one division by it instead of a
+    doubling that builds p**e, and a walk raises p to a big power twice.
+    """
+    if cert.cond_c is None:
+        raise ValueError("niceness is indeterminate (discrete-log budget): cannot construct")
+    if not cert.nice:
+        raise ValueError(f"certificate is not nice (first failed condition: {cert.failure})")
+    if h < 0:
+        raise ValueError("h must be >= 0")
+    return _verified(cert, next(islice(_members(cert, DEFAULT_MAX_DIGITS), h, None)))
 
 
 # -- the beta family -----------------------------------------------------------
@@ -583,6 +590,7 @@ def _digit_pool(p: int, pool: str, num_bound: int, exp_bound: int) -> tuple:
     return tuple(out)
 
 
+@lru_cache(maxsize=1)  # search_space_size and each nice_search of one space share it
 def _search_pool(p: int, t: int, pool: str, num_bound: int, exp_bound: int) -> tuple:
     """_digit_pool's digits, or ValueError past a MAX_SEARCH_* cap, checked in
     the order p, t, the pool kind, the pool, then the space len(pool) ** t."""
@@ -629,7 +637,7 @@ def nice_search(p: int, t: int, pool: str = "pos", num_bound: int = 6,
     """Enumerate candidate digit lists and yield (index, certificate) for
     the nice ones.
 
-    Candidates are drawn from _search_pool, built once a call: numerators
+    Candidates are drawn from _search_pool, kept for the last space: numerators
     up to num_bound in the centered windows of exponents up to exp_bound,
     positive only or both signs. The enumeration order is deterministic
     (exponent, then numerator, then sign, cartesian power by position), so

@@ -270,12 +270,27 @@ def test_construct_reads_cf_file(tmp_path):
     assert [r["m"] for r in out["results"]] == [-34867844]
 
 
-def test_construct_parallel_matches_serial():
-    serial = run("construct", "--p", "5", "--cf", "6/5", "--h", "0..2", "--json")
-    parallel = run("construct", "--p", "5", "--cf", "6/5", "--h", "0..2",
-                   "--json", "--jobs", "3")
-    assert parallel.exit_code == 0
-    assert parallel.stdout == serial.stdout
+def test_construct_rows_follow_the_spec_from_one_walk(monkeypatch):
+    # one walk of the coset up to the largest h verifies each requested
+    # member once, and the rows come out in the order of the spec, each
+    # equal to its own construct call
+    verified, real = [], construct_module._verified
+
+    def spy(cert, member):
+        verified.append(member[0])
+        return real(cert, member)
+
+    monkeypatch.setattr(cli, "_verified", spy)
+    res = run("construct", "--p", "5", "--cf", "6/5", "--h", "3,1,1..2", "--json")
+    assert res.exit_code == 0
+    assert verified == [12, 18, 24]
+    cert = padiccf.is_nice((LaurentInt(5, 6, 1),))
+    assert json.loads(res.stdout)["results"] == [
+        padiccf.construct(cert, h).to_json() for h in (3, 1, 2)]
+    text = run("construct", "--p", "5", "--cf", "6/5", "--h", "3,1,1..2")
+    assert [line.split()[:2] for line in text.stdout.splitlines()[2:]] == [
+        ["3", "24"], ["1", "12"], ["2", "18"]]
+    assert "--jobs" not in run("construct", "--help").stdout
 
 
 def test_construct_rejects_bad_h_spec():
@@ -285,6 +300,13 @@ def test_construct_rejects_bad_h_spec():
     empty = run("construct", "--p", "5", "--cf", "6/5", "--h", " ")
     assert empty.exit_code == 1
     assert "empty h range" in empty.stderr
+    # a piece that is neither n nor a..b is named, with the option
+    for spec, piece in (("1..", "1.."), ("..3", "..3"), ("a", "a"), ("0..1..2", "0..1..2"),
+                        ("0, 2..x", "2..x")):
+        res = run("construct", "--p", "5", "--cf", "6/5", "--h", spec)
+        assert res.exit_code == 1, spec
+        assert res.stdout == ""
+        assert res.stderr == f"error: --h: {piece!r} is not an offset n or a range a..b\n"
 
 
 def test_construct_rejects_h_beyond_max_digits(monkeypatch):
@@ -604,6 +626,7 @@ def test_search_rejects_huge_spaces_without_building_them(monkeypatch):
     # a refused spec is never scanned, and the pool stops before the window
     # that would take it past its cap: no more digits are built than the
     # windows before it hold, and none of the len(pool) ** t candidates
+    construct_module._search_pool.cache_clear()
     built = []
 
     def counting(*args):
@@ -650,6 +673,30 @@ def test_search_output_ignores_numerators_past_every_window():
     assert len(outs.pop().splitlines()) == 62
 
 
+def test_search_builds_its_digit_pool_once_per_process(monkeypatch):
+    # search_space_size and the scan share one pool, and a worker keeps it
+    # from one block of candidates to the next
+    builds, real = [], construct_module._digit_pool
+
+    def counting(*args):
+        builds.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(construct_module, "_digit_pool", counting)
+    construct_module._search_pool.cache_clear()
+    serial = run("search", "--p", "5", "--t", "2", "--json", "--jobs", "1")
+    assert serial.exit_code == 0
+    assert builds == [(5, "pos", 6, 2)]
+    builds.clear()
+    construct_module._search_pool.cache_clear()
+    space = (5, 2, "pos", 6, 2, None)
+    blocks = cli._search_worker(space + (0, 40)) + cli._search_worker(space + (40, 100))
+    assert builds == [(5, "pos", 6, 2)]
+    assert [json.dumps({"index": idx, "certificate": cert}) for idx, cert in blocks] == (
+        serial.stdout.splitlines())
+    construct_module._search_pool.cache_clear()
+
+
 def test_search_json_lines_parse():
     res = run("search", "--p", "5", "--t", "1", "--num-bound", "10", "--json")
     hits = [json.loads(line) for line in res.stdout.splitlines()]
@@ -669,11 +716,9 @@ def test_jobs_out_of_range_exits_1_before_any_pool(monkeypatch):
     monkeypatch.setattr(cli, "Pool", no_pool)
     cap = 4 * (os.cpu_count() or 1)
     for jobs in ("0", "-1", str(cap + 1)):
-        for cmd in (("construct", "--p", "5", "--cf", "6/5"),
-                    ("search", "--p", "5", "--t", "1")):
-            res = run(*cmd, "--jobs", jobs)
-            assert res.exit_code == 1
-            assert f"--jobs must lie in 1..{cap}" in res.stderr
+        res = run("search", "--p", "5", "--t", "1", "--jobs", jobs)
+        assert res.exit_code == 1
+        assert f"--jobs must lie in 1..{cap}" in res.stderr
 
 
 def test_search_limit_below_one_exits_1_before_scanning(monkeypatch):

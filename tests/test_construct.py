@@ -10,6 +10,7 @@ from itertools import islice, product
 from types import SimpleNamespace
 
 import pytest
+from click.testing import CliRunner
 
 from padiccf import (
     ConstructionInfeasible,
@@ -24,7 +25,7 @@ from padiccf import (
     nice_search,
     periodic_limit,
 )
-from padiccf import core
+from padiccf import cli, core
 from padiccf.core import LaurentInt, divisors, split_p, split_p_power
 from padiccf.corpus import random_digits
 from padiccf.engine import PERIODIC, QuadIrr, parse_quotient_list
@@ -331,6 +332,26 @@ def test_construct_carries_p_omega_from_member_to_member():
         assert hashlib.sha256(record.encode()).hexdigest()[:16] == digest, h
 
 
+def test_pcf_construct_walks_the_coset_once(monkeypatch):
+    # pcf construct --h 0..3 verifies four members of one walk, which
+    # builds p**7,676 and p**s = p**10,512 once each; a construct call per
+    # h would build 1 + 3 * 2 big powers
+    built = []
+    counting = _CountingPrime(5, built, 17000)
+    construct(dataclasses.replace(is_nice(SEED_P16), p=counting), 0)  # fills per-prime caches
+    built.clear()
+    real = cli.is_nice
+    monkeypatch.setattr(cli, "is_nice", lambda cf, budget: dataclasses.replace(
+        real(cf, budget), p=counting))
+    seed = ", ".join(str(a) for a in SEED_P16)
+    res = CliRunner().invoke(cli.main, ["construct", "--p", "5", "--cf", seed, "--h", "0..3"])
+    assert res.exit_code == 0
+    assert built == [7676, 10512]
+    rows = [line.split()[:4] for line in res.stdout.splitlines()[2:]]
+    assert rows == [[str(h), str(omega), str(omega - 15), "yes"]
+                    for h, omega in enumerate((7676, 18188, 28700, 39212))]
+
+
 def test_construct_holds_its_power_for_the_reexpansion_only(monkeypatch):
     # construct lends eq. (12)'s jump p**(k_t + k_{t-1}), the very power
     # the re-expansion's middle step strips, and exactly one strip hands
@@ -472,10 +493,12 @@ def test_large_instance_with_two_digit_seed():
 
 
 def test_infeasible_size_reports_the_required_omega():
+    # construct caps p**omega at DEFAULT_MAX_DIGITS; the walk it shares with
+    # pcf construct takes the cap, which --max-digits sets
     res_ok = construct(is_nice(SEED_6_5), 0)
     assert res_ok.verified
     with pytest.raises(ConstructionInfeasible) as err:
-        construct(is_nice(SEED_6_5), 0, max_digits=3)
+        next(construct_module._members(is_nice(SEED_6_5), 3))
     assert err.value.omega == 6
     assert err.value.digits_estimate >= 4
 

@@ -86,17 +86,21 @@ def test_library_writes_no_instance_dict():
     assert found == []
 
 
-# functions with exactly one library caller: expand, walk(),
+# functions with a fixed set of library callers: expand, walk(),
 # state_at and the replay share one stepping chain, engine._chain, which
 # alone runs the dividing step and the kernel, whose rare routes are in
 # _wide_step and whose residue blocks end in one _rebuild; delta is lifted
 # only where the dividing step needs it. A second caller would be a
-# second chain.
-_SINGLE_CALLERS = {
-    "_wide_step": "engine.py:_chain",
-    "_rebuild": "engine.py:_chain",
-    "_dividing_step": "engine.py:_chain",
-    "hensel_digits": "engine.py:_dividing_step",
+# second chain. The coset walk of a construction, and the verifier of its
+# members, serve construct and pcf construct alone: another caller would
+# be a second coset loop.
+_CALLERS = {
+    "_wide_step": ["engine.py:_chain"],
+    "_rebuild": ["engine.py:_chain"],
+    "_dividing_step": ["engine.py:_chain"],
+    "hensel_digits": ["engine.py:_dividing_step"],
+    "_members": ["cli.py:cmd_construct", "construct.py:construct"],
+    "_verified": ["cli.py:cmd_construct", "construct.py:construct"],
 }
 
 
@@ -113,27 +117,27 @@ def _calls(path):
 
 
 def test_step_kernel_has_one_call_site():
-    found = {name: [] for name in _SINGLE_CALLERS}
+    found = {name: [] for name in _CALLERS}
     for path in SOURCES:
         for node, owner in _calls(path):
             name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
             if name in found:
                 found[name].append(f"{path.name}:{owner}")
-    assert found == {name: [caller] for name, caller in _SINGLE_CALLERS.items()}
+    assert {name: sorted(callers) for name, callers in found.items()} == _CALLERS
 
 
 def test_lent_power_has_one_lender_and_one_reader():
     # the strip of a huge p-power has one entry point, split_p_power, whose
     # one big route is the power construct lends around its re-expansion:
-    # construct alone sets and resets _HELD_POWER, and split_p_power alone
-    # reads it. A second reader would be a second big strip
+    # _verified, construct's verifier, alone sets and resets _HELD_POWER, and
+    # split_p_power alone reads it. A second reader would be a second big strip
     found = []
     for path in SOURCES:
         for node, owner in _calls(path):
             held = getattr(node.func, "value", None)
             if (getattr(held, "id", None) or getattr(held, "attr", None)) == "_HELD_POWER":
                 found.append(f"{path.name}:{owner}:{node.func.attr}")
-    assert sorted(found) == ["construct.py:construct:reset", "construct.py:construct:set",
+    assert sorted(found) == ["construct.py:_verified:reset", "construct.py:_verified:set",
                              "core.py:split_p_power:get"]
 
 
