@@ -94,9 +94,10 @@ def _append_record(out_file, command: str, inputs: dict, outputs, elapsed: float
         fh.write(json.dumps(record) + "\n")
 
 
-_DLOG_BUDGET_HELP = ("cap on the baby-step table of a discrete log (about the square root of "
-                     "the largest prime factor of the order); moduli below 10**6 are never "
-                     "capped, and a blown cap leaves that q undecided, never failed")
+_DLOG_BUDGET_HELP = ("cap on the baby-step table of condition (c)'s subgroup membership test "
+                     "and of the discrete log of a member (about the square root of the "
+                     "largest prime it runs); moduli below 10**6 are never capped, and a "
+                     "blown cap leaves that q undecided, never failed")
 
 
 def _io_options(fn):

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count, islice, product
-from math import gcd
 
 from .core import (
     DlogBudgetExceeded,
@@ -33,6 +32,7 @@ from .core import (
     _invariant,
     discrete_log,
     divisors,
+    in_subgroup,
     mult_order,
     sqrt_mod_p,
 )
@@ -120,13 +120,16 @@ def is_nice(cf, dlog_budget: int | None = None) -> NiceCertificate:
 
     Condition (a) is 4|a~_0| < p**(e_0 + 1) on integers. Condition (c)
     enumerates the finitely many admissible q lazily (_q_candidates, so B is
-    factored only when +-|B| both miss) and tests coset membership by
-    discrete log modulo Atilde_{t-1}**2; discrete_log rejects most
-    non-members by its order pre-test. The common fast exits (modulus 1,
-    q = 1) avoid factoring entirely, so niceness of the beta seeds stays
-    cheap even when the convergents are huge. A discrete-log budget
-    overflow makes cond_c None: indeterminate rather than failed; a budget
-    below 1 is a ValueError.
+    factored only when +-|B| both miss) and tests each for membership in
+    the subgroup generated by p modulo Atilde_{t-1}**2 (in_subgroup, which
+    takes no log). At the first member, omega0 is its least discrete log
+    when (a) and (b) hold, and None otherwise: only a certificate that can
+    be nice carries a log. The common fast exits (modulus 1, q = 1) avoid
+    factoring entirely, so niceness of the beta seeds stays cheap even when
+    the convergents are huge. A blown discrete-log budget, in a membership
+    test or in the log of a member, leaves that q undecided and the loop
+    goes on; when no q decides, cond_c is None: indeterminate rather than
+    failed. A budget below 1 is a ValueError.
     """
     cf = tuple(cf)
     if not cf:
@@ -156,23 +159,23 @@ def is_nice(cf, dlog_budget: int | None = None) -> NiceCertificate:
     indeterminate = False
     A1sq = A1 * A1
     if A1sq != 0:
-        cap = {} if dlog_budget is None else {"budget": dlog_budget}
-        for qc in _q_candidates(B1):
-            if gcd(qc, A1sq) != 1:
+        logged = cond_a and cond_b  # only a certificate that can be nice carries omega0
+        for qc in _q_candidates(B1):  # a q that is no unit is in no subgroup
+            r = qc % A1sq
+            if r == 1 % A1sq:
+                w = 0 if logged else None
+            elif not A1sq % p:  # no p**omega, omega >= 1, is a unit mod A1sq
                 continue
-            if A1sq == 1 or qc % A1sq == 1 % A1sq:
-                q, omega0, cond_c = qc, 0, True
-                break
-            if not A1sq % p:  # no p**omega, omega >= 1, is a unit mod A1sq
-                continue
-            try:
-                w = discrete_log(p, qc % A1sq, A1sq, **cap)
-            except DlogBudgetExceeded:
-                indeterminate = True
-                continue
-            if w is not None:
-                q, omega0, cond_c = qc, w, True
-                break
+            else:
+                try:
+                    if not in_subgroup(p, r, A1sq, dlog_budget):
+                        continue
+                    w = discrete_log(p, r, A1sq, dlog_budget) if logged else None
+                except DlogBudgetExceeded:
+                    indeterminate = True
+                    continue
+            q, omega0, cond_c = qc, w, True
+            break
         if cond_c is False and indeterminate:
             cond_c = None
     nice = bool(cond_a and cond_b and cond_c)

@@ -43,8 +43,9 @@ def _invariant(cond, message: str):
 class DlogBudgetExceeded(RuntimeError):
     """Baby-step table would exceed the allowed size.
 
-    Deliberately distinct from the None return of discrete_log, which means
-    the target is provably outside the cyclic subgroup.
+    Deliberately distinct from the None return of discrete_log and the
+    False of in_subgroup, which mean the target is provably outside the
+    cyclic subgroup.
     """
 
 
@@ -389,8 +390,10 @@ def _perfect_power(n: int):
 def factorint(n: int) -> dict:
     """Prime factorization {prime: exponent} of n >= 1, primes ascending.
 
-    Trial division by the primes below 1000, then Pollard-Brent on what is
-    left. A composite cofactor that is a perfect k-th power (k prime) is
+    Trial division by the primes below 1000, which ends as soon as the
+    square of the next prime passes what is left (that cofactor is 1 or
+    prime, with no primality test), then Pollard-Brent on what is left. A
+    composite cofactor that is a perfect k-th power (k prime) is
     split by an integer k-th root first, so factoring A**k costs what
     factoring A does. Pollard-Brent has no step bound: it needs about
     sqrt(q) steps for the least prime factor q of a cofactor, so a number
@@ -400,8 +403,10 @@ def factorint(n: int) -> dict:
         raise ValueError(f"factorint needs n >= 1, got {n}")
     out = {}
     for q in _SMALL_PRIMES:
-        if q * q > n:
-            break
+        if q * q > n:  # no factor up to sqrt(n) is left: n is 1 or prime
+            if n > 1:
+                out[n] = 1
+            return out
         if n % q == 0:
             out[q], n = split_p(n, q)
     todo = [(n, 1)] if n > 1 else []
@@ -428,41 +433,51 @@ def divisors(n: int) -> list:
 @lru_cache(maxsize=4096)
 def _order_factors(a: int, m: int) -> tuple:
     """The multiplicative order s of the unit a mod m >= 2 with its prime
-    powers, as one flat tuple (s, q_1, e_1, g_1, q_2, e_2, g_2, ...): primes
-    ascending, q_i**e_i exactly dividing s, and g_i = a**(s // q_i**e_i)
-    mod m, an element of order exactly q_i**e_i.
+    powers, as one flat tuple (s, n, q_1, e_1, g_1, q_2, e_2, g_2, ...):
+    primes ascending, q_i**e_i exactly dividing s, g_i = a**(s // q_i**e_i)
+    mod m, an element of order exactly q_i**e_i, and n the product of the
+    q_i**e_i whose q_i-Sylow subgroup of (Z/m)^* is not cyclic.
 
     Starts from the Carmichael exponent lambda(m), factored from one
     factorization of m, and strips each prime while the power still fixes 1.
+    The q-Sylow subgroup is not cyclic when q divides the order of two CRT
+    factors (Z/r**f)^* of m, or q = 2 and 2**f | m with f >= 3, since
+    (Z/2**f)^* = C_2 x C_(2**(f-2)).
     Memoised per (a, m): a search asks for the same modulus again and again,
     and discrete_log then takes s and each g from here instead of raising a
     to a full-size power per prime on every call. An entry holds one residue
-    per prime and nothing per target: no table, inverse or CRT coefficient.
-    It is flat because a tuple per prime costs more memory than the g it
-    carries: over the 21,952 candidates of the p = 5, t = 3 search slice the
-    memo retains 1.14 MB flat and 1.50 MB with (q, e, g) tuples (1.12 MB
-    with (q, e) tuples and no g; tracemalloc, CPython 3.11).
+    per prime, one n and nothing per target. It is flat because a tuple per
+    prime costs more memory than the g it carries: over the 21,952
+    candidates of the p = 5, t = 3 search slice the memo retains 1.16 MB
+    flat (1.14 MB without n) and 1.50 MB with (q, e, g) tuples (tracemalloc,
+    CPython 3.11).
     """
-    lam = {}
-    for q, e in factorint(m).items():
-        if q == 2:  # lambda(2) = 1, lambda(4) = 2, lambda(2**e) = 2**(e-2)
-            parts = {2: e - 1 if e < 3 else e - 2}
+    lam, noncyclic = {}, set()
+    for r, f in factorint(m).items():
+        if r == 2:  # lambda(2) = 1, lambda(4) = 2, lambda(2**f) = 2**(f-2)
+            parts = {2: f - 1 if f < 3 else f - 2}
+            if f >= 3:
+                noncyclic.add(2)
         else:
-            parts = factorint(q - 1)
-            if e > 1:
-                parts[q] = e - 1
-        for f, k in parts.items():
-            lam[f] = max(lam.get(f, 0), k)
-    order = math.prod(f**k for f, k in lam.items())
+            parts = factorint(r - 1)
+            if f > 1:
+                parts[r] = f - 1
+        for q, k in parts.items():
+            if k:
+                if q in lam:  # a second CRT factor with a q-part
+                    noncyclic.add(q)
+                lam[q] = max(lam.get(q, 0), k)
+    order = math.prod(q**k for q, k in lam.items())
     out = []
-    for f in sorted(lam):
-        k = lam[f]
-        while k and pow(a, order // f, m) == 1:
-            order //= f
+    for q in sorted(lam):
+        k = lam[q]
+        while k and pow(a, order // q, m) == 1:
+            order //= q
             k -= 1
         if k:
-            out.append((f, k))
-    return (order, *(x for f, k in out for x in (f, k, pow(a, order // f**k, m))))
+            out.append((q, k))
+    n = math.prod(q**k for q, k in out if q in noncyclic)
+    return (order, n, *(x for q, k in out for x in (q, k, pow(a, order // q**k, m))))
 
 
 def mult_order(a: int, m: int) -> int:
@@ -510,8 +525,52 @@ def _prime_log(g: int, h: int, q: int, m: int):
     return None
 
 
+def _sylow_log(h: int, q: int, e: int, g: int, m: int):
+    """Pohlig-Hellman for one prime: x in [0, q**e) with g**x == h mod m,
+    for g of order q**e and h**(q**e) == 1; or None when h is outside <g>.
+    One _prime_log per base-q digit of x; a digit with no log means h is
+    outside <g>, and when every digit has one, g**x is h exactly.
+    """
+    qe = q**e
+    gamma = pow(g, qe // q, m)  # order q
+    x = 0
+    for i in range(e):
+        y = h * pow(g, qe - x, m) % m if x else h  # h * g**-x
+        d = _prime_log(gamma, pow(y, qe // q ** (i + 1), m), q, m)
+        if d is None:
+            return None
+        x += d * q**i
+    return x
+
+
 _UNBUDGETED_DLOG_MODULUS = 10**6
 DEFAULT_DLOG_TABLE_CAP = 1 << 22
+
+
+def _units(base: int, target: int, m: int, budget):
+    """The argument checks of discrete_log and in_subgroup: (target mod m,
+    _order_factors entry of base), or None when target is no unit mod m."""
+    if m < 2:
+        raise ValueError("modulus must be >= 2")
+    if budget is not None and budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
+    base %= m
+    target %= m
+    if gcd(base, m) != 1:
+        raise ValueError("base must be a unit mod m")
+    if gcd(target, m) != 1:
+        return None
+    return target, _order_factors(base, m)
+
+
+def _check_budget(q: int, m: int, budget):
+    """Raise DlogBudgetExceeded if the prime q's baby-step table would pass
+    the budget (default DEFAULT_DLOG_TABLE_CAP); m < 10**6 is never capped."""
+    if m >= _UNBUDGETED_DLOG_MODULUS:
+        steps = isqrt(q - 1) + 1
+        cap = DEFAULT_DLOG_TABLE_CAP if budget is None else budget
+        if steps > cap:
+            raise DlogBudgetExceeded(f"need {steps} table entries, budget is {cap}")
 
 
 def discrete_log(base: int, target: int, m: int, budget=None):
@@ -524,56 +583,68 @@ def discrete_log(base: int, target: int, m: int, budget=None):
     before the budget is looked at: no budget makes that answer unknown.
 
     Otherwise Pohlig-Hellman over the factored order (_order_factors, which
-    also holds each element g of order q**e): one log per base-q digit of
-    the exponent, each inside the subgroup of prime order q, by a scan for
-    small q and baby-step/giant-step above. A digit with no log means a
-    target outside the subgroup; only when every prime succeeds are the
+    also holds each element g of order q**e): _sylow_log of each q-part
+    target**(s // q**e), and only when every prime succeeds are the
     residues recombined by the Chinese remainder theorem. The answer is
     accepted only if base**w == target mod m holds. From m = 10**6 up,
-    budget caps the baby-step table of the largest prime subgroup (default
-    DEFAULT_DLOG_TABLE_CAP), checked after the membership test and before
-    any table is built; a blown budget raises DlogBudgetExceeded, which
-    callers must treat as "unknown", not as "no". A budget below 1 is a
-    ValueError.
+    budget caps the baby-step table of the largest prime subgroup
+    (_check_budget), checked after the order pre-test and before any table
+    is built; a blown budget raises DlogBudgetExceeded, which callers must
+    treat as "unknown", not as "no". A budget below 1 is a ValueError.
     """
-    if m < 2:
-        raise ValueError("modulus must be >= 2")
-    if budget is not None and budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
-    base %= m
-    target %= m
-    if gcd(base, m) != 1:
-        raise ValueError("base must be a unit mod m")
-    if gcd(target, m) != 1:
-        return None  # not even in the unit group, so not in the subgroup
-    entry = _order_factors(base, m)
+    units = _units(base, target, m, budget)
+    if units is None:
+        return None
+    target, entry = units
     order = entry[0]
     if pow(target, order, m) != 1:
         return None
-    if m >= _UNBUDGETED_DLOG_MODULUS and order > 1:
-        steps = isqrt(entry[-3] - 1) + 1  # the largest prime of the order
-        cap = DEFAULT_DLOG_TABLE_CAP if budget is None else budget
-        if steps > cap:
-            raise DlogBudgetExceeded(f"need {steps} table entries, budget is {cap}")
-    residues = []
-    primes = iter(entry[1:])
+    if order > 1:
+        _check_budget(entry[-3], m, budget)  # the largest prime of the order
+    w, modulus = 0, 1
+    primes = iter(entry[2:])
     for q, e, g in zip(primes, primes, primes):
         qe = q**e
-        h = pow(target, order // qe, m)  # in <g> when target is in <base>
-        gamma = pow(g, qe // q, m)  # order q
-        x = 0
-        for i in range(e):
-            y = h * pow(g, qe - x, m) % m if x else h  # h * g**-x
-            d = _prime_log(gamma, pow(y, qe // q ** (i + 1), m), q, m)
-            if d is None:
-                return None
-            x += d * q**i
-        residues.append((x, qe))
-    w, modulus = 0, 1
-    for x, qe in residues:
+        x = _sylow_log(pow(target, order // qe, m), q, e, g, m)
+        if x is None:
+            return None
         w += modulus * ((x - w) * pow(modulus, -1, qe) % qe)
         modulus *= qe
     return w if pow(base, w, m) == target else None
+
+
+def in_subgroup(base: int, target: int, m: int, budget=None) -> bool:
+    """Whether discrete_log(base, target, m) is not None, without the log.
+
+    (Z/m)^* is abelian, so target lies in <base> exactly when each q-part
+    of target lies in the q-part <g> of <base>. The order pre-test of
+    discrete_log, target**s == 1 with s = ord(base), makes each q-part's
+    order divide ord(g) (trivial for q not dividing s). A cyclic q-Sylow
+    subgroup of (Z/m)^* has one subgroup of each order, so there the
+    pre-test proves membership. Only the primes whose Sylow subgroup is
+    not cyclic, n the product of their q**e (_order_factors), run the
+    digits of _sylow_log. One full-size pow v = target**(s // n) serves
+    both: the pre-test is v**n == 1 and each q-part is v**(n // q**e). The
+    budget caps the largest of those primes, checked after the pre-test and
+    before any table is built; a budget below 1 is a ValueError.
+    """
+    units = _units(base, target, m, budget)
+    if units is None:
+        return False
+    target, entry = units
+    n = entry[1]
+    v = pow(target, entry[0] // n, m)
+    if pow(v, n, m) != 1:
+        return False
+    if n == 1:  # every Sylow subgroup of the order is cyclic
+        return True
+    noncyclic = [i for i in range(2, len(entry), 3) if n % entry[i] == 0]
+    _check_budget(entry[noncyclic[-1]], m, budget)
+    for i in noncyclic:
+        q, e, g = entry[i:i + 3]
+        if _sylow_log(pow(v, n // q**e, m), q, e, g, m) is None:
+            return False
+    return True
 
 
 def padic_square_exists(m: int, p: int):

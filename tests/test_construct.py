@@ -168,6 +168,47 @@ def test_is_nice_factors_B_only_when_plus_minus_B_miss(monkeypatch):
     assert set(by_q) == {"+-B", "deeper"}
 
 
+def _log_per_q(monkeypatch):
+    """The coset test as it was before in_subgroup: one full discrete log
+    per admissible q."""
+    monkeypatch.setattr(construct_module, "in_subgroup",
+                        lambda b, t, m, budget=None:
+                        construct_module.discrete_log(b, t, m, budget) is not None)
+
+
+def test_is_nice_on_the_whole_search_slice(monkeypatch):
+    # condition (c) is decided by membership alone, and a log is taken only
+    # for a certificate that passes (a) and (b): every certificate of the
+    # slice equals the one a log-per-q oracle gives, and carries omega0
+    # exactly when it is nice
+    combos = _slice_candidates()
+    certs = [is_nice(cf) for cf in combos]
+    classes = Counter("".join("TF"[not c] for c in (x.cond_a, x.cond_b, x.cond_c)) for x in certs)
+    assert classes == {"TFT": 9058, "TTT": 4636, "TFF": 3142, "TTF": 1980,
+                       "FTT": 1744, "FTF": 680, "FFT": 548, "FFF": 164}
+    assert all(x.cond_c is not None and (x.omega0 is not None) == x.nice for x in certs)
+    _log_per_q(monkeypatch)
+    assert [is_nice(cf) for cf in combos] == certs
+
+
+def test_a_blown_log_of_a_nonmember_leaves_c_decided(monkeypatch):
+    # Atilde_1 = 5 * 241, so the coset test runs modulo 1205**2 > 10**6,
+    # where ord(3) = 2**3 * 3 * 5 * 241. Every admissible q (B = 34) is
+    # outside <3>; +-578 and +-1156 pass the order pre-test, and a log of
+    # them needs a 16-entry table for 241 that a budget of 4 forbids. Their
+    # membership rests on 2 and 5 alone, whose Sylow subgroups are not
+    # cyclic, and needs no table beyond 3 entries: (c) fails, as it does
+    # without a budget. One log per q left it undecided at this budget
+    seed = (LaurentInt(3, 14, 3), LaurentInt(3, 34, 3))
+    cert = is_nice(seed, dlog_budget=4)
+    assert cert.Atilde_last == 1205 and cert.Btilde_last == 34
+    assert cert.cond_a and cert.cond_b and cert.cond_c is False and cert.failure == "c"
+    assert cert == is_nice(seed)
+    _log_per_q(monkeypatch)
+    old = is_nice(seed, dlog_budget=4)
+    assert old.cond_c is None and old.failure == "c-indeterminate"
+
+
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_integer_cond_a_matches_abs_lt(p):
     digits = construct_module._digit_pool(p, "all", 60, 3)

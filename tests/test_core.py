@@ -17,6 +17,7 @@ from padiccf.core import (
     divisors,
     factorint,
     hensel_digits,
+    in_subgroup,
     isprime,
     legendre,
     mod_inverse,
@@ -354,6 +355,18 @@ def test_factorint_squares_and_prime_powers():
     assert divisors(10403**2) == divisors_brute(10403**2)
 
 
+def test_factorint_reads_a_prime_cofactor_off_trial_division(monkeypatch):
+    # once q * q passes what is left of n, no factor of it is left, so the
+    # cofactor is prime without a primality test; condition (c) factors
+    # many small |Btilde| this way
+    def no_test(n):
+        raise AssertionError(f"isprime({n}) called")
+
+    monkeypatch.setattr(core, "isprime", no_test)
+    for n in list(range(1, 3000)) + [997**2, 2 * 991 * 997, 2**9 * 3 * 991]:
+        assert factorint(n) == factorint_brute(n), n
+
+
 def test_factorint_splits_higher_perfect_powers():
     # 100000000000031 is a prime near 1e14: Pollard-Brent alone needs ~1e7
     # steps on its cube, the k-th root split none
@@ -546,6 +559,118 @@ def test_discrete_log_matches_brute(m, base, target):
     if math.gcd(base, m) != 1 or math.gcd(target, m) != 1:
         return
     assert discrete_log(base, target, m) == dlog_brute(base, target, m)
+
+
+def _sylow_is_cyclic_brute(q, m):
+    """An abelian q-group of rank r has q**r - 1 elements of order q, so
+    the q-Sylow subgroup of (Z/m)^* is cyclic exactly when at most q - 1
+    units u != 1 have u**q == 1."""
+    return sum(1 for u in range(2, m) if math.gcd(u, m) == 1 and pow(u, q, m) == 1) <= q - 1
+
+
+def test_order_factors_marks_each_noncyclic_sylow_prime():
+    # entry = (s, n, q_1, e_1, g_1, ...): n is the product of the q**e
+    # whose Sylow subgroup of the whole unit group is not cyclic
+    kinds = set()
+    for m in list(range(3, 200)) + [2**5 * 7, 9 * 7 * 13, 3**3 * 19, 11**2 * 23]:
+        units = [u for u in range(2, m) if math.gcd(u, m) == 1]
+        for base in units[:: max(1, len(units) // 3)]:
+            entry = core._order_factors(base, m)
+            order, n, triples = entry[0], entry[1], entry[2:]
+            noncyclic = 1
+            for q, e in zip(triples[::3], triples[1::3]):
+                assert order % q**e == 0 and order % q ** (e + 1)
+                if not _sylow_is_cyclic_brute(q, m):
+                    noncyclic *= q**e
+                    kinds.add(q == 2)
+            assert n == noncyclic, (base, m)
+    assert kinds == {True, False}  # both 2 and odd primes come up
+
+
+def _carmichael_multiple(factors):
+    """A multiple of the exponent of (Z/m)^*, m = prod(r**f): the lcm of
+    the phi(r**f)."""
+    return math.lcm(*((r - 1) * r ** (f - 1) for r, f in factors.items()))
+
+
+def test_in_subgroup_matches_discrete_log_on_random_moduli(monkeypatch):
+    # moduli with 2**f (f >= 3), repeated odd primes and odd primes sharing
+    # an l >= 40 (82 = 2 * 41 and 820 = 2**2 * 5 * 41), so the Sylow
+    # subgroups at 2, at small odd l and at 41 are often not cyclic; half
+    # of the targets are pushed into the order pre-test's kernel, so that
+    # the Pohlig-Hellman digits decide them
+    rng = random.Random(38)
+    seen = []
+    real = core._prime_log
+
+    def spy(g, h, q, mod):
+        seen.append(q)
+        return real(g, h, q, mod)
+
+    monkeypatch.setattr(core, "_prime_log", spy)
+    moduli = [{83: 2, 821: 2}, {2: 5, 7: 2}, {2: 3, 3: 3, 7: 1, 13: 1}]
+    for _ in range(40):
+        picks = rng.sample([2, 3, 5, 7, 11, 13, 19, 31, 37], rng.randint(1, 3))
+        moduli.append({r: rng.randint(1, 5 if r == 2 else 3) for r in picks})
+    outcomes = set()
+    for factors in moduli:
+        m = math.prod(r**f for r, f in factors.items())
+        if m < 3:
+            continue
+        lam = _carmichael_multiple(factors)
+        for _ in range(6):
+            base = rng.randrange(2, m)
+            if math.gcd(base, m) != 1:
+                continue
+            entry = core._order_factors(base, m)
+            for _ in range(6):
+                target = rng.randrange(1, m)
+                if rng.random() < 0.5:
+                    target = pow(target, lam // entry[0], m)  # passes the pre-test
+                member = in_subgroup(base, target, m)
+                w = discrete_log(base, target, m)
+                assert member == (w is not None), (base, target, m)
+                if m < 5000:
+                    assert w == dlog_brute(base, target, m)
+                tested = math.gcd(target, m) == 1 and pow(target, entry[0], m) == 1
+                outcomes.add((member, tested, entry[1] > 1))
+    # a member, a non-member the pre-test rejects and one that only the
+    # digits of a non-cyclic prime reject
+    assert {(True, True, True), (False, False, True), (False, True, True)} <= outcomes
+    assert 41 in seen and 41 >= core._SCAN_BELOW
+
+
+def test_in_subgroup_budget_caps_the_largest_noncyclic_prime(monkeypatch):
+    # base 2 mod (83 * 821)**2 has order 2**2 * 5 * 41 * 83 * 821; of those
+    # only 2 and 41 have a Sylow subgroup that is not cyclic, so the
+    # membership test needs a table for 41 (isqrt(40) + 1 = 7 entries) and
+    # none for 821, which a log needs (29 entries)
+    m = (83 * 821) ** 2
+    entry = core._order_factors(2, m)
+    assert entry[1] == 2**2 * 41
+    lam = _carmichael_multiple({83: 2, 821: 2})
+    kernel = [pow(x, lam // entry[0], m) for x in range(3, 40)]
+    kernel = [t for t in kernel if t != 1]
+    members = [t for t in kernel if discrete_log(2, t, m) is not None]
+    assert members and len(members) < len(kernel)
+    tables = []
+    real = core._prime_log
+    monkeypatch.setattr(core, "_prime_log", lambda g, h, q, mod: tables.append(q) or real(g, h, q, mod))
+    for target in kernel:
+        with pytest.raises(core.DlogBudgetExceeded, match="need 7 table entries, budget is 6"):
+            in_subgroup(2, target, m, budget=6)
+    assert tables == []  # raised before any digit, scan or table
+    assert [t for t in kernel if in_subgroup(2, t, m, budget=7)] == members
+    with pytest.raises(core.DlogBudgetExceeded, match="need 29 table entries"):
+        discrete_log(2, members[0], m, budget=7)
+    # 2 has the largest order of any unit here, so every unit passes its
+    # pre-test; 4 has half that order, and the pre-test rejects 2 from <4>
+    # before the budget is read
+    assert pow(2, entry[0] // 2, m) != 1
+    assert in_subgroup(4, 2, m, budget=1) is False
+    for budget in (0, -1):
+        with pytest.raises(ValueError, match=f"budget must be >= 1, got {budget}"):
+            in_subgroup(4, 2, m, budget=budget)
 
 
 def test_padic_square_exists_pinned():

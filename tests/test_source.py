@@ -93,7 +93,9 @@ def test_library_writes_no_instance_dict():
 # only where the dividing step needs it. A second caller would be a
 # second chain. The coset walk of a construction, and the verifier of its
 # members, serve construct and pcf construct alone: another caller would
-# be a second coset loop.
+# be a second coset loop. Condition (c) asks membership of each q and takes
+# one log, in is_nice alone, and core has one Pohlig-Hellman digit loop,
+# _sylow_log, shared by the log and the membership test.
 _CALLERS = {
     "_wide_step": ["engine.py:_chain"],
     "_rebuild": ["engine.py:_chain"],
@@ -101,6 +103,10 @@ _CALLERS = {
     "hensel_digits": ["engine.py:_dividing_step"],
     "_members": ["cli.py:cmd_construct", "construct.py:construct"],
     "_verified": ["cli.py:cmd_construct", "construct.py:construct"],
+    "discrete_log": ["construct.py:is_nice", "refchecks.py:_dlog"],
+    "in_subgroup": ["construct.py:is_nice"],
+    "_sylow_log": ["core.py:discrete_log", "core.py:in_subgroup"],
+    "_prime_log": ["core.py:_sylow_log"],
 }
 
 
